@@ -19,10 +19,10 @@ from .engine import (DiagonalWord, SpaceTimeDiagram, dense_run, diagonal,
                      diagram_from_json_obj, max_horizon, run, run_probes,
                      same_run, w_row, w_site, w_value)
 from .errors import (AlphabetMismatch, ArityMismatch, BeyondHorizon,
-                     CoordinateOverflow, NoMatch, NotCoprime, NotTotal,
-                     OverflowHorizon, PlaneViolation, QuiescentViolation,
-                     RuleFileError, RuleSyntaxError, UnknownState,
-                     XNotSmallest)
+                     CheckFailed, CoordinateOverflow, NoMatch, NotCoprime,
+                     NotTotal, OverflowHorizon, PlaneViolation,
+                     QuiescentViolation, RuleFileError, RuleSyntaxError,
+                     TableTooLarge, UnknownState, XNotSmallest)
 from .lattice import Neighborhood, offsets
 from .signals import (Follower, FollowTrace, MoveConvention, MovePartition,
                       ProductCA, Signal, detect, follow, follower_for_xy,
@@ -36,14 +36,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatch", "AnyOf", "ArityMismatch", "BeyondHorizon",
-    "CoordinateOverflow", "DiagonalWord", "Follower", "FollowTrace",
+    "CheckFailed", "CoordinateOverflow", "DiagonalWord", "Follower", "FollowTrace",
     "GapReport", "ImpulseCA", "LAMBDA", "Literal", "MoveConvention",
     "MovePartition", "Neighborhood", "NoMatch", "NotCoprime",
     "NotPeriodicWithin", "NotTotal", "OverflowHorizon",
     "PeriodDecomposition", "PlaneViolation", "ProductCA",
     "QuiescentViolation", "Rule", "RuleFileError", "RuleSyntaxError",
     "RuleTable", "SearchReport", "Signal", "SpaceTimeDiagram",
-    "UnknownState", "VerifyReport", "WILDCARD", "XNotSmallest",
+    "TableTooLarge", "UnknownState", "VerifyReport", "WILDCARD", "XNotSmallest",
     "base_xy_readout", "binary_readout", "builtin_log2", "builtin_quiescent",
     "builtin_xy", "check_planes", "crt_digit", "dense_run", "detect",
     "diagonal", "diagram_from_json_obj", "exhaustive_two_state_search",

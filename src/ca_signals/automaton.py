@@ -84,14 +84,6 @@ class AnyOf:
 Matcher = object  # WILDCARD | Literal | AnyOf
 
 
-def matcher_accepts(m, s: str) -> bool:
-    if m is WILDCARD:
-        return True
-    if isinstance(m, Literal):
-        return m.state == s
-    return s in m.states
-
-
 @dataclass(frozen=True)
 class Rule:
     pattern: tuple[Matcher, ...]

@@ -29,7 +29,7 @@ from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
 from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, SpaceTimeDiagram,
                      dense_run, diagram_from_json_obj, run, run_probes)
-from .errors import OverflowHorizon
+from .errors import CheckFailed, OverflowHorizon
 from .signals import (DetectProbe, Follower, FollowProbe, MoveConvention,
                       Signal, follower_for_xy, log2_partition,
                       parse_move_partition)
@@ -484,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense", action="store_true",
                    help="use the dense reference engine")
     p.add_argument("--check", action="store_true",
-                   help="re-verify each slice against the dense step")
+                   help="check that every live cell of each slice lies in the "
+                        "light cone and, for trellis automata, in the parity "
+                        "class of its time (exit 1 if not)")
     _add_budget(p)
     _add_out(p)
     p.set_defaults(fn=cmd_simulate)
@@ -610,6 +612,9 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowHorizon as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
+    except CheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, LookupError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,7 +4,11 @@ Two independent engines on purpose:
 
 * ``run`` / ``run_probes``: sparse, vectorized.  Live cells of one time slice
   are kept as a sorted int64 array of packed coordinates plus a uint8 state
-  code array; stepping is searchsorted gathers plus one table lookup.
+  code array.  A step merges the v shifted copies of that array with one
+  stable sort, sums each candidate cell's neighbor codes with one
+  ``reduceat``, and looks the sums up in the rule table.  A point read
+  (``state_at``) is one binary search for a key packed with Python ints;
+  cells outside the light cone read quiescent without being packed.
 * ``dense_run``: a plain dict-of-cells reference engine that re-applies the
   rule list with first-match semantics, cell by cell.  It shares no stepping
   or pruning logic with the sparse path so the two can cross-check each other.
@@ -22,8 +26,8 @@ from itertools import product
 import numpy as np
 
 from .automaton import ImpulseCA
-from .errors import (BeyondHorizon, CoordinateOverflow, OverflowHorizon,
-                     UnknownState)
+from .errors import (BeyondHorizon, CheckFailed, CoordinateOverflow,
+                     OverflowHorizon, UnknownState)
 from .lattice import all_ones, in_light_cone, parity_valid
 
 FLAT_ENUM_LIMIT = 10**6
@@ -138,6 +142,29 @@ def _empty_slice() -> Slice:
     return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
 
 
+def _read_cell(ca: ImpulseCA, sl: Slice, cell: tuple[int, ...], t: int) -> str:
+    """State symbol of one cell of the slice at time t.
+
+    No live cell lies outside the light cone, so such a cell reads quiescent
+    before its key is packed; inside the cone every coordinate fits its
+    packed field, so far-out coordinates cannot alias a stored cell.
+    """
+    if len(cell) != ca.dim:
+        raise ValueError(f"cell has {len(cell)} coordinates, CA has {ca.dim}")
+    b = _bits(ca.dim)
+    half = 1 << (b - 1)
+    key = 0
+    for a in cell:
+        if not -t <= a <= t:
+            return ca.quiescent
+        key = (key << b) | (a + half)
+    packed, codes = sl
+    i = packed.searchsorted(key)
+    if i < len(packed) and packed[i] == key:
+        return ca.states[codes[i]]
+    return ca.quiescent
+
+
 @dataclass
 class SpaceTimeDiagram:
     """Fully retained run: one (packed cells, state codes) pair per slice."""
@@ -164,14 +191,7 @@ class SpaceTimeDiagram:
     def state_at(self, cell: tuple[int, ...], t: int) -> str:
         """State symbol at a cell; quiescent for any cell not stored."""
         self._check_t(t)
-        if len(cell) != self.ca.dim:
-            raise ValueError(f"cell has {len(cell)} coordinates, CA has {self.ca.dim}")
-        packed, codes = self.slices[t]
-        key = pack_cells(np.array([cell], dtype=np.int64), self.ca.dim)[0]
-        i = np.searchsorted(packed, key)
-        if i < len(packed) and packed[i] == key:
-            return self.ca.states[codes[i]]
-        return self.ca.quiescent
+        return _read_cell(self.ca, self.slices[t], cell, t)
 
     def cells(self, t: int):
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
@@ -208,16 +228,21 @@ def _step(ca: ImpulseCA, sl: Slice, ev: _Evaluator,
     packed, codes = sl
     if len(packed) == 0:
         return _empty_slice()
-    # a cell can wake only if some declared neighbor is live now
-    cand = np.unique(np.concatenate([packed - sh for sh in shifts]))
-    flat_code = np.zeros(len(cand), dtype=np.int64)
-    for pos, sh in enumerate(shifts):
-        probe = cand + sh
-        idx = np.searchsorted(packed, probe)
-        idx_c = np.minimum(idx, len(packed) - 1)
-        hit = packed[idx_c] == probe
-        ncode = np.where(hit, codes[idx_c], 0).astype(np.int64)
-        flat_code += ncode * weights[pos]
+    # A cell can wake only if some declared neighbor is live now.  Live cell
+    # p is the argument at position pos of candidate p - shifts[pos] and adds
+    # codes * weights[pos] to its flat code; quiescent neighbors add 0.  Each
+    # shifted copy is sorted, so the stable sort (timsort) merges v runs.
+    keys = np.concatenate([packed - sh for sh in shifts])
+    wide = codes.astype(np.int64)
+    contrib = np.concatenate([wide * w for w in weights])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    cand = keys[starts]
+    flat_code = np.add.reduceat(contrib[order], starts)
     new_codes = ev.lookup(flat_code)
     keep = new_codes != 0
     return (cand[keep], new_codes[keep].astype(np.uint8))
@@ -236,13 +261,21 @@ def _prepare(ca: ImpulseCA, steps: int):
     return ev, shifts, weights
 
 
+def _misplaced(cell: tuple[int, ...], t: int, ca: ImpulseCA) -> str | None:
+    """Why a cell cannot be live at time t, or None if it can."""
+    if not in_light_cone(cell, t):
+        return f"cell {cell} outside light cone at t={t}"
+    if not parity_valid(cell, t, ca.neighborhood):
+        return f"cell {cell} parity-invalid at t={t}"
+    return None
+
+
 def _check_slice(ca: ImpulseCA, sl: Slice, t: int):
-    coords = unpack_cells(sl[0], ca.dim)
-    for row in coords:
-        cell = tuple(int(a) for a in row)
-        assert in_light_cone(cell, t), f"{cell} outside light cone at t={t}"
-        assert parity_valid(cell, t, ca.neighborhood), \
-            f"{cell} parity-invalid at t={t}"
+    """Raise CheckFailed unless every live cell is in the cone and parity class."""
+    for row in unpack_cells(sl[0], ca.dim):
+        problem = _misplaced(tuple(int(a) for a in row), t, ca)
+        if problem:
+            raise CheckFailed(problem)
 
 
 def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
@@ -279,11 +312,7 @@ class SliceView:
         self._packed, self._codes = sl
 
     def state_at(self, cell: tuple[int, ...]) -> str:
-        key = pack_cells(np.array([cell], dtype=np.int64), self.ca.dim)[0]
-        i = np.searchsorted(self._packed, key)
-        if i < len(self._packed) and self._packed[i] == key:
-            return self.ca.states[self._codes[i]]
-        return self.ca.quiescent
+        return _read_cell(self.ca, (self._packed, self._codes), cell, self.t)
 
     @property
     def n_sites(self) -> int:
@@ -389,16 +418,25 @@ def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:
         for c in cells:
             if c["s"] not in known:
                 raise UnknownState(f"symbol {c['s']!r} not in the CA alphabet")
-            if len(c["u"]) != ca.dim:
-                raise ValueError(f"cell {c['u']} has wrong dimension")
+            u = c["u"]
+            if len(u) != ca.dim:
+                raise ValueError(f"cell {u} has wrong dimension")
+            if not all(type(a) is int for a in u):
+                raise ValueError(f"cell {u} has a non-integer coordinate")
+            # checked before packing: a cell outside the cone could overflow
+            # its packed field and alias another cell
+            problem = _misplaced(tuple(u), r["t"], ca)
+            if problem:
+                raise ValueError(problem)
         coords = np.array([c["u"] for c in cells], dtype=np.int64)
         codes = np.array([ca.state_code(c["s"]) for c in cells],
                          dtype=np.uint8)
         packed = pack_cells(coords, ca.dim)
         order = np.argsort(packed)
-        if len(np.unique(packed)) != len(packed):
+        packed = packed[order]
+        if np.any(packed[1:] == packed[:-1]):
             raise ValueError(f"duplicate cells in slice t={r['t']}")
-        slices.append((packed[order], codes[order]))
+        slices.append((packed, codes[order]))
     return SpaceTimeDiagram(ca, slices, truncated=truncated)
 
 

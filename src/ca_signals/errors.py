@@ -3,7 +3,8 @@
 Parse and construction problems raise ValueError subclasses so callers can
 catch one family.  Horizon problems are separate: BeyondHorizon is a lookup
 past the simulated range, OverflowHorizon is a run aborted by the memory
-budget (it carries the last fully computed slice index).
+budget (it carries the last fully computed slice index).  CheckFailed is a
+consistency check on a computed result that did not hold.
 """
 
 
@@ -55,6 +56,18 @@ class AlphabetMismatch(ValueError):
 
 class PlaneViolation(ValueError):
     """A state was found on the wrong diagonal plane of a counter diagram."""
+
+
+class TableTooLarge(ValueError):
+    """A rule table that must be tabulated has too many neighbor tuples."""
+
+
+class CheckFailed(RuntimeError):
+    """A computed result broke a property the construction guarantees.
+
+    Raised by explicit checks (``run(..., check=True)``, the move check in
+    ``detect``); unlike ``assert`` they stay active under ``python -O``.
+    """
 
 
 class BeyondHorizon(IndexError):

@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .automaton import LAMBDA, ImpulseCA
-from .errors import AlphabetMismatch, NotCoprime, UnknownState
+from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, TableTooLarge,
+                     UnknownState)
 from .lattice import Offset, all_ones, format_offset, neg, offsets, parse_offset
 
 
@@ -174,7 +175,8 @@ def detect(diag, partition: MovePartition, steps: int | None = None,
         u = _step_site(u, partition.offset_of(s), convention)
         sites.append(u)
     out = Signal(tuple(sites))
-    assert valid_moves(out, diag.ca.neighborhood, convention)
+    if not valid_moves(out, diag.ca.neighborhood, convention):
+        raise CheckFailed("detected walk takes a step outside the neighborhood")
     return out
 
 
@@ -433,7 +435,10 @@ class ProductTable:
         ns = len(self.base.states)
         v = self.arity
         base_flat = compile_flat(self.base)
-        assert base_flat is not None, "base alphabet too large for product"
+        if base_flat is None:
+            raise TableTooLarge(
+                "base automaton has too many neighbor tuples to tabulate "
+                "its product table")
         n_pair = ns * nm
         w_pair = flat_weights(n_pair, v)
         w_base = flat_weights(ns, v)

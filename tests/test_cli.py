@@ -6,9 +6,10 @@ exit codes, and the exact bytes written to stdout.
 
 import json
 
+import numpy as np
 import pytest
 
-from ca_signals import follower_for_xy
+from ca_signals import engine, follower_for_xy
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main)
 
@@ -57,6 +58,19 @@ def test_simulate_check_mode(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--ca", "log2", "--steps", "6",
                            "--check")
     assert code == EXIT_OK and json.loads(out)[-1]["t"] == 6
+
+
+def test_simulate_check_failure_exits_1(capsys, monkeypatch):
+    def bad_step(ca, sl, *_args):
+        # one live cell off the trellis parity class
+        return (engine.pack_cells(np.array([[0, 0]]), 2),
+                np.array([1], np.uint8))
+
+    monkeypatch.setattr(engine, "_step", bad_step)
+    code, _, err = run_cli(capsys, "simulate", "--ca", "log2", "--steps", "2",
+                           "--check")
+    assert code == EXIT_FAIL
+    assert err.startswith("error:") and "parity" in err
 
 
 def test_simulate_out_file(capsys, tmp_path):
@@ -164,6 +178,16 @@ def test_render_from_saved_diagram(capsys, tmp_path):
     _, loaded, _ = run_cli(capsys, "render", "--ca", "log2",
                            "--mode", "slice", "--t", "3", "--in", str(saved))
     assert direct == loaded
+
+
+def test_render_rejects_a_wrapped_coordinate(capsys, tmp_path):
+    saved = tmp_path / "diag.json"
+    saved.write_text(json.dumps(
+        [{"t": 0, "cells": [{"u": [2**31, 0], "s": "1"}]}]))
+    code, out, err = run_cli(capsys, "render", "--ca", "log2",
+                             "--mode", "slice", "--t", "0", "--in", str(saved))
+    assert code == EXIT_CONFIG and out == ""
+    assert "light cone" in err
 
 
 # --- detect / follow ----------------------------------------------------------

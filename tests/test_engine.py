@@ -13,8 +13,10 @@ from ca_signals import (BeyondHorizon, CoordinateOverflow, OverflowHorizon,
                         dense_run, diagonal, diagram_from_json_obj,
                         max_horizon, merged_xy, run, run_probes, same_run,
                         w_row, w_site, w_value)
-from ca_signals.engine import (DiagonalProbe, WRowProbe, diagonal_start,
-                               pack_cells, unpack_cells)
+from ca_signals import engine
+from ca_signals.engine import (FLAT_ENUM_LIMIT, DiagonalProbe, WRowProbe,
+                               diagonal_start, pack_cells, unpack_cells)
+from ca_signals.lattice import Neighborhood
 from ca_signals.verification import random_impulse_ca
 
 L = "λ"
@@ -36,6 +38,11 @@ def test_state_at_defaults_quiescent(log2_diag):
         log2_diag.state_at((0, 0), log2_diag.horizon + 1)
     with pytest.raises(ValueError):
         log2_diag.state_at((0, 0, 0), 0)
+    # 1 + 2**31 overflows its packed field; read as a key it would alias
+    # the live cell (1, 1)
+    assert log2_diag.state_at((1, 1), 1) == "0"
+    assert log2_diag.state_at((1, 1 + 2**31), 1) == L
+    assert log2_diag.state_at((2**31, 0), 0) == L
 
 
 def test_run_is_deterministic():
@@ -55,11 +62,60 @@ def test_sparse_equals_dense(builder, steps):
     assert same_run(run(ca, steps), dense_run(ca, steps))
 
 
-def test_sparse_equals_dense_on_random_tables():
+class _Recorder:
+    """Probe that keeps each streamed slice and two reads off its cone."""
+
+    def __init__(self):
+        self.cells, self.far = [], []
+
+    def observe(self, view):
+        t, dim = view.t, view.ca.dim
+        self.cells.append(list(view.cells()))
+        self.far.append((view.state_at((t + 1,) + (0,) * (dim - 1)),
+                         view.state_at((2**31,) + (0,) * (dim - 1))))
+
+
+# (kind, dim, tables, horizon, max_states): alphabets stay small where the
+# flat table is enumerated in Python.  Moore dim 3 has 27 arguments, so even
+# two states exceed FLAT_ENUM_LIMIT and its tables run the memo evaluator.
+CROSS_CHECK = [
+    ("trellis", 1, 4, 16, 4), ("trellis", 2, 12, 10, 4),
+    ("trellis", 3, 3, 8, 3),
+    ("von_neumann", 1, 4, 16, 4), ("von_neumann", 2, 4, 10, 4),
+    ("von_neumann", 3, 3, 8, 3),
+    ("moore", 1, 4, 16, 4), ("moore", 2, 3, 8, 3), ("moore", 3, 3, 6, 3),
+]
+
+
+@pytest.mark.parametrize("kind,dim,tables,steps,max_states", CROSS_CHECK,
+                         ids=[f"{k}-{d}" for k, d, *_ in CROSS_CHECK])
+def test_sparse_equals_dense_on_random_tables(kind, dim, tables, steps,
+                                              max_states, monkeypatch):
     rng = random.Random(20240817)
-    for _ in range(12):
-        ca = random_impulse_ca(rng)
-        assert same_run(run(ca, 10), dense_run(ca, 10)), ca.name
+    neigh = Neighborhood(kind, dim)
+    lam_cell = [(t + 1,) + (0,) * (dim - 1) for t in range(steps + 1)]
+    far_cell = (2**31,) + (0,) * (dim - 1)
+    live = []
+    for _ in range(tables):
+        ca = random_impulse_ca(rng, max_states=max_states, neigh=neigh)
+        memo = len(ca.states) ** ca.table.arity > FLAT_ENUM_LIMIT
+        assert memo == (kind == "moore" and dim == 3)
+        diag = run(ca, steps)
+        live.append(diag.n_sites(steps) > 0)
+        assert same_run(diag, dense_run(ca, steps)), ca.name
+        rec = _Recorder()
+        run_probes(ca, steps, [rec])
+        lam = ca.quiescent
+        for t in range(steps + 1):
+            assert rec.cells[t] == list(diag.cells(t)), (ca.name, t)
+            assert rec.far[t] == (lam, lam)
+            assert diag.state_at(lam_cell[t], t) == lam
+            assert diag.state_at(far_cell, t) == lam
+        # the same table through the memo evaluator
+        with monkeypatch.context() as m:
+            m.setattr(engine, "FLAT_ENUM_LIMIT", 0)
+            assert same_run(run(ca, steps), diag), ca.name
+    assert any(live)
 
 
 def test_live_region_and_parity(log2_diag):
@@ -143,6 +199,32 @@ def test_json_rejects_foreign_cells():
     with pytest.raises(UnknownState):
         diagram_from_json_obj(
             ca, [{"t": 0, "cells": [{"u": [0, 0], "s": "π_1"}]}])
+
+
+@pytest.mark.parametrize("u,t,why", [
+    ([2**31, 0], 0, "light cone"),      # used to wrap onto (0, 0)
+    ([2**70, 0], 0, "light cone"),      # does not fit int64 at all
+    ([2, 0], 1, "light cone"),
+    ([1, 0], 1, "parity"),
+    ([1.0, 1], 1, "non-integer"),
+    (["1", 1], 1, "non-integer"),
+])
+def test_json_rejects_cells_off_the_cone(u, t, why):
+    rows = [{"t": 0, "cells": [{"u": [0, 0], "s": "1"}]},
+            {"t": 1, "cells": [{"u": [1, 1], "s": "0"}]}]
+    rows[t]["cells"].append({"u": u, "s": "1"})
+    with pytest.raises(ValueError, match=why):
+        diagram_from_json_obj(builtin_log2(), rows)
+
+
+def test_json_rejects_duplicate_cells():
+    cells = [{"u": [1, 1], "s": "0"}, {"u": [1, -1], "s": "1"},
+             {"u": [1, 1], "s": "1"}]
+    with pytest.raises(ValueError, match="duplicate"):
+        diagram_from_json_obj(builtin_log2(), [
+            {"t": 0, "cells": [{"u": [0, 0], "s": "1"}]},
+            {"t": 1, "cells": cells}])
+
 
 
 # --- diagonal words ---------------------------------------------------------

@@ -1,21 +1,26 @@
 """Signals: detection walks, followers, the product construction, anchors."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (AlphabetMismatch, Follower, MoveConvention,
-                        NotCoprime, NotPeriodicWithin, Signal, UnknownState,
-                        builtin_log2, builtin_quiescent, builtin_xy, detect,
+from ca_signals import (AlphabetMismatch, CheckFailed, Follower,
+                        MoveConvention, NotCoprime, NotPeriodicWithin, Signal,
+                        TableTooLarge, UnknownState, builtin_log2,
+                        builtin_quiescent, builtin_xy, detect,
                         follow, follower_for_xy, gap_profile, is_basic,
                         log2_partition, log_anchor_signal, marked_sites,
                         parse_move_partition, product_construct, run,
                         run_probes)
+from ca_signals import signals
+from ca_signals.engine import compile_flat
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.signals import (DetectProbe, FollowProbe, MovePartition,
                                 format_move_partition, ilog, valid_moves)
+from ca_signals.verification import random_impulse_ca
 
 L = "λ"
 UP = (-1, -1)    # negated convention: the site step is u - x
@@ -104,6 +109,14 @@ def test_detect_as_written_flips_the_walk():
     sig = detect(diag, MovePartition({L: UP}), 8,
                  convention=MoveConvention.AS_WRITTEN)
     assert sig.sites == tuple((-t, -t) for t in range(9))
+
+
+def test_detect_refuses_a_walk_off_the_neighborhood(monkeypatch, log2_diag):
+    step = signals._step_site
+    monkeypatch.setattr(signals, "_step_site",
+                        lambda u, x, conv: step(step(u, x, conv), x, conv))
+    with pytest.raises(CheckFailed):
+        detect(log2_diag, log2_partition(), 4)
 
 
 # --- anchors ----------------------------------------------------------------
@@ -235,6 +248,17 @@ def test_product_rejects_alphabet_mismatch():
     f = follower_for_xy(2, 3)
     with pytest.raises(AlphabetMismatch):
         product_construct(builtin_log2(), f)
+
+
+def test_product_table_of_an_untabulable_base_is_refused():
+    # 27 arguments: no base flat table, so no product table either
+    base = random_impulse_ca(random.Random(3), n_states=2,
+                             neigh=Neighborhood("moore", 3))
+    f = Follower(("a",), "a",
+                 {("a", s): ("a", (0, 0, 0)) for s in base.states})
+    prod = product_construct(base, f)
+    with pytest.raises(TableTooLarge):
+        compile_flat(prod.ca)
 
 
 def test_product_marks_equal_follow_path(xy23_diag):
