@@ -11,7 +11,8 @@ exposes everything as a command line.
 from .analysis import (GapReport, NotPeriodicWithin, PeriodDecomposition,
                        SearchReport, base_xy_readout, binary_readout,
                        check_planes, crt_digit, exhaustive_two_state_search,
-                       gap_probe, ultimate_period, verify_period_bounds)
+                       gap_probe, is_basic, ultimate_period,
+                       verify_period_bounds)
 from .automaton import (LAMBDA, WILDCARD, AnyOf, ImpulseCA, Literal, Rule,
                         RuleTable, builtin_log2, builtin_quiescent, builtin_xy,
                         merged_xy, parse_rules, serialize_rules)
@@ -26,7 +27,7 @@ from .errors import (AlphabetMismatch, ArityMismatch, BeyondHorizon,
 from .lattice import Neighborhood, offsets
 from .signals import (Follower, FollowTrace, MoveConvention, MovePartition,
                       ProductCA, Signal, detect, follow, follower_for_xy,
-                      gap_profile, ilog, is_basic, log2_partition,
+                      gap_profile, ilog, log2_partition,
                       log_anchor_signal, marked_sites, parse_move_partition,
                       product_construct)
 from .verification import (VerifyReport, verify_basic, verify_bounds,

@@ -5,12 +5,12 @@ confirm an eventual period up to evidence thresholds, so the decomposition
 functions return NotPeriodicWithin(H) instead of guessing when the window
 is too short.  Two evidence policies share one core (``_decompose``):
 
-* ``ultimate_period`` (here): the periodic part must cover the final third
-  of the window and repeat at least twice.
-* ``is_basic`` (in signals): the preperiod must fit in the first half of
-  the window and the period must repeat at least twice.  The stricter
-  preperiod cap keeps a long drifting prefix with a constant tail from
-  passing as periodic.
+* ``ultimate_period``: the periodic part must cover the final third of
+  the window and repeat at least twice.
+* ``is_basic``, on a signal's move word: the preperiod must fit in the
+  first half of the window and the period must repeat at least twice.  The
+  stricter preperiod cap keeps a long drifting prefix with a constant tail
+  from passing as periodic.
 """
 
 from __future__ import annotations
@@ -104,6 +104,24 @@ def ultimate_period(word, window=None):
         raise ValueError(f"window {h} is too short to show a repeat")
     return _decompose(word, h,
                       lambda p, q, H: p + 2 * q <= H and H - p >= (H + 2) // 3)
+
+
+def is_basic(signal: Signal, horizon: int | None = None):
+    """Decompose the signal's move word as alpha + beta-repeats, or refuse.
+
+    A signal is basic when its move sequence settles, within the inspected
+    window, into a preperiod alpha no longer than half the window followed
+    by repeats of beta.  Windows that never commit (the candidate preperiod
+    would eat most of the window) raise NotPeriodicWithin.
+    """
+    moves = signal.moves()
+    h = len(moves) if horizon is None else horizon
+    if h > len(moves):
+        raise ValueError(f"horizon {h} exceeds move count {len(moves)}")
+    if h < 4:
+        raise ValueError(f"window {h} is too short to show a repeat")
+    return _decompose(tuple(moves[:h]), h,
+                      lambda p, q, H: p + 2 * q <= H and p <= H // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .analysis import (GapReport, NotPeriodicWithin, exhaustive_two_state_search
 from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
 from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, SpaceTimeDiagram,
-                     dense_run, diagram_from_json_obj, run, run_probes)
+                     dense_run, diagram_from_json_obj, run, run_probes, w_row)
 from .errors import CheckFailed, OverflowHorizon
 from .signals import (DetectProbe, Follower, FollowProbe, MoveConvention,
                       Signal, follower_for_xy, log2_partition,
@@ -223,7 +223,6 @@ def _render_ppm(diag: SpaceTimeDiagram, out_dir: str, args) -> int:
 
 
 def _wplane_text(diag: SpaceTimeDiagram, k: int, rows: int, width: int) -> str:
-    from .engine import w_row
     if diag.ca.dim != 2:
         raise ValueError("the sheared plane is defined for 2-D trellis runs")
     lam = diag.ca.quiescent
@@ -271,7 +270,8 @@ def cmd_render(args) -> int:
 # detect / follow
 
 
-def cmd_detect(args) -> int:
+def _detected_walk(args) -> Signal:
+    """Streamed walk of --ca under --partition (log2's own by default)."""
     ca = parse_ca_spec(args.ca)
     if args.partition:
         part = parse_move_partition(args.partition, ca.dim)
@@ -281,7 +281,11 @@ def cmd_detect(args) -> int:
         raise ValueError("--partition is required for this CA")
     probe = DetectProbe(ca, part, args.steps, _convention(args))
     run_probes(ca, args.steps, [probe], budget=_site_budget(args))
-    _emit(probe.signal().dumps() + "\n", args.out)
+    return probe.signal()
+
+
+def cmd_detect(args) -> int:
+    _emit(_detected_walk(args).dumps() + "\n", args.out)
     return EXIT_OK
 
 
@@ -324,7 +328,7 @@ def _collect_diagonal(args, length: int) -> tuple[ImpulseCA, DiagonalProbe]:
     if len(i) != ca.dim:
         raise ValueError(f"point {i} has {len(i)} coordinates, CA has {ca.dim}")
     probe = DiagonalProbe(i, length)
-    steps = 0 if any(a < 0 for a in i) else probe.start + length - 1
+    steps = 0 if probe.skip else probe.start + length - 1
     run_probes(ca, steps, [probe], budget=_site_budget(args))
     return ca, probe
 
@@ -375,14 +379,7 @@ def cmd_analyze_gap(args) -> int:
         obj = json.loads(Path(args.signal).read_text(encoding="utf-8"))
         sig = Signal.from_json_obj(obj)
     else:
-        ca = parse_ca_spec(args.ca)
-        if ca.name != "log2" and not args.partition:
-            raise ValueError("--partition is required for this CA")
-        part = (parse_move_partition(args.partition, ca.dim)
-                if args.partition else log2_partition())
-        probe = DetectProbe(ca, part, args.steps, _convention(args))
-        run_probes(ca, args.steps, [probe], budget=_site_budget(args))
-        sig = probe.signal()
+        sig = _detected_walk(args)
     rep = gap_probe(sig)
     _emit(_dump(_gap_json(rep), args), args.out)
     return EXIT_OK

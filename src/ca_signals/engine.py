@@ -13,6 +13,13 @@ Two independent engines on purpose:
   rule list with first-match semantics, cell by cell.  It shares no stepping
   or pruning logic with the sparse path so the two can cross-check each other.
 
+Walkers over a diagram are probes: ``DiagonalProbe`` here, ``DetectProbe``
+and ``FollowProbe`` in ``signals``.  Each observes one ``SliceView`` per
+time step and has no other implementation.  ``run_probes`` feeds probes the
+live slice as it steps and retains nothing else; a retained
+``SpaceTimeDiagram`` feeds the same probes its stored slices through
+``view(t)`` (this is how ``diagonal``, ``detect`` and ``follow`` work).
+
 Coordinates are packed most-significant-axis-first with a per-axis bias, so
 numeric order of packed values equals lexicographic order of cells.
 """
@@ -28,7 +35,7 @@ import numpy as np
 from .automaton import ImpulseCA
 from .errors import (BeyondHorizon, CheckFailed, CoordinateOverflow,
                      OverflowHorizon, UnknownState)
-from .lattice import all_ones, in_light_cone, parity_valid
+from .lattice import in_light_cone, parity_valid
 
 FLAT_ENUM_LIMIT = 10**6
 DEFAULT_SITE_BUDGET = 1 << 28
@@ -165,6 +172,30 @@ def _read_cell(ca: ImpulseCA, sl: Slice, cell: tuple[int, ...], t: int) -> str:
     return ca.quiescent
 
 
+class SliceView:
+    """Read-only view of one time slice, the input of every probe."""
+
+    __slots__ = ("ca", "t", "_packed", "_codes")
+
+    def __init__(self, ca: ImpulseCA, t: int, sl: Slice):
+        self.ca = ca
+        self.t = t
+        self._packed, self._codes = sl
+
+    def state_at(self, cell: tuple[int, ...]) -> str:
+        return _read_cell(self.ca, (self._packed, self._codes), cell, self.t)
+
+    @property
+    def n_sites(self) -> int:
+        return len(self._packed)
+
+    def cells(self):
+        """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
+        coords = unpack_cells(self._packed, self.ca.dim)
+        for row, c in zip(coords, self._codes):
+            yield tuple(int(a) for a in row), self.ca.states[c]
+
+
 @dataclass
 class SpaceTimeDiagram:
     """Fully retained run: one (packed cells, state codes) pair per slice."""
@@ -193,13 +224,14 @@ class SpaceTimeDiagram:
         self._check_t(t)
         return _read_cell(self.ca, self.slices[t], cell, t)
 
+    def view(self, t: int) -> SliceView:
+        """Slice t as the view a probe observes."""
+        self._check_t(t)
+        return SliceView(self.ca, t, self.slices[t])
+
     def cells(self, t: int):
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
-        self._check_t(t)
-        packed, codes = self.slices[t]
-        coords = unpack_cells(packed, self.ca.dim)
-        for row, c in zip(coords, codes):
-            yield tuple(int(a) for a in row), self.ca.states[c]
+        return self.view(t).cells()
 
     def to_json_obj(self) -> list:
         out = []
@@ -299,29 +331,6 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
         if check:
             _check_slice(ca, nxt, t + 1)
     return SpaceTimeDiagram(ca, slices)
-
-
-class SliceView:
-    """Read-only view of one time slice handed to streaming probes."""
-
-    __slots__ = ("ca", "t", "_packed", "_codes")
-
-    def __init__(self, ca: ImpulseCA, t: int, sl: Slice):
-        self.ca = ca
-        self.t = t
-        self._packed, self._codes = sl
-
-    def state_at(self, cell: tuple[int, ...]) -> str:
-        return _read_cell(self.ca, (self._packed, self._codes), cell, self.t)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self._packed)
-
-    def cells(self):
-        coords = unpack_cells(self._packed, self.ca.dim)
-        for row, c in zip(coords, self._codes):
-            yield tuple(int(a) for a in row), self.ca.states[c]
 
 
 def run_probes(ca: ImpulseCA, steps: int, probes, *,
@@ -475,45 +484,18 @@ def diagonal_start(i: tuple[int, ...]) -> int:
     return max(0, (m + 1) // 2)
 
 
-def diagonal(diag: SpaceTimeDiagram, i: tuple[int, ...],
-             length: int) -> DiagonalWord:
-    """Letters j = 0..length-1 of the diagonal word for lattice point i.
-
-    Letter j is the state of cell (start+j)*(1,...,1) - i at time start+j.
-    Points with a negative coordinate never meet the light cone, so their
-    word is all-quiescent of the requested length.
-    """
-    if len(i) != diag.ca.dim:
-        raise ValueError(f"point has {len(i)} coordinates, CA has {diag.ca.dim}")
-    lam = diag.ca.quiescent
-    if any(a < 0 for a in i):
-        return DiagonalWord(tuple(i), 0, (lam,) * length)
-    start = diagonal_start(i)
-    if start + length - 1 > diag.horizon:
-        raise BeyondHorizon(
-            f"diagonal {i} needs time {start + length - 1}, "
-            f"diagram ends at {diag.horizon}")
-    ones = all_ones(diag.ca.dim)
-    out = []
-    for j in range(length):
-        t = start + j
-        cell = tuple(t * o - a for o, a in zip(ones, i))
-        out.append(diag.state_at(cell, t))
-    return DiagonalWord(tuple(i), start, tuple(out))
-
-
 class DiagonalProbe:
-    """Streaming collector for one diagonal word."""
+    """Collector for one diagonal word, fed slice views in time order."""
 
     def __init__(self, i: tuple[int, ...], length: int):
         self.i = tuple(i)
         self.length = length
         self.start = diagonal_start(self.i)
         self.letters: list[str] = []
-        self._skip = any(a < 0 for a in self.i)
+        self.skip = any(a < 0 for a in self.i)
 
     def observe(self, view: SliceView):
-        if self._skip or len(self.letters) >= self.length:
+        if self.skip or len(self.letters) >= self.length:
             return
         t = view.t
         if t < self.start:
@@ -522,13 +504,31 @@ class DiagonalProbe:
         self.letters.append(view.state_at(cell))
 
     def word(self, quiescent: str) -> tuple[str, ...]:
-        if self._skip:
+        if self.skip:
             return (quiescent,) * self.length
         if len(self.letters) < self.length:
             raise BeyondHorizon(
                 f"diagonal {self.i} collected {len(self.letters)} of "
                 f"{self.length} letters")
         return tuple(self.letters)
+
+
+def diagonal(diag: SpaceTimeDiagram, i: tuple[int, ...],
+             length: int) -> DiagonalWord:
+    """Letters j = 0..length-1 of the diagonal word for lattice point i.
+
+    Letter j is the state of cell (start+j)*(1,...,1) - i at time start+j,
+    read by a DiagonalProbe fed the diagram's slices.  Points with a
+    negative coordinate never meet the light cone, so their word is
+    all-quiescent of the requested length.
+    """
+    if len(i) != diag.ca.dim:
+        raise ValueError(f"point has {len(i)} coordinates, CA has {diag.ca.dim}")
+    probe = DiagonalProbe(i, length)
+    if not probe.skip:
+        for t in range(probe.start, probe.start + length):
+            probe.observe(diag.view(t))
+    return DiagonalWord(probe.i, probe.start, probe.word(diag.ca.quiescent))
 
 
 def w_site(k: int, l: int, i: int) -> tuple[tuple[int, int], int]:
@@ -545,26 +545,3 @@ def w_value(diag: SpaceTimeDiagram, k: int, l: int, i: int) -> str:
 
 def w_row(diag: SpaceTimeDiagram, k: int, l: int, length: int) -> tuple[str, ...]:
     return tuple(w_value(diag, k, l, i) for i in range(length))
-
-
-class WRowProbe:
-    """Streaming collector for w_row(k, l, 0..length-1)."""
-
-    def __init__(self, k: int, l: int, length: int):
-        self.k = k
-        self.l = l
-        self.length = length
-        self.letters: list[str] = []
-
-    def observe(self, view: SliceView):
-        i = view.t - self.k - self.l
-        if 0 <= i < self.length:
-            cell, _ = w_site(self.k, self.l, i)
-            self.letters.append(view.state_at(cell))
-
-    def word(self) -> tuple[str, ...]:
-        if len(self.letters) < self.length:
-            raise BeyondHorizon(
-                f"row ({self.k},{self.l}) collected {len(self.letters)} of "
-                f"{self.length} letters")
-        return tuple(self.letters)

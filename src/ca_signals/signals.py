@@ -11,6 +11,9 @@ exist for turning a neighborhood offset x into an actual move:
 
 Detection uses a total map from state symbols to offsets (a move partition);
 following uses a finite automaton that additionally carries its own state.
+A detection walk is a one-state follower.  Both walk as probes
+(``DetectProbe``, ``FollowProbe``): ``detect`` and ``follow`` feed them a
+retained diagram's slices, ``engine.run_probes`` the slices it steps.
 ``product_construct`` compiles CA and follower into one product automaton
 whose marked sites reproduce the follower's path.
 """
@@ -25,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .automaton import LAMBDA, ImpulseCA
+from .engine import compile_flat, flat_weights
 from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, TableTooLarge,
                      UnknownState)
 from .lattice import Offset, all_ones, format_offset, neg, offsets, parse_offset
@@ -162,48 +166,6 @@ def log2_partition() -> MovePartition:
     return MovePartition({"1": up, "0": down, LAMBDA: down})
 
 
-def detect(diag, partition: MovePartition, steps: int | None = None,
-           convention: MoveConvention = MoveConvention.NEGATED) -> Signal:
-    """Walk the diagram from the origin under a move partition."""
-    partition.validate_for(diag.ca)
-    if steps is None:
-        steps = diag.horizon
-    u = (0,) * diag.ca.dim
-    sites = [u]
-    for t in range(steps):
-        s = diag.state_at(u, t)
-        u = _step_site(u, partition.offset_of(s), convention)
-        sites.append(u)
-    out = Signal(tuple(sites))
-    if not valid_moves(out, diag.ca.neighborhood, convention):
-        raise CheckFailed("detected walk takes a step outside the neighborhood")
-    return out
-
-
-class DetectProbe:
-    """Streaming version of detect() for engine.run_probes."""
-
-    def __init__(self, ca: ImpulseCA, partition: MovePartition, steps: int,
-                 convention: MoveConvention = MoveConvention.NEGATED):
-        partition.validate_for(ca)
-        self.partition = partition
-        self.steps = steps
-        self.convention = convention
-        self.sites = [(0,) * ca.dim]
-
-    def observe(self, view):
-        t = view.t
-        if t >= self.steps or t != len(self.sites) - 1:
-            return
-        u = self.sites[-1]
-        s = view.state_at(u)
-        self.sites.append(_step_site(u, self.partition.offset_of(s),
-                                     self.convention))
-
-    def signal(self) -> Signal:
-        return Signal(tuple(self.sites))
-
-
 # ---------------------------------------------------------------------------
 # followers
 
@@ -307,35 +269,8 @@ class FollowTrace:
     defaulted_hits: tuple[tuple[str, str], ...]
 
 
-def follow(diag, follower: Follower, steps: int | None = None,
-           convention: MoveConvention = MoveConvention.NEGATED) -> FollowTrace:
-    """Run a follower over a retained diagram from the origin."""
-    if steps is None:
-        steps = diag.horizon
-    u = (0,) * diag.ca.dim
-    q = follower.initial
-    sites = [u]
-    qs = [q]
-    consumed = []
-    hits = []
-    for t in range(steps):
-        s = diag.state_at(u, t)
-        key = (q, s)
-        if key not in follower.delta:
-            raise AlphabetMismatch(f"follower has no transition for {key!r}")
-        consumed.append(key)
-        if key in follower.defaulted:
-            hits.append(key)
-        q, x = follower.delta[key]
-        u = _step_site(u, x, convention)
-        sites.append(u)
-        qs.append(q)
-    return FollowTrace(Signal(tuple(sites)), tuple(qs), tuple(consumed),
-                       tuple(hits))
-
-
 class FollowProbe:
-    """Streaming version of follow() for engine.run_probes."""
+    """Run a follower from the origin, one slice view at a time."""
 
     def __init__(self, ca: ImpulseCA, follower: Follower, steps: int,
                  convention: MoveConvention = MoveConvention.NEGATED):
@@ -365,6 +300,45 @@ class FollowProbe:
     def trace(self) -> FollowTrace:
         return FollowTrace(Signal(tuple(self.sites)), tuple(self.qs),
                            tuple(self.consumed), tuple(self.defaulted_hits))
+
+
+def follow(diag, follower: Follower, steps: int | None = None,
+           convention: MoveConvention = MoveConvention.NEGATED) -> FollowTrace:
+    """Run a follower over a retained diagram from the origin."""
+    probe = FollowProbe(diag.ca, follower,
+                        diag.horizon if steps is None else steps, convention)
+    for t in range(probe.steps):
+        probe.observe(diag.view(t))
+    return probe.trace()
+
+
+class DetectProbe(FollowProbe):
+    """Walk under a move partition: a one-state follower that moves by the
+    class of each symbol it reads."""
+
+    def __init__(self, ca: ImpulseCA, partition: MovePartition, steps: int,
+                 convention: MoveConvention = MoveConvention.NEGATED):
+        partition.validate_for(ca)
+        delta = {("q", s): ("q", x) for s, x in partition.classes.items()}
+        super().__init__(ca, Follower(("q",), "q", delta), steps, convention)
+        self.neighborhood = ca.neighborhood
+
+    def signal(self) -> Signal:
+        out = Signal(tuple(self.sites))
+        if not valid_moves(out, self.neighborhood, self.convention):
+            raise CheckFailed(
+                "detected walk takes a step outside the neighborhood")
+        return out
+
+
+def detect(diag, partition: MovePartition, steps: int | None = None,
+           convention: MoveConvention = MoveConvention.NEGATED) -> Signal:
+    """Walk a retained diagram from the origin under a move partition."""
+    probe = DetectProbe(diag.ca, partition,
+                        diag.horizon if steps is None else steps, convention)
+    for t in range(probe.steps):
+        probe.observe(diag.view(t))
+    return probe.signal()
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +403,6 @@ class ProductTable:
         return _pair_symbol(new_s, new_m)
 
     def build_flat(self, pair_ca: ImpulseCA) -> np.ndarray:
-        from .engine import compile_flat, flat_weights
-
         nm = len(self.marks)
         ns = len(self.base.states)
         v = self.arity
@@ -486,11 +458,6 @@ class ProductCA:
     def marked_states(self) -> frozenset[str]:
         return frozenset(s for s in self.ca.states
                          if self.split(s)[1] is not None)
-
-    def __iter__(self):
-        # unpacks as (automaton, marked state set)
-        yield self.ca
-        yield self.marked_states
 
 
 def product_construct(base: ImpulseCA, follower: Follower,
@@ -575,26 +542,3 @@ def gap_profile(signal: Signal) -> list[int]:
     """m(t) = max over axes of (t - u_a(t)) for each t."""
     return [max(t - a for a in u) for t, u in enumerate(signal.sites)]
 
-
-def is_basic(signal: Signal, horizon: int | None = None):
-    """Decompose the signal's move word as alpha + beta-repeats, or refuse.
-
-    A signal is basic when its move sequence settles, within the inspected
-    window, into a preperiod alpha no longer than half the window followed
-    by repeats of beta.  Windows that never commit (the candidate preperiod
-    would eat most of the window) raise NotPeriodicWithin.
-    """
-    from .analysis import _decompose
-
-    moves = signal.moves()
-    h = len(moves) if horizon is None else horizon
-    if h > len(moves):
-        raise ValueError(f"horizon {h} exceeds move count {len(moves)}")
-    if h < 4:
-        raise ValueError(f"window {h} is too short to show a repeat")
-    word = tuple(moves[:h])
-
-    def accept(p: int, q: int, H: int) -> bool:
-        return p + 2 * q <= H and p <= H // 2
-
-    return _decompose(word, h, accept)

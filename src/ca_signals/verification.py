@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, base_xy_readout,
-                       binary_readout, check_planes, gap_probe,
+                       binary_readout, check_planes, gap_probe, is_basic,
                        verify_period_bounds)
 from .automaton import (LAMBDA, TRELLIS2_ORDER, WILDCARD, AnyOf, ImpulseCA,
                         Literal, Rule, RuleTable, builtin_log2,
@@ -21,8 +21,8 @@ from .engine import run, run_probes, unpack_cells, w_row
 from .errors import PlaneViolation, XNotSmallest
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, Signal, detect, follow,
-                      follower_for_xy, is_basic, log2_partition,
-                      log_anchor_signal, marked_sites, product_construct)
+                      follower_for_xy, log2_partition, log_anchor_signal,
+                      marked_sites, product_construct)
 
 MISMATCH_CAP = 100
 
@@ -359,7 +359,12 @@ def verify_basic(count: int = 50, *, window: int = 64,
 def random_impulse_ca(rng: random.Random, n_states: int | None = None,
                       max_states: int = 4,
                       neigh: Neighborhood | None = None) -> ImpulseCA:
-    """Random total trellis-style rule table with a guaranteed catch-all."""
+    """Random total rule table with a guaranteed catch-all.
+
+    Each rule constrains one to three argument positions and leaves the
+    rest wildcard, so rules keep matching on large neighborhoods (a Moore
+    dim-3 cell has 27 arguments) instead of all falling to the catch-all.
+    """
     if neigh is None:
         neigh = Neighborhood("trellis", 2)
     order = offsets(neigh) if neigh.kind != "trellis" or neigh.dim != 2 \
@@ -369,16 +374,14 @@ def random_impulse_ca(rng: random.Random, n_states: int | None = None,
     states = (LAMBDA,) + tuple("ABCDEFGH"[:n - 1])
     rules = [Rule((Literal(LAMBDA),) * v, LAMBDA)]
     for _ in range(rng.randint(0, 8)):
-        pat = []
-        for _pos in range(v):
-            kind = rng.random()
-            if kind < 0.35:
-                pat.append(WILDCARD)
-            elif kind < 0.8:
-                pat.append(Literal(rng.choice(states)))
+        pat = [WILDCARD] * v
+        for pos in rng.sample(range(v), min(v, rng.randint(1, 3))):
+            if rng.random() < 0.7:
+                pat[pos] = Literal(rng.choice(states))
             else:
-                k = rng.randint(1, n)
-                pat.append(AnyOf(frozenset(rng.sample(states, k))))
+                # a proper subset, so the position is really constrained
+                k = rng.randint(1, n - 1)
+                pat[pos] = AnyOf(frozenset(rng.sample(states, k)))
         rules.append(Rule(tuple(pat), rng.choice(states)))
     rules.append(Rule((WILDCARD,) * v, rng.choice(states)))
     seed_state = rng.choice(states[1:])

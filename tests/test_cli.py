@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from ca_signals import engine, follower_for_xy
+from ca_signals import builtin_log2, diagonal, engine, follower_for_xy, run
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main)
 
@@ -265,6 +265,23 @@ def test_analyze_diagonal_negative_point_is_quiescent(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert obj == {"i": [-1, 0], "start": 0, "letters": ["λ"] * 6}
+
+
+def test_analyze_diagonal_start_matches_library(capsys):
+    diag = run(builtin_log2(), 8)
+    for i, start in (((-1, 4), 2), ((-1, 0), 0)):
+        _, out, _ = run_cli(capsys, "analyze", "diagonal",
+                            "--i", ",".join(map(str, i)), "--length", "4")
+        assert json.loads(out)["start"] == start
+        assert diagonal(diag, i, 4).start_time == start
+
+
+def test_streamed_budget_overflow_exits_3(capsys):
+    for argv in (("detect", "--ca", "log2", "--steps", "64"),
+                 ("analyze", "diagonal", "--i", "0,0", "--length", "64")):
+        code, out, err = run_cli(capsys, *argv, "--budget", "50")
+        assert code == EXIT_OVERFLOW and out == ""
+        assert "last complete slice is t=15" in err
 
 
 def test_analyze_diagonal_main_word(capsys):

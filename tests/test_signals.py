@@ -16,6 +16,7 @@ from ca_signals import (AlphabetMismatch, CheckFailed, Follower,
                         parse_move_partition, product_construct, run,
                         run_probes)
 from ca_signals import signals
+from ca_signals.cli import EXIT_FAIL, main
 from ca_signals.engine import compile_flat
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.signals import (DetectProbe, FollowProbe, MovePartition,
@@ -111,12 +112,18 @@ def test_detect_as_written_flips_the_walk():
     assert sig.sites == tuple((-t, -t) for t in range(9))
 
 
-def test_detect_refuses_a_walk_off_the_neighborhood(monkeypatch, log2_diag):
+def test_detect_refuses_a_walk_off_the_neighborhood(monkeypatch, log2_diag,
+                                                    capsys):
     step = signals._step_site
     monkeypatch.setattr(signals, "_step_site",
                         lambda u, x, conv: step(step(u, x, conv), x, conv))
     with pytest.raises(CheckFailed):
         detect(log2_diag, log2_partition(), 4)
+    # the streamed walk runs the same check
+    assert main(["detect", "--ca", "log2", "--steps", "4"]) == EXIT_FAIL
+    assert main(["analyze", "gap", "--ca", "log2", "--steps", "64"]) \
+        == EXIT_FAIL
+    assert "outside the neighborhood" in capsys.readouterr().err
 
 
 # --- anchors ----------------------------------------------------------------
@@ -233,8 +240,6 @@ def test_product_state_count():
     prod = product_construct(builtin_xy(2, 3), follower_for_xy(2, 3))
     assert len(prod.ca.states) == 32          # 8 * (1 + 3)
     assert len(prod.marked_states) == 24
-    ca, marked = prod                          # tuple-style unpacking
-    assert ca is prod.ca and marked == prod.marked_states
 
 
 def test_product_of_quiescent_is_two_states():
