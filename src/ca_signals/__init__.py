@@ -2,10 +2,10 @@
 
 The package splits along the pipeline: ``lattice`` fixes neighborhoods over
 Z^k, ``automaton`` defines rule tables and the built-in counter automata,
-``engine`` simulates (sparse vectorized plus an independent dense reference),
-``signals`` detects and follows site walks, ``analysis`` measures periodicity
-and gap growth, ``verification`` bundles the end-to-end checks, and ``cli``
-exposes everything as a command line.
+``engine`` simulates (sparse vectorized, a diagonal window for claims, and an
+independent dense reference), ``signals`` detects and follows site walks,
+``analysis`` measures periodicity and gap growth, ``verification`` bundles the
+end-to-end checks, and ``cli`` exposes everything as a command line.
 """
 
 from .analysis import (GapReport, NotPeriodicWithin, PeriodDecomposition,
@@ -20,8 +20,8 @@ from .engine import (DiagonalWord, SpaceTimeDiagram, dense_run, diagonal,
                      diagram_from_json_obj, max_horizon, run, run_probes,
                      same_run, w_row, w_site, w_value)
 from .errors import (AlphabetMismatch, ArityMismatch, BeyondHorizon,
-                     CheckFailed, CoordinateOverflow, NoMatch, NotCoprime,
-                     NotTotal, OverflowHorizon, PlaneViolation,
+                     BeyondWindow, CheckFailed, CoordinateOverflow, NoMatch,
+                     NotCoprime, NotTotal, OverflowHorizon, PlaneViolation,
                      QuiescentViolation, RuleFileError, RuleSyntaxError,
                      TableTooLarge, UnknownState, XNotSmallest)
 from .lattice import Neighborhood, offsets
@@ -37,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatch", "AnyOf", "ArityMismatch", "BeyondHorizon",
+    "BeyondWindow",
     "CheckFailed", "CoordinateOverflow", "DiagonalWord", "Follower", "FollowTrace",
     "GapReport", "ImpulseCA", "LAMBDA", "Literal", "MoveConvention",
     "MovePartition", "Neighborhood", "NoMatch", "NotCoprime",

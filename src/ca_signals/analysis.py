@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .automaton import ImpulseCA
-from .engine import DiagonalProbe, run_probes, w_value
+from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, check_window,
+                     run_probes, w_value)
 from .errors import NotCoprime, PlaneViolation
 from .signals import Signal, gap_profile
 
@@ -166,13 +167,22 @@ def _lower_points(i, arg_order, dim):
     return out
 
 
-def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int,
+def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
+                         budget: int = DEFAULT_SITE_BUDGET,
                          ) -> PeriodBoundsReport:
     """Decompose every diagonal word with coordinate sum <= r_max and check
     that each (preperiod, period) obeys the bounds implied by the diagonals
     it depends on, plus the closed-form bound in terms of the state count.
+
+    Every such point lies in [0, r_max]^dim, so only that window of
+    diagonals is stepped; the budget bounds its (r_max+1)^dim sites.
     """
+    if r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
+    if window < 4:
+        raise ValueError(f"window must be >= 4 to show a repeat, got {window}")
     dim = ca.dim
+    check_window(dim, r_max, budget)
     n = len(ca.states)
     big_l = math.lcm(*range(1, n + 1))
 
@@ -190,7 +200,7 @@ def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int,
 
     probes = {i: DiagonalProbe(i, window) for i in points}
     horizon = max(pr.start for pr in probes.values()) + window - 1
-    run_probes(ca, horizon, list(probes.values()))
+    run_probes(ca, horizon, list(probes.values()), budget=budget, reach=r_max)
 
     decs: dict[tuple[int, ...], PeriodDecomposition | NotPeriodicWithin] = {}
     rows = []

@@ -397,17 +397,17 @@ def _emit_verify(rep: VerifyReport, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {"budget": _site_budget(args)} if args.budget is not None else {}
+    budget = _site_budget(args)
     if args.target == "log2":
-        rep = verify_log2(args.steps, **kwargs)
+        rep = verify_log2(args.steps, budget=budget)
     elif args.target == "xy":
         if args.x is None or args.y is None:
             raise ValueError("verify xy needs --x and --y")
-        rep = verify_xy(args.x, args.y, args.steps, **kwargs)
+        rep = verify_xy(args.x, args.y, args.steps, budget=budget)
     elif args.target == "bounds":
-        rep = verify_bounds(args.rmax, args.window)
+        rep = verify_bounds(args.rmax, args.window, budget=budget)
     elif args.target == "basic":
-        rep = verify_basic(args.count)
+        rep = verify_basic(args.count, budget=budget)
     else:
         raise ValueError(f"unknown verify target {args.target!r}")
     return _emit_verify(rep, args)

@@ -1,22 +1,29 @@
 """Simulation engines for impulse automata.
 
-Two independent engines on purpose:
+Three engines, one per job:
 
-* ``run`` / ``run_probes``: sparse, vectorized.  Live cells of one time slice
-  are kept as a sorted int64 array of packed coordinates plus a uint8 state
-  code array.  A step merges the v shifted copies of that array with one
-  stable sort, sums each candidate cell's neighbor codes with one
-  ``reduceat``, and looks the sums up in the rule table.  A point read
-  (``state_at``) is one binary search for a key packed with Python ints;
-  cells outside the light cone read quiescent without being packed.
+* ``run`` / ``run_probes``: sparse, vectorized, for whole diagrams.  Live
+  cells of one time slice are kept as a sorted int64 array of packed
+  coordinates plus a uint8 state code array.  A step merges the v shifted
+  copies of that array with one stable sort, sums each candidate cell's
+  neighbor codes with one ``reduceat``, and looks the sums up in the rule
+  table.  A point read (``state_at``) is one binary search for a key packed
+  with Python ints; cells outside the light cone read quiescent without
+  being packed.
+* ``run_probes(..., reach=R)``: the diagonal window, for claims that read
+  known diagonals.  Write a site as i = t*1bar - u; cell u at time t+1 reads
+  u + x at time t, which is diagonal i - (x + 1bar), and every coordinate of
+  x + 1bar is >= 0 for all three neighborhood kinds.  So the diagonals
+  [0, R]^dim are closed under the update: one dense uint8 array of them is
+  stepped with v shifted slice-adds of flat codes and one table lookup.
 * ``dense_run``: a plain dict-of-cells reference engine that re-applies the
   rule list with first-match semantics, cell by cell.  It shares no stepping
-  or pruning logic with the sparse path so the two can cross-check each other.
+  or pruning logic with the other two so it can cross-check them.
 
 Walkers over a diagram are probes: ``DiagonalProbe`` here, ``DetectProbe``
 and ``FollowProbe`` in ``signals``.  Each observes one ``SliceView`` per
 time step and has no other implementation.  ``run_probes`` feeds probes the
-live slice as it steps and retains nothing else; a retained
+live slice (or window) as it steps and retains nothing else; a retained
 ``SpaceTimeDiagram`` feeds the same probes its stored slices through
 ``view(t)`` (this is how ``diagonal``, ``detect`` and ``follow`` work).
 
@@ -33,8 +40,8 @@ from itertools import product
 import numpy as np
 
 from .automaton import ImpulseCA
-from .errors import (BeyondHorizon, CheckFailed, CoordinateOverflow,
-                     OverflowHorizon, UnknownState)
+from .errors import (BeyondHorizon, BeyondWindow, CheckFailed,
+                     CoordinateOverflow, OverflowHorizon, UnknownState)
 from .lattice import in_light_cone, parity_valid
 
 FLAT_ENUM_LIMIT = 10**6
@@ -172,27 +179,65 @@ def _read_cell(ca: ImpulseCA, sl: Slice, cell: tuple[int, ...], t: int) -> str:
     return ca.quiescent
 
 
+def _read_window(ca: ImpulseCA, window: np.ndarray, cell: tuple[int, ...],
+                 t: int) -> str:
+    """State symbol of one cell of a diagonal window at time t.
+
+    A cell outside the light cone reads quiescent; a cell inside it whose
+    diagonal t*1bar - cell lies past the window raises BeyondWindow.
+    """
+    if len(cell) != ca.dim:
+        raise ValueError(f"cell has {len(cell)} coordinates, CA has {ca.dim}")
+    i = tuple(t - a for a in cell)
+    if min(i) < 0 or max(i) > 2 * t:
+        return ca.quiescent
+    if max(i) >= len(window):
+        raise BeyondWindow(f"cell {cell} at t={t} is on diagonal {i}, past "
+                           f"the window [0, {len(window) - 1}]^{ca.dim}")
+    return ca.states[window[i]]
+
+
 class SliceView:
-    """Read-only view of one time slice, the input of every probe."""
+    """Read-only view of one time slice, the input of every probe.
 
-    __slots__ = ("ca", "t", "_packed", "_codes")
+    It holds either a packed sparse slice or, for a windowed run, the
+    window of diagonals [0, R]^dim at time t.
+    """
 
-    def __init__(self, ca: ImpulseCA, t: int, sl: Slice):
+    __slots__ = ("ca", "t", "_sl", "_window")
+
+    def __init__(self, ca: ImpulseCA, t: int, sl: Slice | None = None, *,
+                 window: np.ndarray | None = None):
         self.ca = ca
         self.t = t
-        self._packed, self._codes = sl
+        self._sl = sl
+        self._window = window
 
     def state_at(self, cell: tuple[int, ...]) -> str:
-        return _read_cell(self.ca, (self._packed, self._codes), cell, self.t)
+        if self._window is not None:
+            return _read_window(self.ca, self._window, cell, self.t)
+        return _read_cell(self.ca, self._sl, cell, self.t)
 
     @property
     def n_sites(self) -> int:
-        return len(self._packed)
+        if self._window is not None:
+            return int(np.count_nonzero(self._window))
+        return len(self._sl[0])
 
     def cells(self):
-        """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
-        coords = unpack_cells(self._packed, self.ca.dim)
-        for row, c in zip(coords, self._codes):
+        """Yield (cell, symbol) for non-quiescent cells in lexicographic order.
+
+        A window view yields only the cells on its diagonals.
+        """
+        if self._window is not None:
+            # cell = t*1bar - i, so descending i is ascending cell order
+            idx = np.argwhere(self._window)[::-1]
+            coords = self.t - idx
+            codes = self._window[tuple(idx.T)]
+        else:
+            coords = unpack_cells(self._sl[0], self.ca.dim)
+            codes = self._sl[1]
+        for row, c in zip(coords, codes):
             yield tuple(int(a) for a in row), self.ca.states[c]
 
 
@@ -280,16 +325,19 @@ def _step(ca: ImpulseCA, sl: Slice, ev: _Evaluator,
     return (cand[keep], new_codes[keep].astype(np.uint8))
 
 
-def _prepare(ca: ImpulseCA, steps: int):
+def _evaluator(ca: ImpulseCA):
     if len(ca.states) > 255:
-        raise ValueError("at most 255 states supported by the packed engine")
+        raise ValueError("at most 255 states fit the uint8 state codes")
+    return _Evaluator(ca), flat_weights(len(ca.states), ca.table.arity)
+
+
+def _prepare(ca: ImpulseCA, steps: int):
     if steps > max_horizon(ca.dim):
         raise CoordinateOverflow(
             f"horizon {steps} exceeds packed range for dimension {ca.dim} "
             f"(max {max_horizon(ca.dim)})")
-    ev = _Evaluator(ca)
+    ev, weights = _evaluator(ca)
     shifts = [_offset_shift(x, ca.dim) for x in ca.arg_order]
-    weights = flat_weights(len(ca.states), ca.table.arity)
     return ev, shifts, weights
 
 
@@ -333,24 +381,68 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
     return SpaceTimeDiagram(ca, slices)
 
 
-def run_probes(ca: ImpulseCA, steps: int, probes, *,
-               budget: int = DEFAULT_SITE_BUDGET) -> None:
-    """Simulate while retaining only the live slice; feed each slice to probes.
+def check_window(dim: int, reach: int, budget: int) -> None:
+    """Raise OverflowHorizon if the window [0, reach]^dim exceeds the budget.
 
-    Each probe must implement ``observe(view: SliceView)``.  The budget here
-    bounds a single slice, not the whole run.
+    A windowed run holds that one array as its only slice.
     """
+    if reach < 0:
+        raise ValueError(f"reach must be >= 0, got {reach}")
+    if (reach + 1) ** dim > budget:
+        raise OverflowHorizon(-1, budget)
+
+
+def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
     ev, shifts, weights = _prepare(ca, steps)
     sl = _seed_slice(ca)
     for t in range(steps + 1):
-        view = SliceView(ca, t, sl)
+        yield SliceView(ca, t, sl)
+        if t < steps:
+            sl = _step(ca, sl, ev, shifts, weights)
+            if len(sl[0]) > budget:
+                raise OverflowHorizon(t, budget)
+
+
+def _window_views(ca: ImpulseCA, steps: int, reach: int, budget: int):
+    check_window(ca.dim, reach, budget)
+    ev, weights = _evaluator(ca)
+    size = reach + 1
+    # Argument x of diagonal i is diagonal i - d with d = x + 1bar >= 0; an
+    # index below 0 lies off the light cone and adds 0 (quiescent).
+    adds = []
+    for x, w in zip(ca.arg_order, weights):
+        d = [a + 1 for a in x]
+        if max(d) < size:
+            adds.append((tuple(slice(k, None) for k in d),
+                         tuple(slice(0, size - k) for k in d), w))
+    window = np.zeros((size,) * ca.dim, dtype=np.uint8)
+    window[(0,) * ca.dim] = ca.state_code(ca.seed)
+    for t in range(steps + 1):
+        yield SliceView(ca, t, window=window)
+        if t < steps:
+            wide = window.astype(np.int64)
+            codes = np.zeros_like(wide)
+            for dst, src, w in adds:
+                codes[dst] += wide[src] * w
+            window = ev.lookup(codes.ravel()).reshape(window.shape)
+
+
+def run_probes(ca: ImpulseCA, steps: int, probes, *,
+               budget: int = DEFAULT_SITE_BUDGET,
+               reach: int | None = None) -> None:
+    """Simulate while retaining only the live slice; feed each slice to probes.
+
+    Each probe must implement ``observe(view: SliceView)``.  The budget here
+    bounds a single slice, not the whole run.  With ``reach=R`` only the
+    diagonals [0, R]^dim are stepped; a probe that reads a light-cone cell
+    on any other diagonal gets BeyondWindow.  The (R+1)^dim window counts
+    against the budget before it is allocated.
+    """
+    views = (_sparse_views(ca, steps, budget) if reach is None
+             else _window_views(ca, steps, reach, budget))
+    for view in views:
         for p in probes:
             p.observe(view)
-        if t == steps:
-            break
-        sl = _step(ca, sl, ev, shifts, weights)
-        if len(sl[0]) > budget:
-            raise OverflowHorizon(t, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Parse and construction problems raise ValueError subclasses so callers can
 catch one family.  Horizon problems are separate: BeyondHorizon is a lookup
-past the simulated range, OverflowHorizon is a run aborted by the memory
-budget (it carries the last fully computed slice index).  CheckFailed is a
+past the simulated range (its subclass BeyondWindow, past the diagonals a
+windowed run stepped), OverflowHorizon is a run aborted by the memory budget
+(it carries the last fully computed slice index).  CheckFailed is a
 consistency check on a computed result that did not hold.
 """
 
@@ -74,6 +75,10 @@ class BeyondHorizon(IndexError):
     """A site lookup or word extraction past the simulated horizon."""
 
 
+class BeyondWindow(BeyondHorizon):
+    """Read of a light-cone cell on a diagonal a windowed run did not step."""
+
+
 class CoordinateOverflow(ValueError):
     """Requested horizon does not fit the packed 64-bit coordinate encoding."""
 
@@ -81,12 +86,13 @@ class CoordinateOverflow(ValueError):
 class OverflowHorizon(RuntimeError):
     """The site budget was exhausted before the requested horizon.
 
-    ``last_slice`` is the index of the last slice that was fully computed.
+    ``last_slice`` is the index of the last slice that was fully computed,
+    or -1 when the first slice alone is over the budget.
     """
 
     def __init__(self, last_slice, budget):
         self.last_slice = last_slice
         self.budget = budget
-        super().__init__(
-            f"site budget {budget} exhausted; last complete slice is t={last_slice}"
-        )
+        done = (f"last complete slice is t={last_slice}" if last_slice >= 0
+                else "no slice was computed")
+        super().__init__(f"site budget {budget} exhausted; {done}")

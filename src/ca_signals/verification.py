@@ -17,7 +17,7 @@ from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, base_xy_readout,
 from .automaton import (LAMBDA, TRELLIS2_ORDER, WILDCARD, AnyOf, ImpulseCA,
                         Literal, Rule, RuleTable, builtin_log2,
                         builtin_quiescent, builtin_xy, merged_xy)
-from .engine import run, run_probes, unpack_cells, w_row
+from .engine import DEFAULT_SITE_BUDGET, run, run_probes, unpack_cells, w_row
 from .errors import PlaneViolation, XNotSmallest
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, Signal, detect, follow,
@@ -121,7 +121,7 @@ def _region_check(diag) -> Check:
 
 
 def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
-                budget: int | None = None) -> VerifyReport:
+                budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Anchor walk, digit readout, and sheared-row shape of the binary counter.
 
     The simulation runs slightly past ``steps`` so that every digit row
@@ -131,8 +131,7 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
         raise ValueError("need steps >= 4")
     ca = builtin_log2()
     pad = (steps + 2).bit_length() + 2
-    kwargs = {"budget": budget} if budget is not None else {}
-    diag = run(ca, steps + pad, **kwargs)
+    diag = run(ca, steps + pad, budget=budget)
 
     checks = []
 
@@ -164,8 +163,8 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
         while (n >> ones) & 1:
             ones += 1
         want = "1" * ones + "0" * (length - ones)
-        got = "".join(w_row(diag, k, l, length))
-        term = w_row(diag, k, l, length + 1)[length]
+        row = w_row(diag, k, l, length + 1)
+        got, term = "".join(row[:length]), row[length]
         if got != want or term != ca.quiescent:
             bad.append((k, l, got, want))
     checks.append(Check("carry-rows", not bad,
@@ -188,15 +187,14 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
 
 
 def verify_xy(x: int, y: int, steps: int, *,
-              budget: int | None = None) -> VerifyReport:
+              budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Follower anchors, CRT digit readout, plane discipline, the product
     construction, and the merged single-track variant."""
     if steps < 4:
         raise ValueError("need steps >= 4")
     ca = builtin_xy(x, y)
     base = x * y
-    kwargs = {"budget": budget} if budget is not None else {}
-    diag = run(ca, steps, **kwargs)
+    diag = run(ca, steps, budget=budget)
 
     checks = []
 
@@ -235,7 +233,7 @@ def verify_xy(x: int, y: int, steps: int, *,
 
     t_prod = min(steps, 200)
     prod = product_construct(ca, fol)
-    pd = run(prod.ca, t_prod, **kwargs)
+    pd = run(prod.ca, t_prod, budget=budget)
     ms = marked_sites(pd, prod.marked_states, t_prod)
     path = {(u, t) for t, u in enumerate(tr.signal.sites[:t_prod + 1])}
     diff = sorted(ms ^ path, key=lambda p: (p[1], p[0]))
@@ -248,7 +246,7 @@ def verify_xy(x: int, y: int, steps: int, *,
     try:
         merged = merged_xy(x, y)
         mfol = follower_for_xy(x, y, alphabet=merged.states)
-        mdiag = run(merged, steps, **kwargs)
+        mdiag = run(merged, steps, budget=budget)
         mtr = follow(mdiag, mfol, steps)
         same = mtr.signal == tr.signal
         bad = [] if same else [
@@ -272,10 +270,11 @@ def verify_xy(x: int, y: int, steps: int, *,
 
 
 def verify_bounds(r_max: int = 6, window: int = 4096,
-                  ca: ImpulseCA | None = None) -> VerifyReport:
+                  ca: ImpulseCA | None = None, *,
+                  budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     if ca is None:
         ca = builtin_log2()
-    rep = verify_period_bounds(ca, r_max, window)
+    rep = verify_period_bounds(ca, r_max, window, budget=budget)
     undec = [r.i for r in rep.rows if not r.decomposed]
     rec = [r.i for r in rep.rows if r.decomposed and not r.recursive_ok]
     cor = [r.i for r in rep.rows if r.decomposed and not r.closed_form_ok]
@@ -318,12 +317,13 @@ def random_follower(rng: random.Random, max_states: int = 6,
 
 
 def verify_basic(count: int = 50, *, window: int = 64,
-                 move_horizon: int = 2000, seed: int = 11) -> VerifyReport:
+                 move_horizon: int = 2000, seed: int = 11,
+                 budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Random followers on the empty diagram walk ultimately periodically
     with preperiod + period <= |Q| + 1; the binary counter's detected walk
     shows no such decomposition within ``move_horizon``."""
     quiet = builtin_quiescent()
-    qdiag = run(quiet, window)
+    qdiag = run(quiet, window, budget=budget)
     rng = random.Random(seed)
     bad = []
     for idx in range(count):
@@ -342,7 +342,7 @@ def verify_basic(count: int = 50, *, window: int = 64,
         _capped(bad))]
 
     probe = DetectProbe(builtin_log2(), log2_partition(), move_horizon)
-    run_probes(builtin_log2(), move_horizon, [probe])
+    run_probes(builtin_log2(), move_horizon, [probe], budget=budget)
     dec = is_basic(probe.signal(), move_horizon)
     checks.append(Check(
         "counter-walk-not-basic", isinstance(dec, NotPeriodicWithin),

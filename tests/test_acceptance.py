@@ -2,7 +2,7 @@
 
 ``pytest tests/test_acceptance.py -v`` prints one pass/fail line per
 criterion.  Heavy artifacts (the T=2048 counter run, the T=1500 two-track
-run, the r<=6 window-4096 decomposition sweep) are module-scoped fixtures.
+run) are module-scoped fixtures.
 """
 
 import ast
@@ -120,17 +120,27 @@ def test_criterion_5_product_marks_equal_followed_path():
           "path exactly for every horizon T<=200")
 
 
-def test_criterion_6_period_bounds_all_diagonals():
-    rep = verify_bounds(6, 4096)
+def _check_period_bounds(r_max, n_diagonals):
+    rep = verify_bounds(r_max, 4096)
     assert rep.ok, list(rep.lines())
     lens = rep.params["lens"]
-    assert len(lens) == 28
+    assert len(lens) == n_diagonals
     for key, (alpha_len, beta_len) in lens.items():
         i = ast.literal_eval(key)
         r = sum(i)
         assert alpha_len < 3 * 6 ** r, (i, alpha_len)
         assert 6 ** (r + 1) % beta_len == 0, (i, beta_len)
+
+
+def test_criterion_6_period_bounds_all_diagonals():
+    _check_period_bounds(6, 28)
     print("[PASS] criterion 6: all 28 diagonals with r<=6 decompose "
+          "within window 4096 with preperiod < 3*6^r and period | 6^(r+1)")
+
+
+def test_criterion_6_period_bounds_to_r10():
+    _check_period_bounds(10, 66)
+    print("[PASS] criterion 6b: all 66 diagonals with r<=10 decompose "
           "within window 4096 with preperiod < 3*6^r and period | 6^(r+1)")
 
 

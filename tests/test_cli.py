@@ -355,6 +355,29 @@ def test_verify_xy_needs_moduli(capsys):
     assert code == EXIT_CONFIG and "--x" in err
 
 
+def test_verify_honours_the_env_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CA_SIGNALS_MEM_BUDGET", "50")
+    code, out, err = run_cli(capsys, "verify", "log2", "--steps", "16")
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "site budget 50 exhausted" in err
+
+
+def test_verify_bounds_checks_the_window_against_the_budget(capsys):
+    # the (10+1)^2-site window is refused before anything is stepped
+    code, out, err = run_cli(capsys, "verify", "bounds", "--rmax", "10",
+                             "--window", "64", "--budget", "50")
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "site budget 50 exhausted; no slice was computed" in err
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--rmax", "-1", "r_max"), ("--window", "2", "window")])
+def test_verify_bounds_rejects_bad_sizes(capsys, flag, value, name):
+    code, out, err = run_cli(capsys, "verify", "bounds", flag, value)
+    assert code == EXIT_CONFIG and out == ""
+    assert f"error: {name} must be" in err
+
+
 def test_search_limited(capsys):
     code, out, _ = run_cli(capsys, "search", "--limit", "16")
     assert code == EXIT_OK

@@ -2,15 +2,16 @@
 
 import json
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (BeyondHorizon, CoordinateOverflow, OverflowHorizon,
-                        builtin_log2, builtin_quiescent, builtin_xy,
-                        dense_run, diagonal, diagram_from_json_obj,
+from ca_signals import (BeyondHorizon, BeyondWindow, CoordinateOverflow,
+                        OverflowHorizon, builtin_log2, builtin_quiescent,
+                        builtin_xy, dense_run, diagonal, diagram_from_json_obj,
                         max_horizon, merged_xy, run, run_probes, same_run,
                         w_row, w_site, w_value)
 from ca_signals import engine
@@ -102,6 +103,25 @@ CROSS_CHECK = [
 CROSS_CHECK_TABLES = 12
 
 
+def _assert_window_matches(ca, diag, steps):
+    """The diagonal window [0, R]^dim, R = steps // 2, against a full run:
+    every diagonal word it holds and every live cell on its diagonals."""
+    reach = steps // 2
+    lam = ca.quiescent
+    probes = [DiagonalProbe(i, steps + 1 - diagonal_start(i))
+              for i in product(range(reach + 1), repeat=ca.dim)]
+    rec = _Recorder()
+    run_probes(ca, steps, probes + [rec], reach=reach)
+    for p in probes:
+        assert p.word(lam) == diagonal(diag, p.i, p.length).letters, \
+            (ca.name, p.i)
+    for t in range(steps + 1):
+        want = [(u, s) for u, s in diag.cells(t)
+                if max(t - a for a in u) <= reach]
+        assert rec.cells[t] == want, (ca.name, t)
+        assert rec.far[t] == (lam, lam)
+
+
 @pytest.mark.parametrize("kind,dim,steps,max_states", CROSS_CHECK,
                          ids=[f"{k}-{d}" for k, d, *_ in CROSS_CHECK])
 def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
@@ -127,12 +147,38 @@ def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
             assert rec.far[t] == (lam, lam)
             assert diag.state_at(lam_cell[t], t) == lam
             assert diag.state_at(far_cell, t) == lam
+        _assert_window_matches(ca, diag, steps)
         # the same table through the memo evaluator
         with monkeypatch.context() as m:
             m.setattr(engine, "FLAT_ENUM_LIMIT", 0)
             assert same_run(run(ca, steps), diag), ca.name
+            _assert_window_matches(ca, diag, steps)
     # a uniform diagram cannot tell one argument order from another
     assert any(varied), "no table shows two distinct live states"
+
+
+def test_window_reads(log2_diag):
+    """Off the light cone a window view reads quiescent; inside it, a cell
+    on a diagonal past the reach raises instead of reading quiescent."""
+    seen = []
+
+    class Reader:
+        def observe(self, view):
+            if view.t != 4:
+                return
+            assert view.state_at((4, 2)) == log2_diag.state_at((4, 2), 4)
+            assert view.state_at((5, 0)) == view.state_at((4, -5)) == L
+            with pytest.raises(BeyondWindow):
+                view.state_at((0, 0))           # diagonal (4, 4)
+            assert view.n_sites == sum(1 for _ in view.cells())
+            seen.append(view.t)
+
+    run_probes(builtin_log2(), 6, [Reader()], reach=2)
+    assert seen == [4]
+    with pytest.raises(BeyondWindow):
+        run_probes(builtin_log2(), 8, [DiagonalProbe((3, 3), 4)], reach=2)
+    with pytest.raises(OverflowHorizon, match="no slice was computed"):
+        run_probes(builtin_log2(), 8, [], reach=9, budget=99)
 
 
 def test_live_region_and_parity(log2_diag):
