@@ -25,7 +25,7 @@ import numpy as np
 from .automaton import ImpulseCA
 from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, check_window,
                      run_probes, w_value)
-from .errors import NotCoprime, PlaneViolation
+from .errors import NotCoprime, OverflowHorizon, PlaneViolation
 from .signals import Signal, gap_profile
 
 # ---------------------------------------------------------------------------
@@ -157,14 +157,9 @@ def _lower_points(i, arg_order, dim):
     The diagonal recurrence reads point i - x - 1bar for each argument
     offset x; the offset -1bar reads i itself and is excluded.
     """
-    ones = (1,) * dim
-    minus_ones = tuple(-1 for _ in range(dim))
-    out = []
-    for x in arg_order:
-        if x == minus_ones:
-            continue
-        out.append(tuple(a - b - 1 for a, b in zip(i, x)))
-    return out
+    minus_ones = (-1,) * dim
+    return [tuple(a - b - 1 for a, b in zip(i, x))
+            for x in arg_order if x != minus_ones]
 
 
 def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
@@ -175,7 +170,8 @@ def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
     it depends on, plus the closed-form bound in terms of the state count.
 
     Every such point lies in [0, r_max]^dim, so only that window of
-    diagonals is stepped; the budget bounds its (r_max+1)^dim sites.
+    diagonals is stepped.  Before any stepping, the budget bounds both its
+    (r_max+1)^dim sites and the ``window`` letters kept for each point.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
@@ -183,6 +179,8 @@ def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
         raise ValueError(f"window must be >= 4 to show a repeat, got {window}")
     dim = ca.dim
     check_window(dim, r_max, budget)
+    if math.comb(r_max + dim, dim) * window > budget:
+        raise OverflowHorizon(-1, budget)
     n = len(ca.states)
     big_l = math.lcm(*range(1, n + 1))
 

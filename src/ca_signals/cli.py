@@ -11,7 +11,8 @@ report embeds a timestamp unless --timestamps is passed.  Exit codes:
      "truncated" marker)
 
 The environment variable CA_SIGNALS_MEM_BUDGET overrides the default site
-budget; an explicit --budget flag wins over both.
+budget; an explicit --budget flag wins over both.  A negative budget, or a
+non-integer CA_SIGNALS_MEM_BUDGET, is a configuration problem (exit 2).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from .analysis import (GapReport, NotPeriodicWithin, exhaustive_two_state_search,
@@ -102,12 +104,18 @@ def _parse_point(text: str) -> tuple[int, ...]:
 
 
 def _site_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("CA_SIGNALS_MEM_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SITE_BUDGET
+    source, value = "--budget", getattr(args, "budget", None)
+    if value is None:
+        source = "CA_SIGNALS_MEM_BUDGET"
+        value = os.environ.get(source, DEFAULT_SITE_BUDGET)
+    try:
+        budget = int(value)
+    except ValueError:
+        raise ValueError(
+            f"{source} must be an integer, got {value!r}") from None
+    if budget < 0:
+        raise ValueError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def _convention(args) -> MoveConvention:
@@ -121,11 +129,13 @@ def _dump(obj, args) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(content, out: str | None) -> None:
+    """Write an iterable of text chunks to the file ``out``, or to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with Path(out).open("w", encoding="utf-8") as fh:
+            fh.writelines(content)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(content)
 
 
 def _load_diagram(args, fallback_steps: int | None = None) -> SpaceTimeDiagram:
@@ -157,12 +167,13 @@ def cmd_simulate(args) -> int:
     except OverflowHorizon as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None:
-            obj = {"truncated": True, "budget": exc.budget,
-                   "slices": partial.to_json_obj()}
-            _emit(_dump(obj, args), args.out)
+            # _dump writes the wrapper's bytes; the slices replace its null
+            head, tail = _dump({"truncated": True, "budget": exc.budget,
+                                "slices": None}, args).split("null", 1)
+            _emit(chain((head,), partial.json_chunks(), (tail,)), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    _emit(diag.dumps() + "\n", args.out)
+    _emit(chain(diag.json_chunks(), ("\n",)), args.out)
     return EXIT_OK
 
 
@@ -218,7 +229,7 @@ def _render_ppm(diag: SpaceTimeDiagram, out_dir: str, args) -> int:
     side = 2 * diag.horizon + 1
     manifest = {"frames": diag.horizon + 1, "size": [side, side],
                 "palette": "palette.json"}
-    _emit(_dump(manifest, args), None)
+    _emit((_dump(manifest, args),), None)
     return EXIT_OK
 
 
@@ -242,7 +253,7 @@ def cmd_render(args) -> int:
             raise ValueError("--mode slice needs --t")
         diag = _load_diagram(args, fallback_steps=args.t)
         text = _slice_text(diag, args.t)
-        _emit(text, args.out)
+        _emit((text,), args.out)
         return EXIT_OK
     if args.mode == "ppm":
         if not args.out_dir:
@@ -261,7 +272,7 @@ def cmd_render(args) -> int:
         needed = args.k + (width - 1) + (args.rows - 1)
         diag = _load_diagram(args, fallback_steps=needed)
         text = _wplane_text(diag, args.k, args.rows, width)
-        _emit(text, args.out)
+        _emit((text,), args.out)
         return EXIT_OK
     raise ValueError(f"unknown render mode {args.mode!r}")
 
@@ -285,7 +296,7 @@ def _detected_walk(args) -> Signal:
 
 
 def cmd_detect(args) -> int:
-    _emit(_detected_walk(args).dumps() + "\n", args.out)
+    _emit((_detected_walk(args).dumps(), "\n"), args.out)
     return EXIT_OK
 
 
@@ -312,9 +323,9 @@ def cmd_follow(args) -> int:
         obj = {"signal": tr.signal.to_json_obj(),
                "states": list(tr.automaton_states),
                "defaulted_hits": [list(kv) for kv in tr.defaulted_hits]}
-        _emit(_dump(obj, args), args.out)
+        _emit((_dump(obj, args),), args.out)
     else:
-        _emit(tr.signal.dumps() + "\n", args.out)
+        _emit((tr.signal.dumps(), "\n"), args.out)
     return EXIT_OK
 
 
@@ -337,7 +348,7 @@ def cmd_analyze_diagonal(args) -> int:
     ca, probe = _collect_diagonal(args, args.length)
     word = probe.word(ca.quiescent)
     obj = {"i": list(probe.i), "start": probe.start, "letters": list(word)}
-    _emit(_dump(obj, args), args.out)
+    _emit((_dump(obj, args),), args.out)
     return EXIT_OK
 
 
@@ -353,7 +364,7 @@ def cmd_analyze_period(args) -> int:
         obj.update(decomposed=True, alpha="".join(res.alpha),
                    beta="".join(res.beta), preperiod=len(res.alpha),
                    period=len(res.beta))
-    _emit(_dump(obj, args), args.out)
+    _emit((_dump(obj, args),), args.out)
     return EXIT_OK
 
 
@@ -381,7 +392,7 @@ def cmd_analyze_gap(args) -> int:
     else:
         sig = _detected_walk(args)
     rep = gap_probe(sig)
-    _emit(_dump(_gap_json(rep), args), args.out)
+    _emit((_dump(_gap_json(rep), args),), args.out)
     return EXIT_OK
 
 
@@ -392,7 +403,7 @@ def cmd_analyze_gap(args) -> int:
 def _emit_verify(rep: VerifyReport, args) -> int:
     for line in rep.lines():
         print(line, file=sys.stderr)
-    _emit(_dump(rep.to_json_obj(), args), args.out)
+    _emit((_dump(rep.to_json_obj(), args),), args.out)
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
@@ -418,7 +429,7 @@ def cmd_search(args) -> int:
     obj = {"total": rep.total_candidates, "passing": rep.passing,
            "witnesses": list(rep.witnesses),
            "checked_sites": rep.checked_sites, "digest": rep.digest}
-    _emit(_dump(obj, args), args.out)
+    _emit((_dump(obj, args),), args.out)
     return EXIT_OK if rep.passing == 0 else EXIT_FAIL
 
 
@@ -432,13 +443,13 @@ def cmd_rules(args) -> int:
         obj = {"ok": True, "name": ca.name, "states": len(ca.states),
                "rules": len(ca.table.rules), "dim": ca.dim,
                "neighborhood": ca.neighborhood.kind}
-        _emit(_dump(obj, args), args.out)
+        _emit((_dump(obj, args),), args.out)
         return EXIT_OK
     if args.action == "print":
         ca = parse_ca_spec(args.ca)
         if not isinstance(ca.table, RuleTable):
             raise ValueError("this CA has no explicit rule list to print")
-        _emit(serialize_rules(ca), args.out)
+        _emit((serialize_rules(ca),), args.out)
         return EXIT_OK
     raise ValueError(f"unknown rules action {args.action!r}")
 

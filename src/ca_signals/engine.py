@@ -27,6 +27,9 @@ live slice (or window) as it steps and retains nothing else; a retained
 ``SpaceTimeDiagram`` feeds the same probes its stored slices through
 ``view(t)`` (this is how ``diagonal``, ``detect`` and ``follow`` work).
 
+A retained diagram's JSON dump is formatted slice by slice straight from the
+packed arrays (``json_chunks``), with no object per cell.
+
 Coordinates are packed most-significant-axis-first with a per-axis bias, so
 numeric order of packed values equals lexicographic order of cells.
 """
@@ -224,26 +227,29 @@ class SliceView:
             return int(np.count_nonzero(self._window))
         return len(self._sl[0])
 
-    def cells(self):
-        """Yield (cell, symbol) for non-quiescent cells in lexicographic order.
-
-        A window view yields only the cells on its diagonals.
-        """
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, dim) int64 non-quiescent cells in lexicographic order and their
+        uint8 state codes; a window view holds only its diagonals' cells."""
         if self._window is not None:
             # cell = t*1bar - i, so descending i is ascending cell order
             idx = np.argwhere(self._window)[::-1]
-            coords = self.t - idx
-            codes = self._window[tuple(idx.T)]
-        else:
-            coords = unpack_cells(self._sl[0], self.ca.dim)
-            codes = self._sl[1]
-        for row, c in zip(coords, codes):
-            yield tuple(int(a) for a in row), self.ca.states[c]
+            return self.t - idx, self._window[tuple(idx.T)]
+        return unpack_cells(self._sl[0], self.ca.dim), self._sl[1]
+
+    def cells(self):
+        """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
+        coords, codes = self._arrays()
+        states = self.ca.states
+        for u, c in zip(coords.tolist(), codes.tolist()):
+            yield tuple(u), states[c]
 
 
 @dataclass
 class SpaceTimeDiagram:
-    """Fully retained run: one (packed cells, state codes) pair per slice."""
+    """Fully retained run: one (packed cells, state codes) pair per slice.
+
+    Its JSON dump is written one slice at a time from ``json_chunks``.
+    """
 
     ca: ImpulseCA
     slices: list[Slice]
@@ -278,18 +284,27 @@ class SpaceTimeDiagram:
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
         return self.view(t).cells()
 
-    def to_json_obj(self) -> list:
-        out = []
+    def json_chunks(self):
+        """Yield the compact JSON dump: ``[``, then ``{"t":T,"cells":[...]}``
+        per slice (``,``-prefixed after the first), then ``]``.  Symbols are
+        written unescaped, as ``json.dumps(..., ensure_ascii=False)`` does."""
+        dim = self.ca.dim
+        cell = '{"u":[' + ",".join(["%d"] * dim) + '],"s":%s},'
+        sym = np.array([json.dumps(s, ensure_ascii=False)
+                        for s in self.ca.states], dtype=object)
+        yield "["
         for t in range(self.horizon + 1):
-            out.append({
-                "t": t,
-                "cells": [{"u": list(u), "s": s} for u, s in self.cells(t)],
-            })
-        return out
+            coords, codes = self.view(t)._arrays()
+            # one %-format per slice, fed each cell's coordinates and symbol
+            fields = np.empty((len(codes), dim + 1), dtype=object)
+            fields[:, :dim] = coords
+            fields[:, dim] = sym[codes]
+            body = (cell * len(codes))[:-1] % tuple(fields.ravel().tolist())
+            yield '%s{"t":%d,"cells":[%s]}' % ("," if t else "", t, body)
+        yield "]"
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), ensure_ascii=False,
-                          separators=(",", ":"))
+        return "".join(self.json_chunks())
 
 
 def _seed_slice(ca: ImpulseCA) -> Slice:
@@ -350,14 +365,6 @@ def _misplaced(cell: tuple[int, ...], t: int, ca: ImpulseCA) -> str | None:
     return None
 
 
-def _check_slice(ca: ImpulseCA, sl: Slice, t: int):
-    """Raise CheckFailed unless every live cell is in the cone and parity class."""
-    for row in unpack_cells(sl[0], ca.dim):
-        problem = _misplaced(tuple(int(a) for a in row), t, ca)
-        if problem:
-            raise CheckFailed(problem)
-
-
 def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
         check: bool = False) -> SpaceTimeDiagram:
     """Simulate t = 0..steps inclusive, retaining every slice.
@@ -377,7 +384,10 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
             raise exc
         slices.append(nxt)
         if check:
-            _check_slice(ca, nxt, t + 1)
+            for cell, _ in SliceView(ca, t + 1, nxt).cells():
+                problem = _misplaced(cell, t + 1, ca)
+                if problem:
+                    raise CheckFailed(problem)
     return SpaceTimeDiagram(ca, slices)
 
 
@@ -487,12 +497,9 @@ def dense_run(ca: ImpulseCA, steps: int, *,
     slices = []
     for d in dicts:
         cells = sorted(d.items())
-        if not cells:
-            slices.append(_empty_slice())
-            continue
         coords = np.array([c for c, _ in cells], dtype=np.int64)
         codes = np.array([ca.state_code(s) for _, s in cells], dtype=np.uint8)
-        slices.append((pack_cells(coords, dim), codes))
+        slices.append((pack_cells(coords.reshape(-1, dim), dim), codes))
     return SpaceTimeDiagram(ca, slices)
 
 
@@ -513,9 +520,6 @@ def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:
     slices = []
     for r in rows:
         cells = r["cells"]
-        if not cells:
-            slices.append(_empty_slice())
-            continue
         for c in cells:
             if c["s"] not in known:
                 raise UnknownState(f"symbol {c['s']!r} not in the CA alphabet")
@@ -532,7 +536,7 @@ def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:
         coords = np.array([c["u"] for c in cells], dtype=np.int64)
         codes = np.array([ca.state_code(c["s"]) for c in cells],
                          dtype=np.uint8)
-        packed = pack_cells(coords, ca.dim)
+        packed = pack_cells(coords.reshape(-1, ca.dim), ca.dim)
         order = np.argsort(packed)
         packed = packed[order]
         if np.any(packed[1:] == packed[:-1]):
@@ -543,15 +547,9 @@ def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:
 
 def same_run(a: SpaceTimeDiagram, b: SpaceTimeDiagram) -> bool:
     """True when two diagrams hold identical cells at every slice."""
-    if a.horizon != b.horizon:
-        return False
-    for t in range(a.horizon + 1):
-        pa, ca_ = a.slices[t]
-        pb, cb = b.slices[t]
-        if len(pa) != len(pb) or not (np.array_equal(pa, pb)
-                                      and np.array_equal(ca_, cb)):
-            return False
-    return True
+    return a.horizon == b.horizon and all(
+        np.array_equal(pa, pb) and np.array_equal(ca_, cb)
+        for (pa, ca_), (pb, cb) in zip(a.slices, b.slices))
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,6 @@ class MovePartition:
                 raise AlphabetMismatch(
                     f"class of {s!r} is {x}, not a neighborhood offset")
 
-    def offset_of(self, s: str) -> Offset:
-        return self.classes[s]
-
 
 def parse_move_partition(text: str, dim: int) -> MovePartition:
     """Parse 'sym:(1,1);sym2:(-1,-1)' into a MovePartition."""
@@ -253,11 +250,10 @@ def follower_for_xy(x: int, y: int,
                     delta[(q, s)] = (qs[0], down)
                 else:
                     delta[(q, s)] = (qs[j], up)
-            elif s.startswith("π_"):
-                delta[(q, s)] = (q, up)
             else:
                 delta[(q, s)] = (q, up)
-                defaulted.add((q, s))
+                if not s.startswith("π_"):
+                    defaulted.add((q, s))
     return Follower(qs, qs[0], delta, frozenset(defaulted))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, base_xy_readout,
                        binary_readout, check_planes, gap_probe, is_basic,
@@ -63,12 +64,7 @@ class VerifyReport:
 
 
 def _capped(items) -> tuple:
-    out = []
-    for it in items:
-        out.append(it)
-        if len(out) >= MISMATCH_CAP:
-            break
-    return tuple(out)
+    return tuple(islice(items, MISMATCH_CAP))
 
 
 def _anchor_check(sig: Signal, anchors, name: str) -> Check:

@@ -4,14 +4,25 @@ Everything goes through main(argv) so the tests exercise argument wiring,
 exit codes, and the exact bytes written to stdout.
 """
 
+import hashlib
+import importlib.util
 import json
+import random
+import sys
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ca_signals import builtin_log2, diagonal, engine, follower_for_xy, run
+from ca_signals import (OverflowHorizon, analysis, builtin_log2, diagonal,
+                        engine, follower_for_xy, run, serialize_rules)
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
-                            _join_option_values, main)
+                            _join_option_values, main, parse_ca_spec)
+from ca_signals.lattice import Neighborhood
+from ca_signals.verification import random_impulse_ca
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 pytestmark = pytest.mark.usefixtures("no_env_budget")
 
@@ -114,6 +125,138 @@ def test_timestamps_only_touch_object_reports(capsys):
     assert "generated_at" not in a and "generated_at" in b
     b.pop("generated_at")
     assert a == b
+
+
+def test_bad_site_budgets_are_config_errors(capsys, monkeypatch):
+    argv = ("simulate", "--ca", "log2", "--steps", "8")
+    code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+    assert code == EXIT_CONFIG and out == ""
+    assert "error: --budget must be >= 0, got -1" in err
+    monkeypatch.setenv("CA_SIGNALS_MEM_BUDGET", "-5")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert "error: CA_SIGNALS_MEM_BUDGET must be >= 0, got -5" in err
+
+
+def test_non_integer_env_budget_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("CA_SIGNALS_MEM_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "simulate", "--ca", "log2",
+                             "--steps", "8")
+    assert code == EXIT_CONFIG and out == ""
+    assert "error: CA_SIGNALS_MEM_BUDGET must be an integer, got 'abc'" in err
+
+
+def test_zero_budget_keeps_only_the_seed(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--ca", "log2",
+                             "--steps", "8", "--budget", "0")
+    assert code == EXIT_OVERFLOW and "site budget 0 exhausted" in err
+    assert json.loads(out) == {"truncated": True, "budget": 0, "slices": [
+        {"t": 0, "cells": [{"u": [0, 0], "s": "1"}]}]}
+
+
+# --- simulate output bytes against a JSON-object oracle ----------------------
+
+
+def _oracle_obj(diag) -> list:
+    """The dump's structure built as Python objects, one dict per cell."""
+    return [{"t": t, "cells": [{"u": list(u), "s": s}
+                               for u, s in diag.cells(t)]}
+            for t in range(diag.horizon + 1)]
+
+
+def _encode(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _random_specs(tmp_path, kind, dim):
+    """Rule-file specs of eight random tables of one neighborhood."""
+    rng = random.Random(20240817)
+    specs = []
+    for j in range(8):
+        path = tmp_path / f"{kind}-{dim}-{j}.rules"
+        ca = random_impulse_ca(rng, neigh=Neighborhood(kind, dim))
+        path.write_text(serialize_rules(ca), encoding="utf-8")
+        specs.append(f"file:{path}")
+    return specs
+
+
+def _assert_dump_matches_oracle(capsys, tmp_path, spec, steps):
+    diag = run(parse_ca_spec(spec), steps)
+    want = _encode(_oracle_obj(diag))
+    assert diag.dumps() == want, spec
+    argv = ("simulate", "--ca", spec, "--steps", str(steps))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out == want + "\n", spec
+    target = tmp_path / "dump.json"
+    assert run_cli(capsys, *argv, "--out", str(target))[:2] == (EXIT_OK, "")
+    assert target.read_bytes() == out.encode("utf-8")
+    return diag
+
+
+@pytest.mark.parametrize("spec,steps", [
+    ("log2", 20), ("xy:2,3", 12), ("quiescent", 6)])
+def test_dump_bytes_match_the_oracle(capsys, tmp_path, spec, steps):
+    diag = _assert_dump_matches_oracle(capsys, tmp_path, spec, steps)
+    if spec == "xy:2,3":        # its symbols are written unescaped
+        assert any(not s.isascii() for t in range(steps + 1)
+                   for _, s in diag.cells(t))
+    if spec == "quiescent":
+        assert diag.total_sites == 0
+
+
+@pytest.mark.parametrize("kind,dim,steps", [
+    ("moore", 1, 16), ("von_neumann", 3, 6)])
+def test_dump_bytes_match_the_oracle_on_random_tables(capsys, tmp_path, kind,
+                                                      dim, steps):
+    varied = []
+    for spec in _random_specs(tmp_path, kind, dim):
+        diag = _assert_dump_matches_oracle(capsys, tmp_path, spec, steps)
+        varied.append(len({s for t in range(steps + 1)
+                           for _, s in diag.cells(t)}) >= 2)
+    assert any(varied), "no table shows two distinct live states"
+
+
+@pytest.mark.parametrize("stamp", [False, True], ids=["plain", "timestamps"])
+def test_truncated_dump_matches_the_oracle(capsys, tmp_path, stamp):
+    with pytest.raises(OverflowHorizon) as info:
+        run(builtin_log2(), 64, budget=50)
+    obj = {"truncated": True, "budget": 50,
+           "slices": _oracle_obj(info.value.partial)}
+    want = _encode(obj) + "\n"
+    argv = ["simulate", "--ca", "log2", "--steps", "64", "--budget", "50"]
+    if stamp:
+        argv.append("--timestamps")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OVERFLOW
+    target = tmp_path / "dump.json"
+    assert run_cli(capsys, *argv, "--out", str(target))[0] == EXIT_OVERFLOW
+    got = json.loads(out)
+    if stamp:
+        assert list(got) == ["truncated", "budget", "slices", "generated_at"]
+        datetime.fromisoformat(got["generated_at"])
+        cut = out.index(',"generated_at"')
+        assert out[:cut] + "}\n" == want
+        assert out.endswith('"}\n')
+        assert target.read_bytes()[:cut] == out[:cut].encode("utf-8")
+    else:
+        assert list(got) == ["truncated", "budget", "slices"]
+        assert out == want
+        assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_full_size_dump_matches_the_benchmark_digest(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    # its dataclass resolves annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    dump = mod.WORKLOADS["dump"]
+    target = tmp_path / "dump.json"
+    argv = ["simulate", "--ca", "log2", "--steps", str(dump.size["steps"]),
+            "--out", str(target)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == dump.digest
 
 
 # --- render -------------------------------------------------------------------
@@ -368,6 +511,19 @@ def test_verify_bounds_checks_the_window_against_the_budget(capsys):
                              "--window", "64", "--budget", "50")
     assert code == EXIT_OVERFLOW and out == ""
     assert "site budget 50 exhausted; no slice was computed" in err
+
+
+def test_verify_bounds_checks_the_letters_against_the_budget(capsys,
+                                                            monkeypatch):
+    # 28 probes of 10^9 letters each are refused before anything is stepped
+    def stepped(*_args, **_kwargs):
+        raise AssertionError("run_probes was called")
+
+    monkeypatch.setattr(analysis, "run_probes", stepped)
+    code, out, err = run_cli(capsys, "verify", "bounds", "--rmax", "6",
+                             "--window", "1000000000")
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "no slice was computed" in err
 
 
 @pytest.mark.parametrize("flag,value,name", [
