@@ -24,8 +24,9 @@ import numpy as np
 
 from .automaton import ImpulseCA
 from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, check_window,
-                     run_probes, w_value)
-from .errors import NotCoprime, OverflowHorizon, PlaneViolation
+                     run_probes)
+from .errors import (BeyondHorizon, CheckFailed, NotCoprime, OverflowHorizon,
+                     PlaneViolation)
 from .signals import Signal, gap_profile
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,8 @@ def _decompose(word, window, accept):
     p, q = best
     beta = w[p:p + q]
     for j in range(p, h):
-        assert w[j] == beta[(j - p) % q], "period selection is unsound"
+        if w[j] != beta[(j - p) % q]:
+            raise CheckFailed("period selection is unsound")
     return PeriodDecomposition(w[:p], beta, h)
 
 
@@ -417,23 +419,76 @@ def crt_digit(x: int, y: int, p_idx: int, k_idx: int) -> int:
     return a + x * (((b - a) * inv) % y)
 
 
-def binary_readout(diag, k: int) -> str:
-    """The bit word spelled along sheared row (k, 0), low-order digit first.
+class _RowReadout:
+    """Digits along sheared rows k, read as the slices arrive: track l holds
+    entry i at cell (k-i+l, k-i-l) at t = k+i+l (``engine.w_site``), so a
+    row opens at t = k and a digit is complete with its last track.  Only
+    open rows are held; a row closes with its word or its reads' error."""
 
-    Reading stops at the first quiescent entry; on the binary counter the
-    word equals the base-2 digits of k+1.
-    """
-    digits = []
-    i = 0
-    while True:
-        s = w_value(diag, k, 0, i)
-        if s == diag.ca.quiescent:
-            break
+    def __init__(self, ca: ImpulseCA, rows):
+        self.lam, self.rows = ca.quiescent, frozenset(rows)
+        self.open, self.closed, self.last = {}, {}, -1
+
+    def observe(self, view):
+        t = self.last = view.t
+        if t in self.rows:
+            self.open[t] = ([], [])
+        for k, (digits, entries) in list(self.open.items()):
+            while k + len(digits) + len(entries) == t:
+                i, l = len(digits), len(entries)
+                entries.append(view.state_at((k - i + l, k - i - l)))
+                if len(entries) < self.tracks:
+                    continue
+                try:
+                    d = self._digit(k, i, *entries)
+                except ValueError as exc:
+                    d = exc
+                if d is None or isinstance(d, ValueError):
+                    self.closed[k] = self._word(digits) if d is None else d
+                    del self.open[k]
+                    break
+                digits.append(d)
+                entries.clear()
+
+    def word(self, k: int):
+        """Row k's word; raises its reads' error, or BeyondHorizon if the
+        row did not end inside the run."""
+        out = self.closed.get(k)
+        if out is None:
+            raise BeyondHorizon(f"t={max(k, self.last + 1)} outside simulated "
+                                f"range 0..{self.last}")
+        if isinstance(out, ValueError):
+            raise out
+        return out
+
+    def read(self, diag, k: int):
+        """Row k's word in a retained diagram, fed its slices from t = k until
+        the row closes; a row that runs past the diagram raises there."""
+        t = k
+        while k not in self.closed:
+            self.observe(diag.view(t))
+            t += 1
+        return self.word(k)
+
+
+class BinaryReadoutProbe(_RowReadout):
+    """Bit words of sheared rows (k, 0), low-order digit first, each ending
+    at its first quiescent entry; on the binary counter row k spells k+1."""
+
+    tracks = 1
+    _word = "".join
+
+    def _digit(self, k, i, s):
+        if s == self.lam:
+            return None
         if s not in ("0", "1"):
             raise ValueError(f"row ({k},0) entry {i} is {s!r}, not a bit")
-        digits.append(s)
-        i += 1
-    return "".join(digits)
+        return s
+
+
+def binary_readout(diag, k: int) -> str:
+    """The bit word of sheared row (k, 0) of a retained diagram."""
+    return BinaryReadoutProbe(diag.ca, (k,)).read(diag, k)
 
 
 def _track_index(sym: str, prefix: str, where: str) -> int:
@@ -445,54 +500,68 @@ def _track_index(sym: str, prefix: str, where: str) -> int:
     raise PlaneViolation(f"{where} holds {sym!r}, expected a {prefix} state")
 
 
-def base_xy_readout(diag, k: int, x: int, y: int) -> tuple[int, ...]:
-    """Digits of base x*y spelled along sheared rows (k,0)/(k,1), low first.
+class BaseXYReadoutProbe(_RowReadout):
+    """Base x*y digits of sheared rows (k,0)/(k,1), low-order digit first.
 
     Row (k, 0) carries the mod-x residue track and row (k, 1) the mod-y
     track; each digit is recovered by the Chinese remainder theorem.  On
     the two-track counter the digits are those of k+1.
     """
-    lam = diag.ca.quiescent
-    digits = []
-    i = 0
-    while True:
-        s0 = w_value(diag, k, 0, i)
-        s1 = w_value(diag, k, 1, i)
-        if s0 == lam and s1 == lam:
-            break
-        if s0 == lam or s1 == lam:
+
+    tracks = 2
+    _word = tuple
+
+    def __init__(self, ca: ImpulseCA, rows, x: int, y: int):
+        super().__init__(ca, rows)
+        self.x, self.y = x, y
+
+    def _digit(self, k, i, s0, s1):
+        if s0 == self.lam and s1 == self.lam:
+            return None
+        if s0 == self.lam or s1 == self.lam:
             raise PlaneViolation(
                 f"rows ({k},0)/({k},1) disagree on digit {i}: {s0!r}/{s1!r}")
-        p_idx = _track_index(s0, "π", f"row ({k},0) entry {i}")
-        k_idx = _track_index(s1, "κ", f"row ({k},1) entry {i}")
-        digits.append(crt_digit(x, y, p_idx, k_idx))
-        i += 1
-    return tuple(digits)
+        return crt_digit(self.x, self.y,
+                         _track_index(s0, "π", f"row ({k},0) entry {i}"),
+                         _track_index(s1, "κ", f"row ({k},1) entry {i}"))
+
+
+def base_xy_readout(diag, k: int, x: int, y: int) -> tuple[int, ...]:
+    """The base x*y digits of rows (k,0)/(k,1) of a retained diagram."""
+    return BaseXYReadoutProbe(diag.ca, (k,), x, y).read(diag, k)
+
+
+class PlaneProbe:
+    """Counts the live cells of a two-track run and keeps the first one off
+    its carrier plane: a - b = 0 for the mod-x (π) track, a - b = 2 for the
+    mod-y (κ) track.  ``count()`` raises it; keeping it lets a streamed run
+    go on feeding its other probes."""
+
+    def __init__(self, ca: ImpulseCA):
+        self.states, self.checked, self.error = ca.states, 0, None
+        self.plane = np.array([0 if s.startswith("π_") else
+                               2 if s.startswith("κ_") else -1
+                               for s in ca.states])
+
+    def observe(self, view):
+        coords, codes = view.arrays()
+        self.checked += len(codes)
+        bad = np.flatnonzero(coords[:, 0] - coords[:, 1] != self.plane[codes])
+        if len(bad) and self.error is None:
+            (a, b), s = coords[bad[0]].tolist(), self.states[codes[bad[0]]]
+            on = {0: "π", 2: "κ"}.get(a - b)
+            self.error = PlaneViolation(
+                f"cell ({a},{b}) at t={view.t} " + (
+                    f"holds {s!r} on the {on} plane" if on
+                    else f"lies on plane offset {a - b}"))
+
+    def count(self) -> int:
+        if self.error is not None:
+            raise self.error
+        return self.checked
 
 
 def check_planes(diag, t_max: int | None = None) -> int:
-    """Verify a two-track diagram only populates its two carrier planes.
-
-    Every live cell (a, b) must satisfy a - b in {0, 2}, with the mod-x
-    track on the main diagonal and the mod-y track just below it.  Returns
-    the number of cells checked.
-    """
-    if t_max is None:
-        t_max = diag.horizon
-    checked = 0
-    for t in range(t_max + 1):
-        for (a, b), s in diag.cells(t):
-            plane = a - b
-            if plane == 0:
-                if not s.startswith("π_"):
-                    raise PlaneViolation(
-                        f"cell ({a},{b}) at t={t} holds {s!r} on the π plane")
-            elif plane == 2:
-                if not s.startswith("κ_"):
-                    raise PlaneViolation(
-                        f"cell ({a},{b}) at t={t} holds {s!r} on the κ plane")
-            else:
-                raise PlaneViolation(
-                    f"cell ({a},{b}) at t={t} lies on plane offset {plane}")
-            checked += 1
-    return checked
+    """Cells that ``PlaneProbe`` checks on a retained diagram up to t_max."""
+    stop = diag.horizon + 1 if t_max is None else t_max + 1
+    return diag.replay(PlaneProbe(diag.ca), stop).count()

@@ -2,7 +2,7 @@
 
 Three engines, one per job:
 
-* ``run`` / ``run_probes``: sparse, vectorized, for whole diagrams.  Live
+* ``run`` / ``run_probes``: sparse, vectorized, over the light cone.  Live
   cells of one time slice are kept as a sorted int64 array of packed
   coordinates plus a uint8 state code array.  A step merges the v shifted
   copies of that array with one stable sort, sums each candidate cell's
@@ -20,12 +20,13 @@ Three engines, one per job:
   rule list with first-match semantics, cell by cell.  It shares no stepping
   or pruning logic with the other two so it can cross-check them.
 
-Walkers over a diagram are probes: ``DiagonalProbe`` here, ``DetectProbe``
-and ``FollowProbe`` in ``signals``.  Each observes one ``SliceView`` per
-time step and has no other implementation.  ``run_probes`` feeds probes the
-live slice (or window) as it steps and retains nothing else; a retained
-``SpaceTimeDiagram`` feeds the same probes its stored slices through
-``view(t)`` (this is how ``diagonal``, ``detect`` and ``follow`` work).
+Claims read diagrams only through probes (walkers, digit readouts, plane,
+region and mark checks), each observing one ``SliceView`` per time step.
+Claims stream: ``run_probes`` feeds probes the live slice (or window) as it
+steps and retains nothing else.  Only dumps retain: ``run`` keeps every
+slice for ``simulate``, ``render`` and loaded diagrams, and
+``SpaceTimeDiagram.replay`` feeds the same probes its stored slices, which
+is how ``diagonal``, ``detect``, ``follow`` and the readouts read one.
 
 A retained diagram's JSON dump is formatted slice by slice straight from the
 packed arrays (``json_chunks``), with no object per cell.
@@ -227,7 +228,7 @@ class SliceView:
             return int(np.count_nonzero(self._window))
         return len(self._sl[0])
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, dim) int64 non-quiescent cells in lexicographic order and their
         uint8 state codes; a window view holds only its diagonals' cells."""
         if self._window is not None:
@@ -238,7 +239,7 @@ class SliceView:
 
     def cells(self):
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
-        coords, codes = self._arrays()
+        coords, codes = self.arrays()
         states = self.ca.states
         for u, c in zip(coords.tolist(), codes.tolist()):
             yield tuple(u), states[c]
@@ -284,6 +285,13 @@ class SpaceTimeDiagram:
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
         return self.view(t).cells()
 
+    def replay(self, probe, stop: int):
+        """Feed ``probe`` the views of slices 0..stop-1 in time order, as
+        ``run_probes`` feeds the slices it steps, and return the probe."""
+        for t in range(stop):
+            probe.observe(self.view(t))
+        return probe
+
     def json_chunks(self):
         """Yield the compact JSON dump: ``[``, then ``{"t":T,"cells":[...]}``
         per slice (``,``-prefixed after the first), then ``]``.  Symbols are
@@ -294,7 +302,7 @@ class SpaceTimeDiagram:
                         for s in self.ca.states], dtype=object)
         yield "["
         for t in range(self.horizon + 1):
-            coords, codes = self.view(t)._arrays()
+            coords, codes = self.view(t).arrays()
             # one %-format per slice, fed each cell's coordinates and symbol
             fields = np.empty((len(codes), dim + 1), dtype=object)
             fields[:, :dim] = coords
@@ -616,8 +624,7 @@ def diagonal(diag: SpaceTimeDiagram, i: tuple[int, ...],
         raise ValueError(f"point has {len(i)} coordinates, CA has {diag.ca.dim}")
     probe = DiagonalProbe(i, length)
     if not probe.skip:
-        for t in range(probe.start, probe.start + length):
-            probe.observe(diag.view(t))
+        diag.replay(probe, probe.start + length)
     return DiagonalWord(probe.i, probe.start, probe.word(diag.ca.quiescent))
 
 

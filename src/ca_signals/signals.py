@@ -27,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import engine
 from .automaton import LAMBDA, ImpulseCA
 from .engine import compile_flat, flat_weights
 from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, TableTooLarge,
@@ -303,9 +304,7 @@ def follow(diag, follower: Follower, steps: int | None = None,
     """Run a follower over a retained diagram from the origin."""
     probe = FollowProbe(diag.ca, follower,
                         diag.horizon if steps is None else steps, convention)
-    for t in range(probe.steps):
-        probe.observe(diag.view(t))
-    return probe.trace()
+    return diag.replay(probe, probe.steps).trace()
 
 
 class DetectProbe(FollowProbe):
@@ -332,9 +331,7 @@ def detect(diag, partition: MovePartition, steps: int | None = None,
     """Walk a retained diagram from the origin under a move partition."""
     probe = DetectProbe(diag.ca, partition,
                         diag.horizon if steps is None else steps, convention)
-    for t in range(probe.steps):
-        probe.observe(diag.view(t))
-    return probe.signal()
+    return diag.replay(probe, probe.steps).signal()
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +395,18 @@ class ProductTable:
                     break
         return _pair_symbol(new_s, new_m)
 
-    def build_flat(self, pair_ca: ImpulseCA) -> np.ndarray:
+    def build_flat(self, pair_ca: ImpulseCA) -> np.ndarray | None:
         nm = len(self.marks)
         ns = len(self.base.states)
         v = self.arity
-        base_flat = compile_flat(self.base)
-        if base_flat is None:
+        if ns ** v > engine.FLAT_ENUM_LIMIT:
             raise TableTooLarge(
                 "base automaton has too many neighbor tuples to tabulate "
                 "its product table")
         n_pair = ns * nm
+        if n_pair ** v > engine.FLAT_ENUM_LIMIT:
+            return None     # the memo evaluator, as for any large table
+        base_flat = compile_flat(self.base)
         w_pair = flat_weights(n_pair, v)
         w_base = flat_weights(ns, v)
 
@@ -422,7 +421,6 @@ class ProductTable:
             send_maps.append(m)
 
         codes = np.arange(n_pair ** v, dtype=np.int64)
-        new_s = np.zeros(len(codes), dtype=np.int64)
         new_m = np.zeros(len(codes), dtype=np.int64)
         base_idx = np.zeros(len(codes), dtype=np.int64)
         claimed = np.zeros(len(codes), dtype=bool)
@@ -482,19 +480,28 @@ def product_construct(base: ImpulseCA, follower: Follower,
     return ProductCA(ca, base, follower, convention)
 
 
+class MarkedProbe:
+    """Collects every (cell, t) whose state lies in ``subset``."""
+
+    def __init__(self, ca: ImpulseCA, subset):
+        unknown = set(subset) - set(ca.states)
+        if unknown:
+            raise UnknownState(f"not states of this automaton: {sorted(unknown)}")
+        self.marked = np.array([s in subset for s in ca.states], dtype=bool)
+        self.found: set = set()
+
+    def observe(self, view):
+        coords, codes = view.arrays()
+        t = view.t
+        self.found.update((tuple(u), t)
+                          for u in coords[self.marked[codes]].tolist())
+
+
 def marked_sites(diag, subset, t_max: int | None = None):
     """All (cell, t) whose state lies in ``subset``, up to t_max."""
-    unknown = set(subset) - set(diag.ca.states)
-    if unknown:
-        raise UnknownState(f"not states of this automaton: {sorted(unknown)}")
-    if t_max is None:
-        t_max = diag.horizon
-    found = set()
-    for t in range(t_max + 1):
-        for cell, s in diag.cells(t):
-            if s in subset:
-                found.add((cell, t))
-    return found
+    probe = MarkedProbe(diag.ca, subset)
+    stop = diag.horizon + 1 if t_max is None else t_max + 1
+    return diag.replay(probe, stop).found
 
 
 # ---------------------------------------------------------------------------

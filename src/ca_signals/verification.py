@@ -4,26 +4,32 @@ Each sweep re-derives its expected values from integer arithmetic (digit
 strings, anchor schedules, trailing-one counts) and compares them against
 simulated diagrams, reporting per-check pass/fail with the first offending
 sites instead of stopping at the first failure.
+
+Claims stream: every check is a probe, so each automaton is stepped once
+by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
+slice is held.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, base_xy_readout,
-                       binary_readout, check_planes, gap_probe, is_basic,
+from . import analysis
+from .analysis import (LOG_OR_ABOVE, BaseXYReadoutProbe, BinaryReadoutProbe,
+                       NotPeriodicWithin, PlaneProbe, gap_probe, is_basic,
                        verify_period_bounds)
 from .automaton import (LAMBDA, TRELLIS2_ORDER, WILDCARD, AnyOf, ImpulseCA,
                         Literal, Rule, RuleTable, builtin_log2,
                         builtin_quiescent, builtin_xy, merged_xy)
-from .engine import DEFAULT_SITE_BUDGET, run, run_probes, unpack_cells, w_row
+from .engine import DEFAULT_SITE_BUDGET, w_site
 from .errors import PlaneViolation, XNotSmallest
 from .lattice import Neighborhood, offsets
-from .signals import (DetectProbe, Follower, Signal, detect, follow,
+from .signals import (DetectProbe, Follower, FollowProbe, MarkedProbe, Signal,
                       follower_for_xy, log2_partition, log_anchor_signal,
-                      marked_sites, product_construct)
+                      product_construct)
 
 MISMATCH_CAP = 100
 
@@ -94,79 +100,101 @@ def _digits(n: int, base: int) -> tuple[int, ...]:
 # binary counter
 
 
-def _region_check(diag) -> Check:
-    """Every live cell (a, b) at time t satisfies -t <= b <= a <= t with
-    both coordinates sharing t's parity."""
-    bad = []
-    for t in range(diag.horizon + 1):
-        packed, _codes = diag.slices[t]
-        if not len(packed):
-            continue
-        coords = unpack_cells(packed, 2)
-        a, b = coords[:, 0], coords[:, 1]
-        viol = (b > a) | (a > t) | (b < -t) | ((a + t) % 2 != 0) \
-            | ((b + t) % 2 != 0)
-        if viol.any():
-            for row in coords[viol][:MISMATCH_CAP]:
-                bad.append((int(row[0]), int(row[1]), t))
-            if len(bad) >= MISMATCH_CAP:
-                break
-    return Check("live-region", not bad,
-                 f"{diag.total_sites} stored sites inside the wedge",
-                 _capped(bad))
+class _RegionProbe:
+    """Sums the live sites and keeps those off the wedge -t <= b <= a <= t
+    or off t's parity."""
+
+    def __init__(self):
+        self.bad: list = []
+        self.total = 0
+
+    def observe(self, view):
+        coords, t = view.arrays()[0], view.t
+        a, b = coords.T
+        off = (b > a) | (a > t) | (b < -t) \
+            | (((a ^ t) | (b ^ t)) & 1).astype(bool)    # a+t or b+t odd
+        self.total += len(coords)
+        room = MISMATCH_CAP - len(self.bad)    # keep no more than a report shows
+        self.bad += [(ua, ub, t) for ua, ub in coords[off][:room].tolist()]
+
+
+class _ReadSchedule:
+    """Reads sites fixed before stepping: ``rows[j]`` collects the states
+    at the (cell, t) sites of ``sites[j]``, which are in time order."""
+
+    def __init__(self, sites):
+        self.rows: list[list[str]] = [[] for _ in sites]
+        self.due = defaultdict(list)    # t -> [(row, cell)] still to read
+        for row, row_sites in zip(self.rows, sites):
+            for cell, t in row_sites:
+                self.due[t].append((row, cell))
+
+    def observe(self, view):
+        for row, cell in self.due.pop(view.t, ()):
+            row.append(view.state_at(cell))
 
 
 def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
                 budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Anchor walk, digit readout, and sheared-row shape of the binary counter.
 
-    The simulation runs slightly past ``steps`` so that every digit row
-    k <= steps is terminated inside the diagram.
+    Every check is a probe on one streamed run, which goes slightly past
+    ``steps`` so that every digit row k <= steps ends inside it.  The
+    sampled carry rows depend only on ``seed`` and ``steps``, so they are
+    drawn before stepping.
     """
     if steps < 4:
         raise ValueError("need steps >= 4")
     ca = builtin_log2()
-    pad = (steps + 2).bit_length() + 2
-    diag = run(ca, steps + pad, budget=budget)
+    horizon = steps + (steps + 2).bit_length() + 2
+
+    rng = random.Random(seed)
+    picked = []
+    while len(picked) < samples:
+        k = rng.randrange(1, max(2, steps - 24))
+        l = rng.randrange(1, 9)
+        length = (k + 1).bit_length()
+        if k + l + length <= horizon:
+            picked.append((k, l, length))
+    walk = DetectProbe(ca, log2_partition(), steps)
+    readout = BinaryReadoutProbe(ca, range(steps + 1))
+    carry = _ReadSchedule([[w_site(k, l, i) for i in range(length + 1)]
+                           for k, l, length in picked])
+    region = _RegionProbe()
+    analysis.run_probes(ca, horizon, [walk, readout, carry, region],
+                        budget=budget)
 
     checks = []
 
-    sig = detect(diag, log2_partition(), steps)
+    sig = walk.signal()
     anchors = log_anchor_signal(2, steps)
     checks.append(_anchor_check(sig, anchors, "anchor-walk"))
 
     bad = []
     for k in range(steps + 1):
         want = bin(k + 1)[2:][::-1]
-        got = binary_readout(diag, k)
+        got = readout.word(k)
         if got != want:
             bad.append((k, got, want))
     checks.append(Check("binary-readout", not bad,
                         f"rows k=0..{steps} read back", _capped(bad)))
 
-    rng = random.Random(seed)
     bad = []
-    tried = 0
-    while tried < samples:
-        k = rng.randrange(1, max(2, steps - 24))
-        l = rng.randrange(1, 9)
+    for (k, l, length), row in zip(picked, carry.rows):
         n = k + 1
-        length = n.bit_length()
-        if k + l + length > diag.horizon:
-            continue
-        tried += 1
         ones = 0
         while (n >> ones) & 1:
             ones += 1
         want = "1" * ones + "0" * (length - ones)
-        row = w_row(diag, k, l, length + 1)
         got, term = "".join(row[:length]), row[length]
         if got != want or term != ca.quiescent:
             bad.append((k, l, got, want))
     checks.append(Check("carry-rows", not bad,
                         f"{samples} sampled rows with l >= 1", _capped(bad)))
 
-    checks.append(_region_check(diag))
+    checks.append(Check("live-region", not region.bad,
+                        f"{region.total} stored sites inside the wedge",
+                        _capped(region.bad)))
 
     if steps >= 64:
         rep = gap_probe(sig)
@@ -185,17 +213,28 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
 def verify_xy(x: int, y: int, steps: int, *,
               budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Follower anchors, CRT digit readout, plane discipline, the product
-    construction, and the merged single-track variant."""
+    construction, and the merged single-track variant, each automaton in
+    one streamed run."""
     if steps < 4:
         raise ValueError("need steps >= 4")
     ca = builtin_xy(x, y)
     base = x * y
-    diag = run(ca, steps, budget=budget)
+    fol = follower_for_xy(x, y)
+
+    # row k reads back inside the run when its last read, track 1 at
+    # t = k + len(digits) + 1, is at most steps
+    k = 0
+    while k + len(_digits(k + 1, base)) + 1 <= steps:
+        k += 1
+    rows = range(k)
+    walk = FollowProbe(ca, fol, steps)
+    readout = BaseXYReadoutProbe(ca, rows, x, y)
+    planes = PlaneProbe(ca)
+    analysis.run_probes(ca, steps, [walk, readout, planes], budget=budget)
 
     checks = []
 
-    fol = follower_for_xy(x, y)
-    tr = follow(diag, fol, steps)
+    tr = walk.trace()
     anchors = log_anchor_signal(base, steps)
     checks.append(_anchor_check(tr.signal, anchors, "anchor-walk"))
     checks.append(Check(
@@ -204,24 +243,17 @@ def verify_xy(x: int, y: int, steps: int, *,
         _capped(tr.defaulted_hits)))
 
     bad = []
-    k = 0
-    k_max = -1
-    while True:
-        length = len(_digits(k + 1, base))
-        if k + length + 1 > steps:
-            break
-        k_max = k
+    for k in rows:
         want = _digits(k + 1, base)
-        got = base_xy_readout(diag, k, x, y)
+        got = readout.word(k)
         if got != want:
             bad.append((k, list(got), list(want)))
-        k += 1
     checks.append(Check("digit-readout", not bad,
-                        f"rows k=0..{k_max} read back in base {base}",
+                        f"rows k=0..{len(rows) - 1} read back in base {base}",
                         _capped(bad)))
 
     try:
-        n_cells = check_planes(diag, steps)
+        n_cells = planes.count()
         checks.append(Check("plane-discipline", True,
                             f"{n_cells} live cells on the two carrier planes"))
     except PlaneViolation as e:
@@ -229,8 +261,9 @@ def verify_xy(x: int, y: int, steps: int, *,
 
     t_prod = min(steps, 200)
     prod = product_construct(ca, fol)
-    pd = run(prod.ca, t_prod, budget=budget)
-    ms = marked_sites(pd, prod.marked_states, t_prod)
+    marks = MarkedProbe(prod.ca, prod.marked_states)
+    analysis.run_probes(prod.ca, t_prod, [marks], budget=budget)
+    ms = marks.found
     path = {(u, t) for t, u in enumerate(tr.signal.sites[:t_prod + 1])}
     diff = sorted(ms ^ path, key=lambda p: (p[1], p[0]))
     checks.append(Check(
@@ -242,8 +275,9 @@ def verify_xy(x: int, y: int, steps: int, *,
     try:
         merged = merged_xy(x, y)
         mfol = follower_for_xy(x, y, alphabet=merged.states)
-        mdiag = run(merged, steps, budget=budget)
-        mtr = follow(mdiag, mfol, steps)
+        mwalk = FollowProbe(merged, mfol, steps)
+        analysis.run_probes(merged, steps, [mwalk], budget=budget)
+        mtr = mwalk.trace()
         same = mtr.signal == tr.signal
         bad = [] if same else [
             (t, list(a), list(b)) for t, (a, b) in
@@ -319,26 +353,27 @@ def verify_basic(count: int = 50, *, window: int = 64,
     with preperiod + period <= |Q| + 1; the binary counter's detected walk
     shows no such decomposition within ``move_horizon``."""
     quiet = builtin_quiescent()
-    qdiag = run(quiet, window, budget=budget)
     rng = random.Random(seed)
+    walks = [FollowProbe(quiet, random_follower(rng), window)
+             for _ in range(count)]
+    analysis.run_probes(quiet, window, walks, budget=budget)
     bad = []
-    for idx in range(count):
-        fol = random_follower(rng)
-        tr = follow(qdiag, fol, window)
-        dec = is_basic(tr.signal, window)
+    for idx, walk in enumerate(walks):
+        n_q = len(walk.follower.states)
+        dec = is_basic(walk.trace().signal, window)
         if isinstance(dec, NotPeriodicWithin):
-            bad.append((idx, len(fol.states), "not periodic in window"))
+            bad.append((idx, n_q, "not periodic in window"))
             continue
         p, q = len(dec.alpha), len(dec.beta)
-        if p + q > len(fol.states) + 1:
-            bad.append((idx, len(fol.states), f"(p,q)=({p},{q})"))
+        if p + q > n_q + 1:
+            bad.append((idx, n_q, f"(p,q)=({p},{q})"))
     checks = [Check(
         "follower-walks-basic", not bad,
         f"{count} random followers, p+q <= |Q|+1 on the empty diagram",
         _capped(bad))]
 
     probe = DetectProbe(builtin_log2(), log2_partition(), move_horizon)
-    run_probes(builtin_log2(), move_horizon, [probe], budget=budget)
+    analysis.run_probes(builtin_log2(), move_horizon, [probe], budget=budget)
     dec = is_basic(probe.signal(), move_horizon)
     checks.append(Check(
         "counter-walk-not-basic", isinstance(dec, NotPeriodicWithin),

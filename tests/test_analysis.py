@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (NotCoprime, NotPeriodicWithin, PeriodDecomposition,
-                        PlaneViolation, Signal, base_xy_readout,
+from ca_signals import (BeyondHorizon, NotCoprime, NotPeriodicWithin,
+                        PeriodDecomposition, PlaneViolation, Signal,
+                        base_xy_readout,
                         binary_readout, builtin_log2, builtin_xy,
                         check_planes, crt_digit, detect, diagonal,
                         diagram_from_json_obj, exhaustive_two_state_search,
                         gap_probe, gap_profile, log2_partition, run,
-                        ultimate_period, verify_period_bounds)
+                        run_probes, ultimate_period, verify_period_bounds)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
-                                 SEARCH_TARGETS, _decompose)
+                                 SEARCH_TARGETS, BaseXYReadoutProbe,
+                                 BinaryReadoutProbe, PlaneProbe, _decompose)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
 from ca_signals.lattice import Neighborhood
 from ca_signals.signals import MovePartition
@@ -204,6 +206,55 @@ def test_binary_readout_against_python_bin(log2_diag):
         assert got == want, k
 
 
+def test_binary_readout_probe_streams_every_row(log2_diag):
+    probe = BinaryReadoutProbe(builtin_log2(), range(65))
+    run_probes(builtin_log2(), 80, [probe])
+    assert [probe.word(k) for k in range(65)] == \
+        [binary_readout(log2_diag, k) for k in range(65)]
+    assert len(probe.open) == 0
+
+
+def test_readout_rows_that_do_not_end_are_beyond_the_horizon(log2_diag):
+    # row 255 spells 256 = 100000000b: nine digits, past t=256
+    with pytest.raises(BeyondHorizon, match="t=257 outside"):
+        binary_readout(log2_diag, 255)
+    with pytest.raises(BeyondHorizon, match="t=300 outside"):
+        binary_readout(log2_diag, 300)
+    probe = BinaryReadoutProbe(builtin_log2(), (3,))
+    run_probes(builtin_log2(), 4, [probe])
+    with pytest.raises(BeyondHorizon):
+        probe.word(3)
+
+
+def test_retained_readout_reads_only_its_rows_slices(log2_diag,
+                                                    monkeypatch):
+    seen = []
+    view = type(log2_diag).view
+    monkeypatch.setattr(type(log2_diag), "view",
+                        lambda self, t: seen.append(t) or view(self, t))
+    # row 200 spells 201 = 10010011b: eight bits, then its quiescent end
+    assert binary_readout(log2_diag, 200) == "10010011"
+    assert seen == list(range(200, 209))
+
+
+def test_readout_errors_surface_for_their_row():
+    ca = builtin_xy(2, 3)
+    # row (1,0) entry 0 holds a π state, row (1,1) entry 0 is empty
+    bad = diagram_from_json_obj(ca, [
+        {"t": 0, "cells": [{"u": [0, 0], "s": "π_1"}]},
+        {"t": 1, "cells": [{"u": [1, 1], "s": "π_1"}]},
+        {"t": 2, "cells": []},
+        {"t": 3, "cells": []},
+    ])
+    probe = bad.replay(BaseXYReadoutProbe(ca, (0, 1), 2, 3), 4)
+    with pytest.raises(PlaneViolation, match="rows \\(0,0\\)/\\(0,1\\)"):
+        probe.word(0)
+    with pytest.raises(PlaneViolation, match="rows \\(1,0\\)/\\(1,1\\)"):
+        probe.word(1)
+    with pytest.raises(ValueError, match="not a bit"):
+        binary_readout(bad, 0)
+
+
 def base6_digits(n: int) -> tuple[int, ...]:
     out = []
     while n:
@@ -239,15 +290,40 @@ def test_crt_digit_is_a_bijection_for_3_4():
         assert v % 3 == p and v % 4 == k
 
 
+def test_base_xy_readout_probe_streams_every_row(xy23_diag):
+    probe = BaseXYReadoutProbe(builtin_xy(2, 3), range(41), 2, 3)
+    run_probes(builtin_xy(2, 3), 50, [probe])
+    assert [probe.word(k) for k in range(41)] == \
+        [base6_digits(k + 1) for k in range(41)]
+
+
 def test_check_planes_counts_and_rejects(xy23_diag):
     assert check_planes(xy23_diag, 40) > 0
+    assert check_planes(xy23_diag, 40) == sum(
+        xy23_diag.n_sites(t) for t in range(41))
+    probe = PlaneProbe(builtin_xy(2, 3))
+    run_probes(builtin_xy(2, 3), 40, [probe])
+    assert probe.count() == check_planes(xy23_diag, 40)
     ca = builtin_xy(2, 3)
     bad = diagram_from_json_obj(ca, [
         {"t": 0, "cells": [{"u": [0, 0], "s": "π_1"}]},
         {"t": 1, "cells": [{"u": [1, -1], "s": "π_0"}]},
     ])
-    with pytest.raises(PlaneViolation):
+    with pytest.raises(PlaneViolation,
+                       match=r"\(1,-1\) at t=1 holds 'π_0' on the κ plane"):
         check_planes(bad)
+    assert check_planes(bad, 0) == 1
+    swapped = diagram_from_json_obj(ca, [
+        {"t": 0, "cells": [{"u": [0, 0], "s": "κ_1"}]},
+    ])
+    with pytest.raises(PlaneViolation, match="holds 'κ_1' on the π plane"):
+        check_planes(swapped)
+    off = diagram_from_json_obj(ca, [
+        {"t": 0, "cells": []},
+        {"t": 1, "cells": [{"u": [-1, 1], "s": "π_0"}]},
+    ])
+    with pytest.raises(PlaneViolation, match="lies on plane offset -2"):
+        check_planes(off)
 
 
 # --- exhaustive two-state search -----------------------------------------------

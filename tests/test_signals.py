@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,12 +16,13 @@ from ca_signals import (AlphabetMismatch, CheckFailed, Follower,
                         log2_partition, log_anchor_signal, marked_sites,
                         parse_move_partition, product_construct, run,
                         run_probes)
-from ca_signals import signals
+from ca_signals import engine, signals
 from ca_signals.cli import EXIT_FAIL, main
-from ca_signals.engine import compile_flat
+from ca_signals.engine import compile_flat, dense_run, same_run
 from ca_signals.lattice import Neighborhood, offsets
-from ca_signals.signals import (DetectProbe, FollowProbe, MovePartition,
-                                format_move_partition, ilog, valid_moves)
+from ca_signals.signals import (DetectProbe, FollowProbe, MarkedProbe,
+                                MovePartition, format_move_partition, ilog,
+                                valid_moves)
 from ca_signals.verification import random_impulse_ca
 
 L = "λ"
@@ -264,6 +266,40 @@ def test_product_table_of_an_untabulable_base_is_refused():
     prod = product_construct(base, f)
     with pytest.raises(TableTooLarge):
         compile_flat(prod.ca)
+
+
+def test_product_table_above_the_limit_runs_the_memo_evaluator(monkeypatch):
+    # xy:2,3 has 32 product states, so 32**4 codes: above FLAT_ENUM_LIMIT
+    prod = product_construct(builtin_xy(2, 3), follower_for_xy(2, 3))
+    assert len(prod.ca.states) ** 4 > engine.FLAT_ENUM_LIMIT
+    assert compile_flat(prod.ca) is None
+    memo = run(prod.ca, 20)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "FLAT_ENUM_LIMIT", 32**4)
+        assert len(compile_flat(prod.ca)) == 32**4
+        flat = run(prod.ca, 20)
+    assert same_run(memo, flat)
+    assert same_run(memo, dense_run(prod.ca, 20))
+
+
+def test_large_product_table_is_not_allocated(monkeypatch):
+    # xy:5,7 would need (15 * 8)**4 = 207 M codes
+    prod = product_construct(builtin_xy(5, 7), follower_for_xy(5, 7))
+    arange = np.arange
+
+    def bounded(n, *args, **kwargs):
+        if n > engine.FLAT_ENUM_LIMIT:
+            raise AssertionError(f"allocated {n} codes")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", bounded)
+    assert compile_flat(prod.ca) is None
+
+
+def test_marked_probe_streams_the_marked_sites(log2_diag):
+    probe = MarkedProbe(builtin_log2(), {"1"})
+    run_probes(builtin_log2(), 30, [probe])
+    assert probe.found == marked_sites(log2_diag, {"1"}, 30)
 
 
 def test_product_marks_equal_follow_path(xy23_diag):

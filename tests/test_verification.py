@@ -1,14 +1,36 @@
 """Report plumbing and the randomized generators behind the check suites."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import random
 
-from ca_signals import (LAMBDA, Follower, ImpulseCA, dense_run, run,
-                        same_run, verify_basic, verify_log2, verify_xy)
+import pytest
+
+from ca_signals import (LAMBDA, Follower, ImpulseCA, Rule, RuleTable,
+                        builtin_log2, dense_run, diagram_from_json_obj, run,
+                        same_run, verification, verify_basic, verify_bounds,
+                        verify_log2, verify_xy)
+from ca_signals.engine import SpaceTimeDiagram
 from ca_signals.lattice import Neighborhood, offsets
-from ca_signals.verification import (Check, VerifyReport, random_follower,
+from ca_signals.verification import (MISMATCH_CAP, Check, VerifyReport,
+                                     _RegionProbe, random_follower,
                                      random_impulse_ca)
+
+# canonical report digests, the same as the benchmark's pinned outputs
+COUNTER_1024 = "9d4e652e2aad459d2dbf119f214c4d8541c1ad4776012ac8ccb3450b728bb2fc"
+TWO_TRACK_750 = "e08c90ba0b47efc2484e39373a8ae0bb8137bf809d26d23d95f33ca9891cb033"
+# verify_log2(64) on the counter with rule 1 (1 λ λ λ -> 0) sending to 1
+# instead, computed on the retained-diagram implementation
+BROKEN_COUNTER_64 = \
+    "cb77ad4ba933370da51c41496cd3cfd576f041d218a7789e171638530dd02fc5"
+
+
+def _digest(rep) -> str:
+    text = json.dumps(rep.to_json_obj(), sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_check_json_shape():
@@ -99,3 +121,58 @@ def test_random_tables_still_agree_across_engines():
     for _ in range(5):
         ca = random_impulse_ca(rng)
         assert same_run(run(ca, 8), dense_run(ca, 8))
+
+
+def test_claims_stream_without_a_retained_diagram(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a claim built a SpaceTimeDiagram")
+
+    monkeypatch.setattr(SpaceTimeDiagram, "__init__", refuse)
+    for rep in (verify_log2(64), verify_xy(2, 3, 60), verify_basic(count=5),
+                verify_bounds(3, 64)):
+        assert rep.ok, list(rep.lines())
+
+
+@pytest.mark.parametrize("seed", [7, 101])
+def test_counter_report_bytes_are_pinned(seed):
+    assert _digest(verify_log2(1024, seed=seed)) == COUNTER_1024
+
+
+def test_two_track_report_bytes_are_pinned():
+    assert _digest(verify_xy(2, 3, 750)) == TWO_TRACK_750
+
+
+def test_failing_counter_report_bytes_are_pinned(monkeypatch):
+    base = builtin_log2()
+    rules = list(base.table.rules)
+    rules[1] = Rule(rules[1].pattern, "1")
+    broken = dataclasses.replace(base, table=RuleTable(tuple(rules)))
+    monkeypatch.setattr(verification, "builtin_log2", lambda: broken)
+    rep = verify_log2(64)
+    assert [c.name for c in rep.checks if not c.ok] == [
+        "anchor-walk", "binary-readout", "carry-rows", "gap-classification"]
+    assert _digest(rep) == BROKEN_COUNTER_64
+
+
+def test_region_probe_reports_cells_off_the_wedge():
+    diag = diagram_from_json_obj(builtin_log2(), [
+        {"t": 0, "cells": [{"u": [0, 0], "s": "1"}]},
+        {"t": 1, "cells": [{"u": [-1, 1], "s": "0"},
+                           {"u": [1, -1], "s": "1"}]},
+    ])
+    probe = diag.replay(_RegionProbe(), 2)
+    assert probe.total == 3
+    assert probe.bad == [(-1, 1, 1)]
+
+
+def test_region_probe_keeps_no_more_than_a_report_shows():
+    # every slice holds cells with b > a, more in all than a report lists
+    slices = [{"t": t, "cells": [{"u": [a, b], "s": "1"}
+                                 for a in range(-t, t + 1, 2)
+                                 for b in range(a + 2, t + 1, 2)]}
+              for t in range(20)]
+    diag = diagram_from_json_obj(builtin_log2(), slices)
+    probe = diag.replay(_RegionProbe(), 20)
+    assert sum(len(s["cells"]) for s in slices) > 10 * MISMATCH_CAP
+    assert len(probe.bad) == MISMATCH_CAP
+    assert probe.bad[0] == (-1, 1, 1)
