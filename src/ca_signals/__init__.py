@@ -23,7 +23,7 @@ from .errors import (AlphabetMismatch, ArityMismatch, BeyondHorizon,
                      BeyondWindow, CheckFailed, CoordinateOverflow, NoMatch,
                      NotCoprime, NotTotal, OverflowHorizon, PlaneViolation,
                      QuiescentViolation, RuleFileError, RuleSyntaxError,
-                     TableTooLarge, UnknownState, XNotSmallest)
+                     UnknownState, XNotSmallest)
 from .lattice import Neighborhood, offsets
 from .signals import (Follower, FollowTrace, MoveConvention, MovePartition,
                       ProductCA, Signal, detect, follow, follower_for_xy,
@@ -45,7 +45,7 @@ __all__ = [
     "PeriodDecomposition", "PlaneViolation", "ProductCA",
     "QuiescentViolation", "Rule", "RuleFileError", "RuleSyntaxError",
     "RuleTable", "SearchReport", "Signal", "SpaceTimeDiagram",
-    "TableTooLarge", "UnknownState", "VerifyReport", "WILDCARD", "XNotSmallest",
+    "UnknownState", "VerifyReport", "WILDCARD", "XNotSmallest",
     "base_xy_readout", "binary_readout", "builtin_log2", "builtin_quiescent",
     "builtin_xy", "check_planes", "crt_digit", "dense_run", "detect",
     "diagonal", "diagram_from_json_obj", "exhaustive_two_state_search",

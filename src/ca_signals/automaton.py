@@ -11,7 +11,8 @@ matching rule wins.  The quiescent state must be a fixed point of the
 all-quiescent tuple.
 
 A table is anything with ``arity``, ``apply(tuple) -> state`` and optionally
-``assume_total`` / ``build_flat``; the stock implementation is RuleTable.
+``assume_total`` (skip the totality enumeration); the stock implementation is
+RuleTable.  The engine applies a table once per neighbor tuple a run meets.
 
 Rule files are plain text:
 

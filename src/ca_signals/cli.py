@@ -158,8 +158,6 @@ def _load_diagram(args, fallback_steps: int | None = None) -> SpaceTimeDiagram:
 
 def cmd_simulate(args) -> int:
     ca = parse_ca_spec(args.ca)
-    if args.steps < 0:
-        raise ValueError("--steps must be >= 0")
     runner = dense_run if args.dense else run
     kwargs = {"check": True} if (args.check and not args.dense) else {}
     try:

@@ -6,8 +6,8 @@ Three engines, one per job:
   cells of one time slice are kept as a sorted int64 array of packed
   coordinates plus a uint8 state code array.  A step merges the v shifted
   copies of that array with one stable sort, sums each candidate cell's
-  neighbor codes with one ``reduceat``, and looks the sums up in the rule
-  table.  A point read (``state_at``) is one binary search for a key packed
+  neighbor codes with one ``reduceat``, and maps the sums to new states.
+  A point read (``state_at``) is one binary search for a key packed
   with Python ints; cells outside the light cone read quiescent without
   being packed.
 * ``run_probes(..., reach=R)``: the diagonal window, for claims that read
@@ -19,6 +19,10 @@ Three engines, one per job:
 * ``dense_run``: a plain dict-of-cells reference engine that re-applies the
   rule list with first-match semantics, cell by cell.  It shares no stepping
   or pruning logic with the other two so it can cross-check them.
+
+The sparse and window engines map flat neighbor codes through one evaluator
+that applies the rule table the first time a run meets a code and caches the
+result, so no table is enumerated before the first step.
 
 Claims read diagrams only through probes (walkers, digit readouts, plane,
 region and mark checks), each observing one ``SliceView`` per time step.
@@ -96,56 +100,51 @@ def max_horizon(dim: int) -> int:
 # rule-table evaluation over flat codes
 
 
-def flat_weights(n: int, v: int) -> np.ndarray:
-    """Big-endian positional weights: code = sum codes[pos] * n**(v-1-pos)."""
-    return np.array([n ** (v - 1 - pos) for pos in range(v)], dtype=np.int64)
-
-
-def compile_flat(ca: ImpulseCA) -> np.ndarray | None:
-    """Full lookup table over all code tuples, or None if too large.
-
-    Enumerating every tuple doubles as a totality check for tables that
-    promised totality via ``assume_total``.
-    """
-    build = getattr(ca.table, "build_flat", None)
-    if build is not None:
-        return build(ca)
-    n, v = len(ca.states), ca.table.arity
-    if n ** v > FLAT_ENUM_LIMIT:
-        return None
-    flat = np.empty(n ** v, dtype=np.uint8)
-    for code, tup in enumerate(product(ca.states, repeat=v)):
-        flat[code] = ca.state_code(ca.table.apply(tup))
-    return flat
-
-
 class _Evaluator:
-    """Maps flat neighbor codes to new state codes."""
+    """Maps flat neighbor codes to new state codes.
+
+    A neighbor tuple's flat code is sum codes[pos] * n**(v-1-pos).  The table
+    is applied the first time a code is met and the result cached: in a uint8
+    array over all n**v codes (255 marks a code not yet applied) when that
+    fits FLAT_ENUM_LIMIT, else in a dict.
+    """
 
     def __init__(self, ca: ImpulseCA):
+        n, v = len(ca.states), ca.table.arity
+        if n > 255:
+            raise ValueError("at most 255 states fit the uint8 state codes")
+        if n ** v > 2 ** 63:
+            raise ValueError(f"{n} states over {v} arguments make {n}**{v} "
+                             "neighbor codes; at most 2**63 fit int64 codes")
         self.ca = ca
-        self.n = len(ca.states)
-        self.v = ca.table.arity
-        self.flat = compile_flat(ca)
+        self.weights = np.array([n ** (v - 1 - pos) for pos in range(v)],
+                                dtype=np.int64)
+        self.flat = (np.full(n ** v, 255, dtype=np.uint8)
+                     if n ** v <= FLAT_ENUM_LIMIT else None)
         self.memo: dict[int, int] = {}
 
+    def _apply(self, code: int) -> int:
+        tup = []
+        for w in self.weights.tolist():
+            digit, code = divmod(code, w)
+            tup.append(self.ca.states[digit])
+        return self.ca.state_code(self.ca.table.apply(tuple(tup)))
+
     def lookup(self, codes: np.ndarray) -> np.ndarray:
-        if self.flat is not None:
-            return self.flat[codes]
-        # alphabet too large to tabulate: apply per distinct code, memoized
+        flat = self.flat
+        if flat is not None:
+            out = flat[codes]
+            if out.max(initial=0) == 255:
+                for c in set(codes[out == 255].tolist()):
+                    flat[c] = self._apply(c)
+                out = flat[codes]
+            return out
         uniq, inv = np.unique(codes, return_inverse=True)
         res = np.empty(len(uniq), dtype=np.uint8)
         for j, c in enumerate(uniq.tolist()):
             r = self.memo.get(c)
             if r is None:
-                tup = []
-                rem = c
-                for pos in range(self.v):
-                    w = self.n ** (self.v - 1 - pos)
-                    tup.append(self.ca.states[rem // w])
-                    rem %= w
-                r = self.ca.state_code(self.ca.table.apply(tuple(tup)))
-                self.memo[c] = r
+                r = self.memo[c] = self._apply(c)
             res[j] = r
         return res[inv]
 
@@ -324,17 +323,17 @@ def _seed_slice(ca: ImpulseCA) -> Slice:
 
 
 def _step(ca: ImpulseCA, sl: Slice, ev: _Evaluator,
-          shifts: list[np.int64], weights: np.ndarray) -> Slice:
+          shifts: list[np.int64]) -> Slice:
     packed, codes = sl
     if len(packed) == 0:
         return _empty_slice()
     # A cell can wake only if some declared neighbor is live now.  Live cell
     # p is the argument at position pos of candidate p - shifts[pos] and adds
-    # codes * weights[pos] to its flat code; quiescent neighbors add 0.  Each
-    # shifted copy is sorted, so the stable sort (timsort) merges v runs.
+    # codes * ev.weights[pos] to its flat code; quiescent neighbors add 0.
+    # Each shifted copy is sorted, so the stable sort (timsort) merges v runs.
     keys = np.concatenate([packed - sh for sh in shifts])
     wide = codes.astype(np.int64)
-    contrib = np.concatenate([wide * w for w in weights])
+    contrib = np.concatenate([wide * w for w in ev.weights])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.empty(len(keys), dtype=bool)
@@ -348,20 +347,18 @@ def _step(ca: ImpulseCA, sl: Slice, ev: _Evaluator,
     return (cand[keep], new_codes[keep].astype(np.uint8))
 
 
-def _evaluator(ca: ImpulseCA):
-    if len(ca.states) > 255:
-        raise ValueError("at most 255 states fit the uint8 state codes")
-    return _Evaluator(ca), flat_weights(len(ca.states), ca.table.arity)
-
-
-def _prepare(ca: ImpulseCA, steps: int):
+def _check_horizon(ca: ImpulseCA, steps: int) -> None:
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if steps > max_horizon(ca.dim):
         raise CoordinateOverflow(
             f"horizon {steps} exceeds packed range for dimension {ca.dim} "
             f"(max {max_horizon(ca.dim)})")
-    ev, weights = _evaluator(ca)
-    shifts = [_offset_shift(x, ca.dim) for x in ca.arg_order]
-    return ev, shifts, weights
+
+
+def _prepare(ca: ImpulseCA, steps: int):
+    _check_horizon(ca, steps)
+    return _Evaluator(ca), [_offset_shift(x, ca.dim) for x in ca.arg_order]
 
 
 def _misplaced(cell: tuple[int, ...], t: int, ca: ImpulseCA) -> str | None:
@@ -380,11 +377,11 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
     Raises OverflowHorizon when the retained-site budget runs out; the
     exception carries the finished part as its ``partial`` attribute.
     """
-    ev, shifts, weights = _prepare(ca, steps)
+    ev, shifts = _prepare(ca, steps)
     slices = [_seed_slice(ca)]
     total = len(slices[0][0])
     for t in range(steps):
-        nxt = _step(ca, slices[-1], ev, shifts, weights)
+        nxt = _step(ca, slices[-1], ev, shifts)
         total += len(nxt[0])
         if total > budget:
             exc = OverflowHorizon(t, budget)
@@ -411,24 +408,24 @@ def check_window(dim: int, reach: int, budget: int) -> None:
 
 
 def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
-    ev, shifts, weights = _prepare(ca, steps)
+    ev, shifts = _prepare(ca, steps)
     sl = _seed_slice(ca)
     for t in range(steps + 1):
         yield SliceView(ca, t, sl)
         if t < steps:
-            sl = _step(ca, sl, ev, shifts, weights)
+            sl = _step(ca, sl, ev, shifts)
             if len(sl[0]) > budget:
                 raise OverflowHorizon(t, budget)
 
 
 def _window_views(ca: ImpulseCA, steps: int, reach: int, budget: int):
     check_window(ca.dim, reach, budget)
-    ev, weights = _evaluator(ca)
+    ev = _Evaluator(ca)
     size = reach + 1
     # Argument x of diagonal i is diagonal i - d with d = x + 1bar >= 0; an
     # index below 0 lies off the light cone and adds 0 (quiescent).
     adds = []
-    for x, w in zip(ca.arg_order, weights):
+    for x, w in zip(ca.arg_order, ev.weights):
         d = [a + 1 for a in x]
         if max(d) < size:
             adds.append((tuple(slice(k, None) for k in d),
@@ -456,6 +453,8 @@ def run_probes(ca: ImpulseCA, steps: int, probes, *,
     on any other diagonal gets BeyondWindow.  The (R+1)^dim window counts
     against the budget before it is allocated.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     views = (_sparse_views(ca, steps, budget) if reach is None
              else _window_views(ca, steps, reach, budget))
     for view in views:
@@ -476,9 +475,7 @@ def dense_run(ca: ImpulseCA, steps: int, *,
     pruning logic with the sparse engine; only the storage container is
     common so results compare directly.
     """
-    if steps > max_horizon(ca.dim):
-        raise CoordinateOverflow(
-            f"horizon {steps} exceeds packed range for dimension {ca.dim}")
+    _check_horizon(ca, steps)
     lam = ca.quiescent
     dim = ca.dim
     order = ca.arg_order
@@ -586,6 +583,8 @@ class DiagonalProbe:
     """Collector for one diagonal word, fed slice views in time order."""
 
     def __init__(self, i: tuple[int, ...], length: int):
+        if length < 1:
+            raise ValueError(f"length must be >= 1, got {length}")
         self.i = tuple(i)
         self.length = length
         self.start = diagonal_start(self.i)

@@ -59,10 +59,6 @@ class PlaneViolation(ValueError):
     """A state was found on the wrong diagonal plane of a counter diagram."""
 
 
-class TableTooLarge(ValueError):
-    """A rule table that must be tabulated has too many neighbor tuples."""
-
-
 class CheckFailed(RuntimeError):
     """A computed result broke a property the construction guarantees.
 

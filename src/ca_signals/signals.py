@@ -27,11 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import engine
 from .automaton import LAMBDA, ImpulseCA
-from .engine import compile_flat, flat_weights
-from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, TableTooLarge,
-                     UnknownState)
+from .errors import AlphabetMismatch, CheckFailed, NotCoprime, UnknownState
 from .lattice import Offset, all_ones, format_offset, neg, offsets, parse_offset
 
 
@@ -271,6 +268,8 @@ class FollowProbe:
 
     def __init__(self, ca: ImpulseCA, follower: Follower, steps: int,
                  convention: MoveConvention = MoveConvention.NEGATED):
+        if steps < 0:
+            raise ValueError(f"steps must be >= 0, got {steps}")
         self.follower = follower
         self.steps = steps
         self.convention = convention
@@ -353,7 +352,9 @@ class ProductTable:
     delta(q, base symbol) = (q2, x) and x is the offset that makes this
     cell the follower's next site under the chosen convention.  On valid
     diagrams at most one neighbor is marked; ties from unreachable
-    configurations resolve to the smallest argument index.
+    configurations resolve to the smallest argument index.  Like any table
+    it is applied only to the neighbor tuples a run meets; ``assume_total``
+    skips the enumeration of all of them when the product CA is built.
     """
 
     assume_total = True
@@ -394,45 +395,6 @@ class ProductTable:
                     new_m = q2
                     break
         return _pair_symbol(new_s, new_m)
-
-    def build_flat(self, pair_ca: ImpulseCA) -> np.ndarray | None:
-        nm = len(self.marks)
-        ns = len(self.base.states)
-        v = self.arity
-        if ns ** v > engine.FLAT_ENUM_LIMIT:
-            raise TableTooLarge(
-                "base automaton has too many neighbor tuples to tabulate "
-                "its product table")
-        n_pair = ns * nm
-        if n_pair ** v > engine.FLAT_ENUM_LIMIT:
-            return None     # the memo evaluator, as for any large table
-        base_flat = compile_flat(self.base)
-        w_pair = flat_weights(n_pair, v)
-        w_base = flat_weights(ns, v)
-
-        # per position: pair code -> produced marker code (0 if none)
-        send_maps = []
-        for send in self.sends:
-            m = np.zeros(n_pair, dtype=np.int64)
-            for (q, s), q2 in send.items():
-                if s in self.base._index:
-                    code = self.base.state_code(s) * nm + self.marks.index(q)
-                    m[code] = self.marks.index(q2)
-            send_maps.append(m)
-
-        codes = np.arange(n_pair ** v, dtype=np.int64)
-        new_m = np.zeros(len(codes), dtype=np.int64)
-        base_idx = np.zeros(len(codes), dtype=np.int64)
-        claimed = np.zeros(len(codes), dtype=bool)
-        for pos in range(v):
-            p = (codes // w_pair[pos]) % n_pair
-            base_idx += (p // nm) * w_base[pos]
-            produced = send_maps[pos][p]
-            take = (~claimed) & (produced > 0)
-            new_m[take] = produced[take]
-            claimed |= take
-        new_s = base_flat[base_idx].astype(np.int64)
-        return (new_s * nm + new_m).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,8 @@ def verify_basic(count: int = 50, *, window: int = 64,
     """Random followers on the empty diagram walk ultimately periodically
     with preperiod + period <= |Q| + 1; the binary counter's detected walk
     shows no such decomposition within ``move_horizon``."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     quiet = builtin_quiescent()
     rng = random.Random(seed)
     walks = [FollowProbe(quiet, random_follower(rng), window)

@@ -534,6 +534,25 @@ def test_verify_bounds_rejects_bad_sizes(capsys, flag, value, name):
     assert f"error: {name} must be" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("simulate", "--ca", "log2", "--steps", "-1"), "steps"),
+    (("detect", "--ca", "log2", "--steps", "-3"), "steps"),
+    (("follow", "--ca", "xy:2,3", "--steps", "-2"), "steps"),
+    (("render", "--ca", "log2", "--mode", "ppm", "--steps", "-2",
+      "--out-dir", "unwritten"), "steps"),
+    (("analyze", "diagonal", "--i", "0,0", "--length", "-3"), "length"),
+    (("verify", "basic", "--count", "-1"), "count"),
+], ids=["simulate", "detect", "follow", "render", "analyze-diagonal",
+        "verify-basic"])
+def test_negative_sizes_are_config_errors(capsys, tmp_path, monkeypatch,
+                                          argv, name):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert f"error: {name} must be >=" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_search_limited(capsys):
     code, out, _ = run_cli(capsys, "search", "--limit", "16")
     assert code == EXIT_OK
@@ -559,6 +578,24 @@ def test_rules_print_check_roundtrip(capsys, tmp_path):
     assert obj["states"] == 3 and obj["rules"] == 15 and obj["dim"] == 2
     _, again, _ = run_cli(capsys, "rules", "print", "--ca", f"file:{path}")
     assert again == text
+
+
+@pytest.mark.parametrize("n_states,dim", [(6, 3), (2, 4)])
+def test_too_many_neighbor_codes_is_a_config_error(capsys, tmp_path,
+                                                   n_states, dim):
+    # n**v > 2**63: the flat neighbor codes would overflow int64
+    states = ["λ"] + [f"s{k}" for k in range(1, n_states)]
+    path = tmp_path / "wide.rules"
+    path.write_text(
+        f"states: {' '.join(states)}\nseed: s1\n"
+        f"neighborhood: moore {dim}\n"
+        f"rule: {' '.join(['*'] * 3**dim)} -> λ\n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "rules", "check", str(path))
+    assert code == EXIT_OK
+    code, out, err = run_cli(capsys, "simulate", "--ca", f"file:{path}",
+                             "--steps", "2")
+    assert code == EXIT_CONFIG and out == ""
+    assert "neighbor codes" in err
 
 
 def test_rules_check_bad_file(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Both engines, the packed storage, diagonal words, and the sheared rows."""
 
+import copy
 import json
 import random
 from itertools import product
@@ -13,7 +14,7 @@ from ca_signals import (BeyondHorizon, BeyondWindow, CoordinateOverflow,
                         OverflowHorizon, builtin_log2, builtin_quiescent,
                         builtin_xy, dense_run, diagonal, diagram_from_json_obj,
                         max_horizon, merged_xy, run, run_probes, same_run,
-                        w_row, w_site, w_value)
+                        verify_xy, w_row, w_site, w_value)
 from ca_signals import engine
 from ca_signals.engine import (FLAT_ENUM_LIMIT, DiagonalProbe,
                                diagonal_start, pack_cells, unpack_cells)
@@ -88,9 +89,10 @@ class _Recorder:
                          view.state_at((2**31,) + (0,) * (dim - 1))))
 
 
-# (kind, dim, horizon, max_states): alphabets stay small where the flat
-# table is enumerated in Python.  Moore dim 3 has 27 arguments, so even two
-# states exceed FLAT_ENUM_LIMIT and its tables run the memo evaluator.
+# (kind, dim, horizon, max_states): alphabets stay small so that dense_run,
+# which applies the rule list cell by cell, stays fast.  Moore dim 3 has 27
+# arguments, so even two states exceed FLAT_ENUM_LIMIT and its tables cache
+# their results in the memo dict.
 CROSS_CHECK = [
     ("trellis", 1, 16, 4), ("trellis", 2, 10, 4), ("trellis", 3, 8, 3),
     ("von_neumann", 1, 16, 4), ("von_neumann", 2, 10, 4),
@@ -220,6 +222,58 @@ def test_horizon_guard():
     # 31 bits per signed coordinate, minus stepping headroom
     assert 2**30 - 8 <= max_horizon(2) < 2**30
     assert max_horizon(1) > max_horizon(2) > max_horizon(3) > max_horizon(4)
+
+
+def test_negative_sizes_are_rejected():
+    ca = builtin_log2()
+    for engine_run in (run, dense_run):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            engine_run(ca, -1)
+    for reach in (None, 4):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            run_probes(ca, -1, [], reach=reach)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        DiagonalProbe((0, 0), 0)
+
+
+class _CountingTable:
+    """A table that counts its applies and forwards everything else."""
+
+    def __init__(self, table):
+        self.table, self.calls = table, 0
+
+    def apply(self, neighbors):
+        self.calls += 1
+        return self.table.apply(neighbors)
+
+    def __getattr__(self, name):
+        return getattr(self.table, name)
+
+
+def test_each_met_code_is_applied_once(monkeypatch):
+    """Over verify_xy's runs every evaluator applies its table exactly once
+    per distinct flat code it is asked to look up, and to no other code."""
+    seen = []    # (CA with a counting table, set of flat codes looked up)
+    init, lookup = engine._Evaluator.__init__, engine._Evaluator.lookup
+
+    def counted_init(self, ca):
+        ca = copy.copy(ca)
+        object.__setattr__(ca, "table", _CountingTable(ca.table))
+        init(self, ca)
+        self.met = set()
+        seen.append((ca, self.met))
+
+    def recorded_lookup(self, codes):
+        self.met.update(codes.tolist())
+        return lookup(self, codes)
+
+    monkeypatch.setattr(engine._Evaluator, "__init__", counted_init)
+    monkeypatch.setattr(engine._Evaluator, "lookup", recorded_lookup)
+    assert verify_xy(2, 3, 60).ok
+    codes = [len(ca.states) ** ca.table.arity for ca, _ in seen]
+    assert 8**4 in codes    # the base table
+    for (ca, met), n_codes in zip(seen, codes):
+        assert ca.table.calls == len(met) < n_codes, ca.name
 
 
 def test_budget_overflow_keeps_partial():

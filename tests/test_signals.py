@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ca_signals import (AlphabetMismatch, CheckFailed, Follower,
                         MoveConvention, NotCoprime, NotPeriodicWithin, Signal,
-                        TableTooLarge, UnknownState, builtin_log2,
+                        UnknownState, builtin_log2,
                         builtin_quiescent, builtin_xy, detect,
                         follow, follower_for_xy, gap_profile, is_basic,
                         log2_partition, log_anchor_signal, marked_sites,
@@ -18,7 +18,7 @@ from ca_signals import (AlphabetMismatch, CheckFailed, Follower,
                         run_probes)
 from ca_signals import engine, signals
 from ca_signals.cli import EXIT_FAIL, main
-from ca_signals.engine import compile_flat, dense_run, same_run
+from ca_signals.engine import _Evaluator, dense_run, same_run
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.signals import (DetectProbe, FollowProbe, MarkedProbe,
                                 MovePartition, format_move_partition, ilog,
@@ -257,26 +257,28 @@ def test_product_rejects_alphabet_mismatch():
         product_construct(builtin_log2(), f)
 
 
-def test_product_table_of_an_untabulable_base_is_refused():
-    # 27 arguments: no base flat table, so no product table either
+def test_product_of_a_moore_3_base_runs():
+    # 27 arguments: neither the base nor the product table is tabulated
     base = random_impulse_ca(random.Random(3), n_states=2,
                              neigh=Neighborhood("moore", 3))
     f = Follower(("a",), "a",
                  {("a", s): ("a", (0, 0, 0)) for s in base.states})
     prod = product_construct(base, f)
-    with pytest.raises(TableTooLarge):
-        compile_flat(prod.ca)
+    assert _Evaluator(prod.ca).flat is None
+    diag = run(prod.ca, 4)
+    assert diag.total_sites > 1
+    assert same_run(diag, dense_run(prod.ca, 4))
 
 
 def test_product_table_above_the_limit_runs_the_memo_evaluator(monkeypatch):
     # xy:2,3 has 32 product states, so 32**4 codes: above FLAT_ENUM_LIMIT
     prod = product_construct(builtin_xy(2, 3), follower_for_xy(2, 3))
     assert len(prod.ca.states) ** 4 > engine.FLAT_ENUM_LIMIT
-    assert compile_flat(prod.ca) is None
+    assert _Evaluator(prod.ca).flat is None
     memo = run(prod.ca, 20)
     with monkeypatch.context() as m:
         m.setattr(engine, "FLAT_ENUM_LIMIT", 32**4)
-        assert len(compile_flat(prod.ca)) == 32**4
+        assert len(_Evaluator(prod.ca).flat) == 32**4
         flat = run(prod.ca, 20)
     assert same_run(memo, flat)
     assert same_run(memo, dense_run(prod.ca, 20))
@@ -285,15 +287,15 @@ def test_product_table_above_the_limit_runs_the_memo_evaluator(monkeypatch):
 def test_large_product_table_is_not_allocated(monkeypatch):
     # xy:5,7 would need (15 * 8)**4 = 207 M codes
     prod = product_construct(builtin_xy(5, 7), follower_for_xy(5, 7))
-    arange = np.arange
+    full = np.full
 
     def bounded(n, *args, **kwargs):
         if n > engine.FLAT_ENUM_LIMIT:
             raise AssertionError(f"allocated {n} codes")
-        return arange(n, *args, **kwargs)
+        return full(n, *args, **kwargs)
 
-    monkeypatch.setattr(np, "arange", bounded)
-    assert compile_flat(prod.ca) is None
+    monkeypatch.setattr(np, "full", bounded)
+    assert _Evaluator(prod.ca).flat is None
 
 
 def test_marked_probe_streams_the_marked_sites(log2_diag):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import ca_signals
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "ca_signals"
 
 
@@ -16,3 +18,10 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its object is gone breaks `import *`
+    missing = [name for name in ca_signals.__all__
+               if not hasattr(ca_signals, name)]
+    assert not missing, f"__all__ names missing objects: {missing}"
