@@ -359,6 +359,8 @@ def exhaustive_two_state_search(limit: int | None = None) -> SearchReport:
     digit 0 read as the quiescent state.  The returned digest commits to
     the full enumeration and its outcome.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     total = 1 << 15
     n_c = total if limit is None else min(limit, total)
     cands = np.arange(n_c, dtype=np.int64)

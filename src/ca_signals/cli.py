@@ -261,9 +261,10 @@ def cmd_render(args) -> int:
     if args.mode == "wplane":
         if args.k is None:
             raise ValueError("--mode wplane needs --k")
-        if args.k < 0 or args.rows < 1 or (args.width is not None
-                                           and args.width < 1):
-            raise ValueError("wplane indices must be non-negative")
+        for flag, value, low in (("--k", args.k, 0), ("--rows", args.rows, 1),
+                                 ("--width", args.width, 1)):
+            if value is not None and value < low:
+                raise ValueError(f"{flag} must be >= {low}, got {value}")
         width = args.width
         if width is None:
             width = max(8, (args.k + 1).bit_length() + 2)

@@ -7,6 +7,8 @@ Three engines, one per job:
   coordinates plus a uint8 state code array.  A step merges the v shifted
   copies of that array with one stable sort, sums each candidate cell's
   neighbor codes with one ``reduceat``, and maps the sums to new states.
+  The merge's n*v-sized scratch arrays live in one grow-only workspace per
+  run, reused by every step; the slices a step returns never view it.
   A point read (``state_at``) is one binary search for a key packed
   with Python ints; cells outside the light cone read quiescent without
   being packed.
@@ -322,29 +324,59 @@ def _seed_slice(ca: ImpulseCA) -> Slice:
             np.array([ca.state_code(ca.seed)], dtype=np.uint8))
 
 
+class _Workspace:
+    """Scratch buffers of one sparse run, shared by all of its steps.
+
+    Fresh n*v-sized temporaries every step would be handed back to the OS
+    by heap trimming and faulted in again page by page on the next step.
+    These only grow, with headroom, when a step needs more than they hold.
+    """
+
+    def __init__(self):
+        self._grow(0)
+
+    def _grow(self, cap: int):
+        self.cap = cap
+        self.keys, self.contrib, self.skeys = (
+            np.empty(cap, dtype=np.int64) for _ in range(3))
+        self.first = np.empty(cap, dtype=bool)
+
+    def take(self, m: int):
+        """The first m entries of keys, contrib, skeys and first."""
+        if m > self.cap:
+            self._grow(m + m // 4)
+        return self.keys[:m], self.contrib[:m], self.skeys[:m], self.first[:m]
+
+
 def _step(ca: ImpulseCA, sl: Slice, ev: _Evaluator,
-          shifts: list[np.int64]) -> Slice:
+          shifts: list[np.int64], ws: _Workspace) -> Slice:
     packed, codes = sl
-    if len(packed) == 0:
+    n = len(packed)
+    if n == 0:
         return _empty_slice()
     # A cell can wake only if some declared neighbor is live now.  Live cell
     # p is the argument at position pos of candidate p - shifts[pos] and adds
     # codes * ev.weights[pos] to its flat code; quiescent neighbors add 0.
     # Each shifted copy is sorted, so the stable sort (timsort) merges v runs.
-    keys = np.concatenate([packed - sh for sh in shifts])
-    wide = codes.astype(np.int64)
-    contrib = np.concatenate([wide * w for w in ev.weights])
+    keys, contrib, skeys, first = ws.take(n * len(shifts))
+    for j, (sh, w) in enumerate(zip(shifts, ev.weights)):
+        np.subtract(packed, sh, out=keys[j * n:(j + 1) * n])
+        np.multiply(codes, w, out=contrib[j * n:(j + 1) * n], dtype=np.int64)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
+    # order is in range, so "clip" changes no index; the default "raise"
+    # would gather into a fresh array and copy that into out
+    np.take(keys, order, out=skeys, mode="clip")
+    # the keys are spent, so their buffer takes the sorted contributions
+    scontrib = np.take(contrib, order, out=keys, mode="clip")
     first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    np.not_equal(skeys[1:], skeys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    cand = keys[starts]
-    flat_code = np.add.reduceat(contrib[order], starts)
-    new_codes = ev.lookup(flat_code)
+    # the slice outlives the step, so it must not view the workspace:
+    # fancy and boolean indexing both copy
+    cand = skeys[starts]
+    new_codes = ev.lookup(np.add.reduceat(scontrib, starts))
     keep = new_codes != 0
-    return (cand[keep], new_codes[keep].astype(np.uint8))
+    return (cand[keep], new_codes[keep])
 
 
 def _check_horizon(ca: ImpulseCA, steps: int) -> None:
@@ -358,7 +390,8 @@ def _check_horizon(ca: ImpulseCA, steps: int) -> None:
 
 def _prepare(ca: ImpulseCA, steps: int):
     _check_horizon(ca, steps)
-    return _Evaluator(ca), [_offset_shift(x, ca.dim) for x in ca.arg_order]
+    return (_Evaluator(ca), [_offset_shift(x, ca.dim) for x in ca.arg_order],
+            _Workspace())
 
 
 def _misplaced(cell: tuple[int, ...], t: int, ca: ImpulseCA) -> str | None:
@@ -377,11 +410,11 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
     Raises OverflowHorizon when the retained-site budget runs out; the
     exception carries the finished part as its ``partial`` attribute.
     """
-    ev, shifts = _prepare(ca, steps)
+    ev, shifts, ws = _prepare(ca, steps)
     slices = [_seed_slice(ca)]
     total = len(slices[0][0])
     for t in range(steps):
-        nxt = _step(ca, slices[-1], ev, shifts)
+        nxt = _step(ca, slices[-1], ev, shifts, ws)
         total += len(nxt[0])
         if total > budget:
             exc = OverflowHorizon(t, budget)
@@ -408,12 +441,12 @@ def check_window(dim: int, reach: int, budget: int) -> None:
 
 
 def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
-    ev, shifts = _prepare(ca, steps)
+    ev, shifts, ws = _prepare(ca, steps)
     sl = _seed_slice(ca)
     for t in range(steps + 1):
         yield SliceView(ca, t, sl)
         if t < steps:
-            sl = _step(ca, sl, ev, shifts)
+            sl = _step(ca, sl, ev, shifts, ws)
             if len(sl[0]) > budget:
                 raise OverflowHorizon(t, budget)
 

@@ -4,8 +4,10 @@ Everything goes through main(argv) so the tests exercise argument wiring,
 exit codes, and the exact bytes written to stdout.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import random
 import sys
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ca_signals import (OverflowHorizon, analysis, builtin_log2, diagonal,
                         engine, follower_for_xy, run, serialize_rules)
@@ -294,6 +298,15 @@ def test_render_wplane(capsys):
         "011.....", "000.....", "000.....", "000....."]
 
 
+@pytest.mark.parametrize("flag,value,low", [
+    ("--k", "-1", 0), ("--rows", "0", 1), ("--width", "0", 1)])
+def test_render_wplane_names_the_bad_flag(capsys, flag, value, low):
+    argv = ["render", "--ca", "log2", "--mode", "wplane", "--k", "5"]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == EXIT_CONFIG and out == ""
+    assert err == f"error: {flag} must be >= {low}, got {value}\n"
+
+
 def test_render_ppm_frames(capsys, tmp_path):
     d = tmp_path / "frames"
     code, out, _ = run_cli(capsys, "render", "--ca", "log2", "--mode", "ppm",
@@ -561,6 +574,48 @@ def test_search_limited(capsys):
     assert obj["witnesses"] == []
     assert obj["digest"] == ("f48e8a4f3308c23a365995d859adbf05"
                              "fc51459db77db7a100ce923a9cfebc85")
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_search_rejects_a_limit_below_one(capsys, limit):
+    code, out, err = run_cli(capsys, "search", "--limit", limit)
+    assert code == EXIT_CONFIG and out == ""
+    assert err == f"error: limit must be >= 1, got {limit}\n"
+
+
+# --- integer sizes, fuzzed ----------------------------------------------------
+
+# Each command takes small integers for its {} slots; those flagged True
+# may also get --budget.  verify basic always gets one: its counter walk to
+# t=2000 takes over a second whatever --count is.
+SIZED_COMMANDS = [
+    ("simulate --ca log2 --steps {}", True),
+    ("detect --ca log2 --steps {}", True),
+    ("follow --ca xy:2,3 --steps {}", True),
+    ("render --ca log2 --mode slice --t {}", True),
+    ("render --ca log2 --mode slice --steps {} --t {}", True),
+    ("render --ca log2 --mode wplane --k {} --rows {} --width {}", True),
+    ("analyze diagonal --i 0,0 --length {}", True),
+    ("analyze period --i 1,0 --horizon {}", True),
+    ("verify basic --count {} --budget {}", False),
+    ("verify bounds --rmax {} --window {}", True),
+    ("search --limit {}", False),
+]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(SIZED_COMMANDS),
+       st.lists(st.integers(-3, 8), min_size=3, max_size=3),
+       st.one_of(st.none(), st.integers(-3, 8)))
+def test_small_integer_sizes_exit_with_a_code(command, values, budget):
+    template, has_budget = command
+    argv = template.format(*values).split()
+    if has_budget and budget is not None:
+        argv += ["--budget", str(budget)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_OVERFLOW)
 
 
 # --- rules --------------------------------------------------------------------

@@ -276,6 +276,64 @@ def test_each_met_code_is_applied_once(monkeypatch):
         assert ca.table.calls == len(met) < n_codes, ca.name
 
 
+def _spy_workspaces(monkeypatch):
+    """Record after every step the workspace it used, its capacity and its
+    buffer objects."""
+    seen = []
+    step = engine._step
+
+    def spied(ca, sl, ev, shifts, ws):
+        out = step(ca, sl, ev, shifts, ws)
+        seen.append((ws, ws.cap, (ws.keys, ws.contrib, ws.skeys, ws.first)))
+        return out
+
+    monkeypatch.setattr(engine, "_step", spied)
+    return seen
+
+
+def _rise_and_fall_ca():
+    """A random trellis-1 table whose live count climbs to 32 at t=31 and
+    drops to 2 at t=32, so later steps run on a buffer sized for more."""
+    return random_impulse_ca(random.Random(1), max_states=4,
+                             neigh=Neighborhood("trellis", 1))
+
+
+def test_retained_slices_never_view_the_workspace(monkeypatch):
+    ca = _rise_and_fall_ca()
+    seen = _spy_workspaces(monkeypatch)
+    diag = run(ca, 40)
+    sites = [diag.n_sites(t) for t in range(41)]
+    assert max(sites) == sites[31] == 32 and sites[32] == 2
+    assert len({id(ws) for ws, _, _ in seen}) == 1
+    buffers = {id(b): b for _, _, bufs in seen for b in bufs}
+    for packed, codes in diag.slices:
+        for b in buffers.values():
+            assert not np.shares_memory(packed, b)
+            assert not np.shares_memory(codes, b)
+    assert same_run(diag, dense_run(ca, 40))
+
+
+def test_workspace_buffers_are_kept_until_a_step_outgrows_them(monkeypatch):
+    ca = _rise_and_fall_ca()
+    seen = _spy_workspaces(monkeypatch)
+    rec = _Recorder()
+    run_probes(ca, 40, [rec])
+    assert len(seen) == 40 and len({id(ws) for ws, _, _ in seen}) == 1
+    need = [len(cells) * ca.table.arity for cells in rec.cells]
+    cap, kept = 0, ()
+    for t, (_, new_cap, bufs) in enumerate(seen):
+        if need[t] <= cap:
+            assert new_cap == cap
+            assert all(a is b for a, b in zip(bufs, kept, strict=True)), t
+        else:
+            assert new_cap == need[t] + need[t] // 4
+        assert all(len(b) == new_cap for b in bufs)
+        cap, kept = new_cap, bufs
+    # the step out of the peak at t=31 sized them last: the nine steps
+    # after it all reuse the same objects
+    assert cap == seen[31][1] > seen[30][1]
+
+
 def test_budget_overflow_keeps_partial():
     ca = builtin_log2()
     with pytest.raises(OverflowHorizon) as ei:
