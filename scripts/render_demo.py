@@ -9,8 +9,9 @@ binary digits of k+1 (low-order bit first, '.' marks quiescent cells).
 import argparse
 import sys
 
-from ca_signals import builtin_log2, run, w_row
+from ca_signals import builtin_log2, run_probes, w_site
 from ca_signals.cli import main as cli_main
+from ca_signals.engine import ReadSchedule
 
 
 def main() -> int:
@@ -26,12 +27,14 @@ def main() -> int:
         return rc
 
     width = max(8, (args.k_max + 1).bit_length() + 2)
-    diag = run(builtin_log2(), args.k_max + width + 2)
-    lam = diag.ca.quiescent
+    ca = builtin_log2()
+    reads = ReadSchedule([[w_site(k, 0, i) for i in range(width)]
+                          for k in range(args.k_max + 1)])
+    run_probes(ca, args.k_max + width - 1, [reads])
+    lam = ca.quiescent
     print(f"\ndigit rows k=0..{args.k_max} (row k spells k+1 in binary, "
           "low bit first):")
-    for k in range(args.k_max + 1):
-        letters = w_row(diag, k, 0, width)
+    for k, letters in enumerate(reads.rows):
         text = "".join("." if s == lam else s for s in letters)
         print(f"  k={k:2d}  {text}  (k+1 = {k + 1:2d} = "
               f"{bin(k + 1)[2:]}b)")

@@ -11,6 +11,10 @@ is too short.  Two evidence policies share one core (``_decompose``):
   first half of the window and the period must repeat at least twice.  The
   stricter preperiod cap keeps a long drifting prefix with a constant tail
   from passing as periodic.
+
+Digit readouts and the plane check are probes (``BinaryReadoutProbe``,
+``BaseXYReadoutProbe``, ``PlaneProbe``), fed the slices ``run_probes`` steps
+or a retained diagram's ``replay``.
 """
 
 from __future__ import annotations
@@ -463,15 +467,6 @@ class _RowReadout:
             raise out
         return out
 
-    def read(self, diag, k: int):
-        """Row k's word in a retained diagram, fed its slices from t = k until
-        the row closes; a row that runs past the diagram raises there."""
-        t = k
-        while k not in self.closed:
-            self.observe(diag.view(t))
-            t += 1
-        return self.word(k)
-
 
 class BinaryReadoutProbe(_RowReadout):
     """Bit words of sheared rows (k, 0), low-order digit first, each ending
@@ -486,11 +481,6 @@ class BinaryReadoutProbe(_RowReadout):
         if s not in ("0", "1"):
             raise ValueError(f"row ({k},0) entry {i} is {s!r}, not a bit")
         return s
-
-
-def binary_readout(diag, k: int) -> str:
-    """The bit word of sheared row (k, 0) of a retained diagram."""
-    return BinaryReadoutProbe(diag.ca, (k,)).read(diag, k)
 
 
 def _track_index(sym: str, prefix: str, where: str) -> int:
@@ -528,11 +518,6 @@ class BaseXYReadoutProbe(_RowReadout):
                          _track_index(s1, "κ", f"row ({k},1) entry {i}"))
 
 
-def base_xy_readout(diag, k: int, x: int, y: int) -> tuple[int, ...]:
-    """The base x*y digits of rows (k,0)/(k,1) of a retained diagram."""
-    return BaseXYReadoutProbe(diag.ca, (k,), x, y).read(diag, k)
-
-
 class PlaneProbe:
     """Counts the live cells of a two-track run and keeps the first one off
     its carrier plane: a - b = 0 for the mod-x (π) track, a - b = 2 for the
@@ -561,9 +546,3 @@ class PlaneProbe:
         if self.error is not None:
             raise self.error
         return self.checked
-
-
-def check_planes(diag, t_max: int | None = None) -> int:
-    """Cells that ``PlaneProbe`` checks on a retained diagram up to t_max."""
-    stop = diag.horizon + 1 if t_max is None else t_max + 1
-    return diag.replay(PlaneProbe(diag.ca), stop).count()

@@ -29,8 +29,9 @@ from .analysis import (GapReport, NotPeriodicWithin, exhaustive_two_state_search
                        gap_probe, ultimate_period)
 from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
-from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, SpaceTimeDiagram,
-                     dense_run, diagram_from_json_obj, run, run_probes, w_row)
+from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, ReadSchedule,
+                     SpaceTimeDiagram, dense_run, diagram_from_json_obj, run,
+                     run_probes, w_site)
 from .errors import CheckFailed, OverflowHorizon
 from .signals import (DetectProbe, Follower, FollowProbe, MoveConvention,
                       Signal, follower_for_xy, log2_partition,
@@ -181,7 +182,7 @@ def cmd_simulate(args) -> int:
 
 def _slice_text(diag: SpaceTimeDiagram, t: int) -> str:
     ca = diag.ca
-    cells = dict(diag.cells(t))
+    cells = dict(diag.view(t).cells())
     width = max([len(s) for s in cells.values()] + [1])
     sep = " " if width > 1 else ""
 
@@ -203,7 +204,7 @@ def _ppm_bytes(diag: SpaceTimeDiagram, t: int, colors: dict[str, tuple]) -> byte
     side = 2 * half + 1
     quiet = bytes(colors[diag.ca.quiescent])
     grid = bytearray(quiet * (side * side))
-    for (a, b), s in diag.cells(t):
+    for (a, b), s in diag.view(t).cells():
         idx = 3 * ((a + half) * side + (b + half))
         grid[idx:idx + 3] = bytes(colors[s])
     return f"P6\n{side} {side}\n255\n".encode() + bytes(grid)
@@ -235,7 +236,9 @@ def _wplane_text(diag: SpaceTimeDiagram, k: int, rows: int, width: int) -> str:
     if diag.ca.dim != 2:
         raise ValueError("the sheared plane is defined for 2-D trellis runs")
     lam = diag.ca.quiescent
-    table = [w_row(diag, k, l, width) for l in range(rows)]
+    reads = ReadSchedule([[w_site(k, l, i) for i in range(width)]
+                          for l in range(rows)])
+    table = diag.replay(reads, k + width + rows - 1).rows
     wide = max(len(s) for row in table for s in row)
     sep = " " if wide > 1 else ""
     lines = []

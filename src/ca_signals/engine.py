@@ -9,9 +9,9 @@ Three engines, one per job:
   neighbor codes with one ``reduceat``, and maps the sums to new states.
   The merge's n*v-sized scratch arrays live in one grow-only workspace per
   run, reused by every step; the slices a step returns never view it.
-  A point read (``state_at``) is one binary search for a key packed
-  with Python ints; cells outside the light cone read quiescent without
-  being packed.
+  A point read (``SliceView.state_at``) is one binary search for a key
+  packed with Python ints; cells outside the light cone read quiescent
+  without being packed.
 * ``run_probes(..., reach=R)``: the diagonal window, for claims that read
   known diagonals.  Write a site as i = t*1bar - u; cell u at time t+1 reads
   u + x at time t, which is diagonal i - (x + 1bar), and every coordinate of
@@ -26,13 +26,13 @@ The sparse and window engines map flat neighbor codes through one evaluator
 that applies the rule table the first time a run meets a code and caches the
 result, so no table is enumerated before the first step.
 
-Claims read diagrams only through probes (walkers, digit readouts, plane,
-region and mark checks), each observing one ``SliceView`` per time step.
-Claims stream: ``run_probes`` feeds probes the live slice (or window) as it
-steps and retains nothing else.  Only dumps retain: ``run`` keeps every
-slice for ``simulate``, ``render`` and loaded diagrams, and
-``SpaceTimeDiagram.replay`` feeds the same probes its stored slices, which
-is how ``diagonal``, ``detect``, ``follow`` and the readouts read one.
+Probes are the only way to read a diagram: walkers, digit readouts, plane,
+region and mark checks, diagonal words and fixed-site reads (``ReadSchedule``)
+each observe one ``SliceView`` per time step.  Claims stream: ``run_probes``
+feeds probes the live slice (or window) as it steps and retains nothing
+else.  Only dumps retain: ``run`` keeps every slice the same stepper yields,
+for ``simulate``, ``render`` and loaded diagrams, and
+``SpaceTimeDiagram.replay`` feeds probes its stored slices.
 
 A retained diagram's JSON dump is formatted slice by slice straight from the
 packed arrays (``json_chunks``), with no object per cell.
@@ -44,6 +44,7 @@ numeric order of packed values equals lexicographic order of cells.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 
@@ -51,7 +52,8 @@ import numpy as np
 
 from .automaton import ImpulseCA
 from .errors import (BeyondHorizon, BeyondWindow, CheckFailed,
-                     CoordinateOverflow, OverflowHorizon, UnknownState)
+                     CoordinateOverflow, OverflowHorizon, UnknownState,
+                     json_list, json_object)
 from .lattice import in_light_cone, parity_valid
 
 FLAT_ENUM_LIMIT = 10**6
@@ -168,8 +170,6 @@ def _read_cell(ca: ImpulseCA, sl: Slice, cell: tuple[int, ...], t: int) -> str:
     before its key is packed; inside the cone every coordinate fits its
     packed field, so far-out coordinates cannot alias a stored cell.
     """
-    if len(cell) != ca.dim:
-        raise ValueError(f"cell has {len(cell)} coordinates, CA has {ca.dim}")
     b = _bits(ca.dim)
     half = 1 << (b - 1)
     key = 0
@@ -191,8 +191,6 @@ def _read_window(ca: ImpulseCA, window: np.ndarray, cell: tuple[int, ...],
     A cell outside the light cone reads quiescent; a cell inside it whose
     diagonal t*1bar - cell lies past the window raises BeyondWindow.
     """
-    if len(cell) != ca.dim:
-        raise ValueError(f"cell has {len(cell)} coordinates, CA has {ca.dim}")
     i = tuple(t - a for a in cell)
     if min(i) < 0 or max(i) > 2 * t:
         return ca.quiescent
@@ -219,6 +217,9 @@ class SliceView:
         self._window = window
 
     def state_at(self, cell: tuple[int, ...]) -> str:
+        if len(cell) != self.ca.dim:
+            raise ValueError(
+                f"cell has {len(cell)} coordinates, CA has {self.ca.dim}")
         if self._window is not None:
             return _read_window(self.ca, self._window, cell, self.t)
         return _read_cell(self.ca, self._sl, cell, self.t)
@@ -261,30 +262,15 @@ class SpaceTimeDiagram:
     def horizon(self) -> int:
         return len(self.slices) - 1
 
-    def n_sites(self, t: int) -> int:
-        return len(self.slices[t][0])
-
     @property
     def total_sites(self) -> int:
         return sum(len(p) for p, _ in self.slices)
 
-    def _check_t(self, t: int):
-        if not 0 <= t <= self.horizon:
-            raise BeyondHorizon(f"t={t} outside simulated range 0..{self.horizon}")
-
-    def state_at(self, cell: tuple[int, ...], t: int) -> str:
-        """State symbol at a cell; quiescent for any cell not stored."""
-        self._check_t(t)
-        return _read_cell(self.ca, self.slices[t], cell, t)
-
     def view(self, t: int) -> SliceView:
         """Slice t as the view a probe observes."""
-        self._check_t(t)
+        if not 0 <= t <= self.horizon:
+            raise BeyondHorizon(f"t={t} outside simulated range 0..{self.horizon}")
         return SliceView(self.ca, t, self.slices[t])
-
-    def cells(self, t: int):
-        """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
-        return self.view(t).cells()
 
     def replay(self, probe, stop: int):
         """Feed ``probe`` the views of slices 0..stop-1 in time order, as
@@ -388,12 +374,6 @@ def _check_horizon(ca: ImpulseCA, steps: int) -> None:
             f"(max {max_horizon(ca.dim)})")
 
 
-def _prepare(ca: ImpulseCA, steps: int):
-    _check_horizon(ca, steps)
-    return (_Evaluator(ca), [_offset_shift(x, ca.dim) for x in ca.arg_order],
-            _Workspace())
-
-
 def _misplaced(cell: tuple[int, ...], t: int, ca: ImpulseCA) -> str | None:
     """Why a cell cannot be live at time t, or None if it can."""
     if not in_light_cone(cell, t):
@@ -407,25 +387,25 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
         check: bool = False) -> SpaceTimeDiagram:
     """Simulate t = 0..steps inclusive, retaining every slice.
 
-    Raises OverflowHorizon when the retained-site budget runs out; the
+    The budget bounds the retained sites, seed included, and is checked
+    after each step.  Raises OverflowHorizon when it runs out; the
     exception carries the finished part as its ``partial`` attribute.
     """
-    ev, shifts, ws = _prepare(ca, steps)
-    slices = [_seed_slice(ca)]
-    total = len(slices[0][0])
-    for t in range(steps):
-        nxt = _step(ca, slices[-1], ev, shifts, ws)
-        total += len(nxt[0])
-        if total > budget:
-            exc = OverflowHorizon(t, budget)
-            exc.partial = SpaceTimeDiagram(ca, slices, truncated=True)
-            raise exc
-        slices.append(nxt)
-        if check:
-            for cell, _ in SliceView(ca, t + 1, nxt).cells():
-                problem = _misplaced(cell, t + 1, ca)
-                if problem:
-                    raise CheckFailed(problem)
+    slices, total = [], 0
+    try:
+        for view in _sparse_views(ca, steps, budget):
+            total += view.n_sites
+            if view.t and total > budget:
+                raise OverflowHorizon(view.t - 1, budget)
+            slices.append(view._sl)
+            if check:
+                for cell, _ in view.cells():
+                    problem = _misplaced(cell, view.t, ca)
+                    if problem:
+                        raise CheckFailed(problem)
+    except OverflowHorizon as exc:
+        exc.partial = SpaceTimeDiagram(ca, slices, truncated=True)
+        raise
     return SpaceTimeDiagram(ca, slices)
 
 
@@ -441,7 +421,11 @@ def check_window(dim: int, reach: int, budget: int) -> None:
 
 
 def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
-    ev, shifts, ws = _prepare(ca, steps)
+    """The sparse stepper, the one loop behind ``run`` and ``run_probes``:
+    a view of each slice t = 0..steps; the budget bounds each slice."""
+    _check_horizon(ca, steps)
+    ev, ws = _Evaluator(ca), _Workspace()
+    shifts = [_offset_shift(x, ca.dim) for x in ca.arg_order]
     sl = _seed_slice(ca)
     for t in range(steps + 1):
         yield SliceView(ca, t, sl)
@@ -550,8 +534,10 @@ def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:
     truncated = False
     if isinstance(obj, dict):
         truncated = bool(obj.get("truncated", False))
-        obj = obj["slices"]
-    rows = sorted(obj, key=lambda r: r["t"])
+        obj = obj.get("slices")
+    rows = sorted((json_object(r, "a slice", t=int, cells=list)
+                   for r in json_list(obj, "diagram slices")),
+                  key=lambda r: r["t"])
     if [r["t"] for r in rows] != list(range(len(rows))):
         raise ValueError("slice times must be 0..T without gaps")
     known = set(ca.states)
@@ -559,6 +545,7 @@ def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:
     for r in rows:
         cells = r["cells"]
         for c in cells:
+            json_object(c, f"a cell of slice t={r['t']}", u=list, s=str)
             if c["s"] not in known:
                 raise UnknownState(f"symbol {c['s']!r} not in the CA alphabet")
             u = c["u"]
@@ -592,18 +579,6 @@ def same_run(a: SpaceTimeDiagram, b: SpaceTimeDiagram) -> bool:
 
 # ---------------------------------------------------------------------------
 # diagonal words and the sheared-coordinate transform
-
-
-@dataclass(frozen=True)
-class DiagonalWord:
-    """Trace of one lattice point's diagonal through the space-time diagram."""
-
-    index: tuple[int, ...]
-    start_time: int
-    letters: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 def diagonal_start(i: tuple[int, ...]) -> int:
@@ -643,34 +618,22 @@ class DiagonalProbe:
         return tuple(self.letters)
 
 
-def diagonal(diag: SpaceTimeDiagram, i: tuple[int, ...],
-             length: int) -> DiagonalWord:
-    """Letters j = 0..length-1 of the diagonal word for lattice point i.
-
-    Letter j is the state of cell (start+j)*(1,...,1) - i at time start+j,
-    read by a DiagonalProbe fed the diagram's slices.  Points with a
-    negative coordinate never meet the light cone, so their word is
-    all-quiescent of the requested length.
-    """
-    if len(i) != diag.ca.dim:
-        raise ValueError(f"point has {len(i)} coordinates, CA has {diag.ca.dim}")
-    probe = DiagonalProbe(i, length)
-    if not probe.skip:
-        diag.replay(probe, probe.start + length)
-    return DiagonalWord(probe.i, probe.start, probe.word(diag.ca.quiescent))
-
-
 def w_site(k: int, l: int, i: int) -> tuple[tuple[int, int], int]:
     """Cell and time of entry (k, l, i) of the sheared two-index family."""
     return (k - i + l, k - i - l), k + i + l
 
 
-def w_value(diag: SpaceTimeDiagram, k: int, l: int, i: int) -> str:
-    if diag.ca.dim != 2:
-        raise ValueError("sheared coordinates are defined for dimension 2")
-    cell, t = w_site(k, l, i)
-    return diag.state_at(cell, t)
+class ReadSchedule:
+    """Reads sites fixed before stepping: ``rows[j]`` collects the states
+    at the (cell, t) sites of ``sites[j]``, which are in time order."""
 
+    def __init__(self, sites):
+        self.rows: list[list[str]] = [[] for _ in sites]
+        self.due = defaultdict(list)    # t -> [(row, cell)] still to read
+        for row, row_sites in zip(self.rows, sites):
+            for cell, t in row_sites:
+                self.due[t].append((row, cell))
 
-def w_row(diag: SpaceTimeDiagram, k: int, l: int, length: int) -> tuple[str, ...]:
-    return tuple(w_value(diag, k, l, i) for i in range(length))
+    def observe(self, view):
+        for row, cell in self.due.pop(view.t, ()):
+            row.append(view.state_at(cell))

@@ -5,8 +5,12 @@ catch one family.  Horizon problems are separate: BeyondHorizon is a lookup
 past the simulated range (its subclass BeyondWindow, past the diagonals a
 windowed run stepped), OverflowHorizon is a run aborted by the memory budget
 (it carries the last fully computed slice index).  CheckFailed is a
-consistency check on a computed result that did not hold.
+consistency check on a computed result that did not hold.  JSON inputs
+that are not shaped as expected raise ValueError from ``json_list`` and
+``json_object``.
 """
+
+import reprlib
 
 
 class RuleFileError(ValueError):
@@ -63,7 +67,7 @@ class CheckFailed(RuntimeError):
     """A computed result broke a property the construction guarantees.
 
     Raised by explicit checks (``run(..., check=True)``, the move check in
-    ``detect``); unlike ``assert`` they stay active under ``python -O``.
+    ``DetectProbe.signal``); unlike ``assert`` they survive ``python -O``.
     """
 
 
@@ -92,3 +96,23 @@ class OverflowHorizon(RuntimeError):
         done = (f"last complete slice is t={last_slice}" if last_slice >= 0
                 else "no slice was computed")
         super().__init__(f"site budget {budget} exhausted; {done}")
+
+
+def json_list(obj, what: str) -> list:
+    """``obj`` if it is a JSON list; else a ValueError naming ``what``."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list, got {reprlib.repr(obj)}")
+    return obj
+
+
+def json_object(obj, what: str, **kinds) -> dict:
+    """``obj`` if it is a JSON object whose every key k holds a ``kinds[k]``
+    (an ``int`` is no bool); else a ValueError naming ``what`` and shape."""
+    if not (isinstance(obj, dict) and all(
+            type(obj.get(k)) is int if kind is int
+            else isinstance(obj.get(k), kind) for k, kind in kinds.items())):
+        shape = ", ".join(f'"{k}": {kind.__name__}'
+                          for k, kind in kinds.items())
+        raise ValueError(
+            f"{what} must be {{{shape}}}, got {reprlib.repr(obj)}")
+    return obj

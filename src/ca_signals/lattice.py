@@ -34,10 +34,6 @@ class Neighborhood:
         if not 1 <= self.dim <= 4:
             raise ValueError("dimension must be between 1 and 4")
 
-    @property
-    def size(self) -> int:
-        return len(offsets(self))
-
 
 def offsets(neigh: Neighborhood) -> tuple[Offset, ...]:
     """All offsets of the neighborhood in lexicographic order (-1 < 0 < 1)."""
@@ -71,14 +67,6 @@ def all_ones(k: int) -> Offset:
 
 def neg(x: Offset) -> Offset:
     return tuple(-a for a in x)
-
-
-def add(u: Cell, x: Offset) -> Cell:
-    return tuple(a + b for a, b in zip(u, x))
-
-
-def sub(u: Cell, x: Offset) -> Cell:
-    return tuple(a - b for a, b in zip(u, x))
 
 
 def parse_offset(text: str, dim: int | None = None) -> Offset:

@@ -12,10 +12,10 @@ exist for turning a neighborhood offset x into an actual move:
 Detection uses a total map from state symbols to offsets (a move partition);
 following uses a finite automaton that additionally carries its own state.
 A detection walk is a one-state follower.  Both walk as probes
-(``DetectProbe``, ``FollowProbe``): ``detect`` and ``follow`` feed them a
-retained diagram's slices, ``engine.run_probes`` the slices it steps.
-``product_construct`` compiles CA and follower into one product automaton
-whose marked sites reproduce the follower's path.
+(``DetectProbe``, ``FollowProbe``), fed the slices ``engine.run_probes``
+steps or a retained diagram's ``replay``.  ``product_construct`` compiles CA
+and follower into one product automaton whose marked sites, collected by
+``MarkedProbe``, reproduce the follower's path.
 """
 
 from __future__ import annotations
@@ -28,13 +28,20 @@ from enum import Enum
 import numpy as np
 
 from .automaton import LAMBDA, ImpulseCA
-from .errors import AlphabetMismatch, CheckFailed, NotCoprime, UnknownState
-from .lattice import Offset, all_ones, format_offset, neg, offsets, parse_offset
+from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, UnknownState,
+                     json_list, json_object)
+from .lattice import Offset, all_ones, neg, offsets, parse_offset
 
 
 class MoveConvention(Enum):
     NEGATED = "negated"
     AS_WRITTEN = "as-written"
+
+
+def _ints(values: list, what: str) -> tuple[int, ...]:
+    if not all(type(a) is int for a in values):
+        raise ValueError(f"{what} {values} has a non-integer component")
+    return tuple(values)
 
 
 def _step_site(u, x, convention: MoveConvention):
@@ -66,10 +73,6 @@ class Signal:
     def horizon(self) -> int:
         return len(self.sites) - 1
 
-    @property
-    def dim(self) -> int:
-        return len(self.sites[0])
-
     def moves(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple(b - a for a, b in zip(u, w))
@@ -83,10 +86,12 @@ class Signal:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Signal":
-        rows = sorted(obj, key=lambda r: r["t"])
+        rows = sorted((json_object(r, "a signal site", t=int, u=list)
+                       for r in json_list(obj, "a signal")),
+                      key=lambda r: r["t"])
         if [r["t"] for r in rows] != list(range(len(rows))):
             raise ValueError("signal times must be 0..T without gaps")
-        return cls(tuple(tuple(int(a) for a in r["u"]) for r in rows))
+        return cls(tuple(_ints(r["u"], "signal site") for r in rows))
 
 
 def valid_moves(signal: Signal, neigh, convention=MoveConvention.NEGATED) -> bool:
@@ -144,10 +149,6 @@ def parse_move_partition(text: str, dim: int) -> MovePartition:
     return MovePartition(classes)
 
 
-def format_move_partition(p: MovePartition) -> str:
-    return ";".join(f"{s}:{format_offset(x)}" for s, x in p.classes.items())
-
-
 def log2_partition() -> MovePartition:
     """Detection partition for the binary-counter automaton.
 
@@ -171,7 +172,7 @@ class Follower:
 
     ``delta`` maps (automaton state, diagram symbol) to (next state, offset).
     ``defaulted`` lists keys that were filled mechanically rather than by
-    design; a follow run can assert it never consumed one.
+    design; a walk can assert it never consumed one.
     """
 
     states: tuple[str, ...]
@@ -211,10 +212,13 @@ class Follower:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Follower":
-        delta = {
-            (r["q"], r["s"]): (r["q2"], tuple(int(a) for a in r["move"]))
-            for r in obj["delta"]
-        }
+        json_object(obj, "a follower", states=list, initial=str, delta=list)
+        delta = {}
+        for r in obj["delta"]:
+            json_object(r, "a follower transition", q=str, s=str, q2=str,
+                        move=list)
+            delta[(r["q"], r["s"])] = (r["q2"],
+                                       _ints(r["move"], "follower move"))
         return cls(tuple(obj["states"]), obj["initial"], delta)
 
 
@@ -298,14 +302,6 @@ class FollowProbe:
                            tuple(self.consumed), tuple(self.defaulted_hits))
 
 
-def follow(diag, follower: Follower, steps: int | None = None,
-           convention: MoveConvention = MoveConvention.NEGATED) -> FollowTrace:
-    """Run a follower over a retained diagram from the origin."""
-    probe = FollowProbe(diag.ca, follower,
-                        diag.horizon if steps is None else steps, convention)
-    return diag.replay(probe, probe.steps).trace()
-
-
 class DetectProbe(FollowProbe):
     """Walk under a move partition: a one-state follower that moves by the
     class of each symbol it reads."""
@@ -323,14 +319,6 @@ class DetectProbe(FollowProbe):
             raise CheckFailed(
                 "detected walk takes a step outside the neighborhood")
         return out
-
-
-def detect(diag, partition: MovePartition, steps: int | None = None,
-           convention: MoveConvention = MoveConvention.NEGATED) -> Signal:
-    """Walk a retained diagram from the origin under a move partition."""
-    probe = DetectProbe(diag.ca, partition,
-                        diag.horizon if steps is None else steps, convention)
-    return diag.replay(probe, probe.steps).signal()
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +445,6 @@ class MarkedProbe:
         t = view.t
         self.found.update((tuple(u), t)
                           for u in coords[self.marked[codes]].tolist())
-
-
-def marked_sites(diag, subset, t_max: int | None = None):
-    """All (cell, t) whose state lies in ``subset``, up to t_max."""
-    probe = MarkedProbe(diag.ca, subset)
-    stop = diag.horizon + 1 if t_max is None else t_max + 1
-    return diag.replay(probe, stop).found
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ slice is held.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -24,7 +23,7 @@ from .analysis import (LOG_OR_ABOVE, BaseXYReadoutProbe, BinaryReadoutProbe,
 from .automaton import (LAMBDA, TRELLIS2_ORDER, WILDCARD, AnyOf, ImpulseCA,
                         Literal, Rule, RuleTable, builtin_log2,
                         builtin_quiescent, builtin_xy, merged_xy)
-from .engine import DEFAULT_SITE_BUDGET, w_site
+from .engine import DEFAULT_SITE_BUDGET, ReadSchedule, w_site
 from .errors import PlaneViolation, XNotSmallest
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, FollowProbe, MarkedProbe, Signal,
@@ -118,22 +117,6 @@ class _RegionProbe:
         self.bad += [(ua, ub, t) for ua, ub in coords[off][:room].tolist()]
 
 
-class _ReadSchedule:
-    """Reads sites fixed before stepping: ``rows[j]`` collects the states
-    at the (cell, t) sites of ``sites[j]``, which are in time order."""
-
-    def __init__(self, sites):
-        self.rows: list[list[str]] = [[] for _ in sites]
-        self.due = defaultdict(list)    # t -> [(row, cell)] still to read
-        for row, row_sites in zip(self.rows, sites):
-            for cell, t in row_sites:
-                self.due[t].append((row, cell))
-
-    def observe(self, view):
-        for row, cell in self.due.pop(view.t, ()):
-            row.append(view.state_at(cell))
-
-
 def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
                 budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Anchor walk, digit readout, and sheared-row shape of the binary counter.
@@ -158,7 +141,7 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
             picked.append((k, l, length))
     walk = DetectProbe(ca, log2_partition(), steps)
     readout = BinaryReadoutProbe(ca, range(steps + 1))
-    carry = _ReadSchedule([[w_site(k, l, i) for i in range(length + 1)]
+    carry = ReadSchedule([[w_site(k, l, i) for i in range(length + 1)]
                            for k, l, length in picked])
     region = _RegionProbe()
     analysis.run_probes(ca, horizon, [walk, readout, carry, region],

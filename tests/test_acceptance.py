@@ -13,12 +13,13 @@ import time
 
 import pytest
 
-from ca_signals import (Signal, builtin_log2, builtin_xy, dense_run, detect,
-                        exhaustive_two_state_search, follow, follower_for_xy,
+from ca_signals import (DetectProbe, FollowProbe, MarkedProbe, Signal,
+                        builtin_log2, builtin_xy, dense_run,
+                        exhaustive_two_state_search, follower_for_xy,
                         gap_probe, gap_profile, ilog, log2_partition,
-                        log_anchor_signal, marked_sites, product_construct,
-                        run, same_run, verify_basic, verify_bounds,
-                        verify_log2, verify_xy)
+                        log_anchor_signal, product_construct, run, run_probes,
+                        same_run, verify_basic, verify_bounds, verify_log2,
+                        verify_xy)
 from ca_signals.analysis import BELOW_LOG, CONSTANT, LOG_OR_ABOVE
 from ca_signals.verification import random_impulse_ca
 
@@ -108,14 +109,17 @@ def test_criterion_5_product_marks_equal_followed_path():
     ca = builtin_xy(2, 3)
     fol = follower_for_xy(2, 3)
     prod = product_construct(ca, fol)
-    pdiag = run(prod.ca, 200)
-    tr = follow(run(ca, 200), fol, 200)
+    marks = MarkedProbe(prod.ca, prod.marked_states)
+    run_probes(prod.ca, 200, [marks])
+    walk = FollowProbe(ca, fol, 200)
+    run_probes(ca, 200, [walk])
+    tr = walk.trace()
     full_path = {(u, t) for t, u in enumerate(tr.signal.sites)}
-    assert marked_sites(pdiag, prod.marked_states, 200) == full_path
+    assert marks.found == full_path
     assert len(full_path) == 201
     for t_cap in (0, 1, 37, 200):
         want = {(u, t) for t, u in enumerate(tr.signal.sites[:t_cap + 1])}
-        assert marked_sites(pdiag, prod.marked_states, t_cap) == want
+        assert {(u, t) for u, t in marks.found if t <= t_cap} == want
     print("[PASS] criterion 5: product-marked sites equal the followed "
           "path exactly for every horizon T<=200")
 
@@ -164,7 +168,9 @@ def test_criterion_8_follower_walks_are_basic_counter_is_not():
 
 
 def test_criterion_9_gap_growth_classification():
-    sig = detect(run(builtin_log2(), 512), log2_partition(), 512)
+    walk = DetectProbe(builtin_log2(), log2_partition(), 512)
+    run_probes(builtin_log2(), 512, [walk])
+    sig = walk.signal()
     rep = gap_probe(sig)
     assert rep.classification == LOG_OR_ABOVE
     profile = gap_profile(sig)

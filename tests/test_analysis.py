@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (BeyondHorizon, NotCoprime, NotPeriodicWithin,
-                        PeriodDecomposition, PlaneViolation, Signal,
-                        base_xy_readout,
-                        binary_readout, builtin_log2, builtin_xy,
-                        check_planes, crt_digit, detect, diagonal,
-                        diagram_from_json_obj, exhaustive_two_state_search,
-                        gap_probe, gap_profile, log2_partition, run,
-                        run_probes, ultimate_period, verify_period_bounds)
+from ca_signals import (BaseXYReadoutProbe, BeyondHorizon, BinaryReadoutProbe,
+                        DetectProbe, DiagonalProbe, NotCoprime,
+                        NotPeriodicWithin, PeriodDecomposition, PlaneProbe,
+                        PlaneViolation, Signal, builtin_log2, builtin_xy,
+                        crt_digit, diagram_from_json_obj,
+                        exhaustive_two_state_search, gap_probe, gap_profile,
+                        log2_partition, run, run_probes, ultimate_period,
+                        verify_period_bounds)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
-                                 SEARCH_TARGETS, BaseXYReadoutProbe,
-                                 BinaryReadoutProbe, PlaneProbe, _decompose)
+                                 SEARCH_TARGETS, _decompose)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
 from ca_signals.lattice import Neighborhood
 from ca_signals.signals import MovePartition
@@ -118,7 +117,7 @@ def test_period_bounds_small_window():
 
 
 def test_stabilized_walks_keep_a_constant_gap():
-    """Consistency of detect(), gap_profile() and ultimate_period() on
+    """Consistency of DetectProbe, gap_profile() and ultimate_period() on
     random rule tables.
 
     When a detected walk stops descending it climbs one diagonal forever,
@@ -138,7 +137,7 @@ def test_stabilized_walks_keep_a_constant_gap():
         part = MovePartition({s: (DOWN if s == down_state else UP)
                               for s in ca.states})
         diag = run(ca, horizon)
-        sig = detect(diag, part, horizon)
+        sig = diag.replay(DetectProbe(ca, part, horizon), horizon).signal()
         moves = sig.moves()
         last_down = max((j for j, m in enumerate(moves) if m != (1, 1)),
                         default=-1)
@@ -149,10 +148,11 @@ def test_stabilized_walks_keep_a_constant_gap():
         profile = gap_profile(sig)
         assert len(set(profile[t0:])) == 1, (ca.name, t0)
         c = t0 - sig.sites[t0][0]
-        word = diagonal(diag, (c, c), horizon - max(0, (c + 1) // 2))
-        dec = ultimate_period(word.letters)
+        word = DiagonalProbe((c, c), horizon - max(0, (c + 1) // 2))
+        diag.replay(word, horizon)
+        dec = ultimate_period(word.word(ca.quiescent))
         assert not isinstance(dec, NotPeriodicWithin), (ca.name, c)
-        if word.start_time + len(dec.alpha) >= t0:
+        if word.start + len(dec.alpha) >= t0:
             assert down_state not in dec.beta, (ca.name, c, dec)
 
 
@@ -160,7 +160,8 @@ def test_stabilized_walks_keep_a_constant_gap():
 
 
 def test_gap_probe_on_counter_walk(log2_diag):
-    sig = detect(log2_diag, log2_partition(), 256)
+    walk = DetectProbe(log2_diag.ca, log2_partition(), 256)
+    sig = log2_diag.replay(walk, 256).signal()
     rep = gap_probe(sig)
     assert rep.classification == LOG_OR_ABOVE
     assert rep.fitted_C == Fraction(2)
@@ -198,43 +199,43 @@ def test_gap_probe_needs_sites():
 # --- digit readouts -----------------------------------------------------------
 
 
+def _replayed_rows(diag, probe):
+    """A readout probe fed every slice of a retained diagram."""
+    return diag.replay(probe, diag.horizon + 1)
+
+
 def test_binary_readout_against_python_bin(log2_diag):
+    probe = _replayed_rows(log2_diag, BinaryReadoutProbe(log2_diag.ca,
+                                                         range(65)))
     for k in range(65):
         want = bin(k + 1)[2:][::-1]
-        got = binary_readout(log2_diag, k)
+        got = probe.word(k)
         assert isinstance(got, str)
         assert got == want, k
 
 
-def test_binary_readout_probe_streams_every_row(log2_diag):
+def test_binary_readout_probe_streams_every_row():
     probe = BinaryReadoutProbe(builtin_log2(), range(65))
     run_probes(builtin_log2(), 80, [probe])
     assert [probe.word(k) for k in range(65)] == \
-        [binary_readout(log2_diag, k) for k in range(65)]
+        [bin(k + 1)[2:][::-1] for k in range(65)]
     assert len(probe.open) == 0
 
 
 def test_readout_rows_that_do_not_end_are_beyond_the_horizon(log2_diag):
     # row 255 spells 256 = 100000000b: nine digits, past t=256
+    probe = _replayed_rows(log2_diag, BinaryReadoutProbe(log2_diag.ca,
+                                                         (200, 255, 300)))
+    # row 200 spells 201 = 10010011b: eight bits, then its quiescent end
+    assert probe.word(200) == "10010011"
     with pytest.raises(BeyondHorizon, match="t=257 outside"):
-        binary_readout(log2_diag, 255)
+        probe.word(255)
     with pytest.raises(BeyondHorizon, match="t=300 outside"):
-        binary_readout(log2_diag, 300)
+        probe.word(300)
     probe = BinaryReadoutProbe(builtin_log2(), (3,))
     run_probes(builtin_log2(), 4, [probe])
     with pytest.raises(BeyondHorizon):
         probe.word(3)
-
-
-def test_retained_readout_reads_only_its_rows_slices(log2_diag,
-                                                    monkeypatch):
-    seen = []
-    view = type(log2_diag).view
-    monkeypatch.setattr(type(log2_diag), "view",
-                        lambda self, t: seen.append(t) or view(self, t))
-    # row 200 spells 201 = 10010011b: eight bits, then its quiescent end
-    assert binary_readout(log2_diag, 200) == "10010011"
-    assert seen == list(range(200, 209))
 
 
 def test_readout_errors_surface_for_their_row():
@@ -251,8 +252,9 @@ def test_readout_errors_surface_for_their_row():
         probe.word(0)
     with pytest.raises(PlaneViolation, match="rows \\(1,0\\)/\\(1,1\\)"):
         probe.word(1)
+    bits = bad.replay(BinaryReadoutProbe(ca, (0,)), 4)
     with pytest.raises(ValueError, match="not a bit"):
-        binary_readout(bad, 0)
+        bits.word(0)
 
 
 def base6_digits(n: int) -> tuple[int, ...]:
@@ -264,8 +266,10 @@ def base6_digits(n: int) -> tuple[int, ...]:
 
 
 def test_base_xy_readout_against_int_division(xy23_diag):
+    probe = _replayed_rows(xy23_diag, BaseXYReadoutProbe(xy23_diag.ca,
+                                                         range(41), 2, 3))
     for k in range(41):
-        got = base_xy_readout(xy23_diag, k, 2, 3)
+        got = probe.word(k)
         assert isinstance(got, tuple)
         assert got == base6_digits(k + 1), k
 
@@ -290,20 +294,26 @@ def test_crt_digit_is_a_bijection_for_3_4():
         assert v % 3 == p and v % 4 == k
 
 
-def test_base_xy_readout_probe_streams_every_row(xy23_diag):
+def test_base_xy_readout_probe_streams_every_row():
     probe = BaseXYReadoutProbe(builtin_xy(2, 3), range(41), 2, 3)
     run_probes(builtin_xy(2, 3), 50, [probe])
     assert [probe.word(k) for k in range(41)] == \
         [base6_digits(k + 1) for k in range(41)]
 
 
+def _planes(diag, stop=None):
+    """PlaneProbe's count over slices 0..stop-1 (all by default)."""
+    stop = diag.horizon + 1 if stop is None else stop
+    return diag.replay(PlaneProbe(diag.ca), stop).count()
+
+
 def test_check_planes_counts_and_rejects(xy23_diag):
-    assert check_planes(xy23_diag, 40) > 0
-    assert check_planes(xy23_diag, 40) == sum(
-        xy23_diag.n_sites(t) for t in range(41))
+    assert _planes(xy23_diag, 41) > 0
+    assert _planes(xy23_diag, 41) == sum(
+        xy23_diag.view(t).n_sites for t in range(41))
     probe = PlaneProbe(builtin_xy(2, 3))
     run_probes(builtin_xy(2, 3), 40, [probe])
-    assert probe.count() == check_planes(xy23_diag, 40)
+    assert probe.count() == _planes(xy23_diag, 41)
     ca = builtin_xy(2, 3)
     bad = diagram_from_json_obj(ca, [
         {"t": 0, "cells": [{"u": [0, 0], "s": "π_1"}]},
@@ -311,19 +321,19 @@ def test_check_planes_counts_and_rejects(xy23_diag):
     ])
     with pytest.raises(PlaneViolation,
                        match=r"\(1,-1\) at t=1 holds 'π_0' on the κ plane"):
-        check_planes(bad)
-    assert check_planes(bad, 0) == 1
+        _planes(bad)
+    assert _planes(bad, 1) == 1
     swapped = diagram_from_json_obj(ca, [
         {"t": 0, "cells": [{"u": [0, 0], "s": "κ_1"}]},
     ])
     with pytest.raises(PlaneViolation, match="holds 'κ_1' on the π plane"):
-        check_planes(swapped)
+        _planes(swapped)
     off = diagram_from_json_obj(ca, [
         {"t": 0, "cells": []},
         {"t": 1, "cells": [{"u": [-1, 1], "s": "π_0"}]},
     ])
     with pytest.raises(PlaneViolation, match="lies on plane offset -2"):
-        check_planes(off)
+        _planes(off)
 
 
 # --- exhaustive two-state search -----------------------------------------------
@@ -348,7 +358,7 @@ def two_state_ca(code: int) -> ImpulseCA:
 def passes_targets(code: int) -> bool:
     diag = run(two_state_ca(code), 3)
     for (cell, t), want in SEARCH_TARGETS:
-        live = diag.state_at(cell, t) != L
+        live = diag.view(t).state_at(cell) != L
         if live != bool(want):
             return False
     return True
@@ -382,7 +392,7 @@ def test_search_agrees_with_the_engine_on_samples():
 def test_search_targets_are_the_counter_prefix(log2_diag):
     # the four forced values equal the binary counter's own first readings
     for (cell, t), want in SEARCH_TARGETS:
-        live = log2_diag.state_at(cell, t) == "1"
+        live = log2_diag.view(t).state_at(cell) == "1"
         assert live == bool(want)
 
 

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ca_signals import (OverflowHorizon, analysis, builtin_log2, diagonal,
-                        engine, follower_for_xy, run, serialize_rules)
+from ca_signals import (DiagonalProbe, OverflowHorizon, analysis,
+                        builtin_log2, engine, follower_for_xy, run,
+                        serialize_rules)
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main, parse_ca_spec)
 from ca_signals.lattice import Neighborhood
@@ -164,7 +165,7 @@ def test_zero_budget_keeps_only_the_seed(capsys):
 def _oracle_obj(diag) -> list:
     """The dump's structure built as Python objects, one dict per cell."""
     return [{"t": t, "cells": [{"u": list(u), "s": s}
-                               for u, s in diag.cells(t)]}
+                               for u, s in diag.view(t).cells()]}
             for t in range(diag.horizon + 1)]
 
 
@@ -203,7 +204,7 @@ def test_dump_bytes_match_the_oracle(capsys, tmp_path, spec, steps):
     diag = _assert_dump_matches_oracle(capsys, tmp_path, spec, steps)
     if spec == "xy:2,3":        # its symbols are written unescaped
         assert any(not s.isascii() for t in range(steps + 1)
-                   for _, s in diag.cells(t))
+                   for _, s in diag.view(t).cells())
     if spec == "quiescent":
         assert diag.total_sites == 0
 
@@ -216,7 +217,7 @@ def test_dump_bytes_match_the_oracle_on_random_tables(capsys, tmp_path, kind,
     for spec in _random_specs(tmp_path, kind, dim):
         diag = _assert_dump_matches_oracle(capsys, tmp_path, spec, steps)
         varied.append(len({s for t in range(steps + 1)
-                           for _, s in diag.cells(t)}) >= 2)
+                           for _, s in diag.view(t).cells()}) >= 2)
     assert any(varied), "no table shows two distinct live states"
 
 
@@ -346,6 +347,48 @@ def test_render_rejects_a_wrapped_coordinate(capsys, tmp_path):
     assert "light cone" in err
 
 
+# --- malformed JSON inputs ---------------------------------------------------
+
+RENDER_IN = ("render", "--ca", "log2", "--mode", "slice", "--t", "0", "--in")
+GAP_SIGNAL = ("analyze", "gap", "--signal")
+FOLLOWER = ("follow", "--ca", "log2", "--steps", "4", "--follower")
+
+
+def _follower_with(**fields):
+    row = {"q": "a", "s": "λ", "q2": "a", "move": [-1, -1]}
+    obj = {"states": ["a"], "initial": "a", "delta": [row]}
+    if "move" in fields:
+        row["move"] = fields.pop("move")
+    obj.update(fields)
+    return obj
+
+
+@pytest.mark.parametrize("argv,obj,why", [
+    (RENDER_IN, [1], "a slice must be"),
+    (RENDER_IN, {"slices": 5}, "diagram slices must be a list, got 5"),
+    (RENDER_IN, [{"t": 0, "cells": [{"u": 5, "s": "1"}]}],
+     "a cell of slice t=0 must be"),
+    (RENDER_IN, [{"t": 0, "cells": [{"u": [0, 0], "s": ["1"]}]}],
+     "a cell of slice t=0 must be"),
+    (RENDER_IN, [{"t": 0, "cells": 5}], "a slice must be"),
+    (GAP_SIGNAL, [1], "a signal site must be"),
+    (GAP_SIGNAL, [{"t": 0, "u": 5}], "a signal site must be"),
+    (GAP_SIGNAL, {"a": 1}, "a signal must be a list"),
+    (FOLLOWER, [1], "a follower must be"),
+    (FOLLOWER, _follower_with(move=5), "a follower transition must be"),
+    (FOLLOWER, _follower_with(delta=5), "a follower must be"),
+], ids=["render-list-of-int", "render-slices-int", "render-u-int",
+        "render-s-list", "render-cells-int", "gap-list-of-int", "gap-u-int",
+        "gap-object", "follower-list", "follower-move-int",
+        "follower-delta-int"])
+def test_malformed_json_inputs_exit_2(capsys, tmp_path, argv, obj, why):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: ") and why in err
+
+
 # --- detect / follow ----------------------------------------------------------
 
 
@@ -429,7 +472,8 @@ def test_analyze_diagonal_start_matches_library(capsys):
         _, out, _ = run_cli(capsys, "analyze", "diagonal",
                             "--i", ",".join(map(str, i)), "--length", "4")
         assert json.loads(out)["start"] == start
-        assert diagonal(diag, i, 4).start_time == start
+        probe = diag.replay(DiagonalProbe(i, 4), 8)
+        assert probe.start == start and len(probe.word("λ")) == 4
 
 
 def test_streamed_budget_overflow_exits_3(capsys):

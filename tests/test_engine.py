@@ -11,13 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (BeyondHorizon, BeyondWindow, CoordinateOverflow,
-                        OverflowHorizon, builtin_log2, builtin_quiescent,
-                        builtin_xy, dense_run, diagonal, diagram_from_json_obj,
-                        max_horizon, merged_xy, run, run_probes, same_run,
-                        verify_xy, w_row, w_site, w_value)
+                        DiagonalProbe, OverflowHorizon, builtin_log2,
+                        builtin_quiescent, builtin_xy, dense_run,
+                        diagram_from_json_obj, max_horizon, merged_xy, run,
+                        run_probes, same_run, verify_xy, w_site)
 from ca_signals import engine
-from ca_signals.engine import (FLAT_ENUM_LIMIT, DiagonalProbe,
-                               diagonal_start, pack_cells, unpack_cells)
+from ca_signals.engine import (FLAT_ENUM_LIMIT, ReadSchedule, diagonal_start,
+                               pack_cells, unpack_cells)
 from ca_signals.lattice import Neighborhood
 from ca_signals.verification import random_impulse_ca
 
@@ -25,38 +25,39 @@ L = "λ"
 
 
 def test_seed_slice_and_frozen_early_cells(log2_diag):
-    assert list(log2_diag.cells(0)) == [((0, 0), "1")]
-    assert dict(log2_diag.cells(1)) == {(1, -1): "1", (1, 1): "0"}
-    assert dict(log2_diag.cells(3)) == {
+    assert list(log2_diag.view(0).cells()) == [((0, 0), "1")]
+    assert dict(log2_diag.view(1).cells()) == {(1, -1): "1", (1, 1): "0"}
+    assert dict(log2_diag.view(3).cells()) == {
         (1, -1): "0", (1, 1): "1",
         (3, -3): "1", (3, -1): "0", (3, 1): "1", (3, 3): "0",
     }
 
 
 def test_state_at_defaults_quiescent(log2_diag):
-    assert log2_diag.state_at((0, 0), 0) == "1"
-    assert log2_diag.state_at((100, 100), 2) == L
+    assert log2_diag.view(0).state_at((0, 0)) == "1"
+    assert log2_diag.view(2).state_at((100, 100)) == L
     with pytest.raises(BeyondHorizon):
-        log2_diag.state_at((0, 0), log2_diag.horizon + 1)
+        log2_diag.view(log2_diag.horizon + 1)
     with pytest.raises(ValueError):
-        log2_diag.state_at((0, 0, 0), 0)
+        log2_diag.view(0).state_at((0, 0, 0))
     # 1 + 2**31 overflows its packed field; read as a key it would alias
     # the live cell (1, 1)
-    assert log2_diag.state_at((1, 1), 1) == "0"
-    assert log2_diag.state_at((1, 1 + 2**31), 1) == L
-    assert log2_diag.state_at((2**31, 0), 0) == L
+    assert log2_diag.view(1).state_at((1, 1)) == "0"
+    assert log2_diag.view(1).state_at((1, 1 + 2**31)) == L
+    assert log2_diag.view(0).state_at((2**31, 0)) == L
 
 
 def test_view_is_the_stored_slice(log2_diag):
     view = log2_diag.view(3)
-    assert view.t == 3 and view.n_sites == log2_diag.n_sites(3)
-    assert list(view.cells()) == list(log2_diag.cells(3))
-    assert view.state_at((3, -3)) == log2_diag.state_at((3, -3), 3) == "1"
+    packed, codes = log2_diag.slices[3]
+    assert view.t == 3 and view.n_sites == len(packed)
+    assert list(view.cells()) == [
+        (tuple(u), log2_diag.ca.states[c])
+        for u, c in zip(unpack_cells(packed, 2).tolist(), codes)]
+    assert view.state_at((3, -3)) == "1"
     for t in (-1, log2_diag.horizon + 1):
         with pytest.raises(BeyondHorizon):
             log2_diag.view(t)
-        with pytest.raises(BeyondHorizon):
-            log2_diag.cells(t)
 
 
 def test_run_is_deterministic():
@@ -115,10 +116,10 @@ def _assert_window_matches(ca, diag, steps):
     rec = _Recorder()
     run_probes(ca, steps, probes + [rec], reach=reach)
     for p in probes:
-        assert p.word(lam) == diagonal(diag, p.i, p.length).letters, \
-            (ca.name, p.i)
+        want = diag.replay(DiagonalProbe(p.i, p.length), steps + 1)
+        assert p.word(lam) == want.word(lam), (ca.name, p.i)
     for t in range(steps + 1):
-        want = [(u, s) for u, s in diag.cells(t)
+        want = [(u, s) for u, s in diag.view(t).cells()
                 if max(t - a for a in u) <= reach]
         assert rec.cells[t] == want, (ca.name, t)
         assert rec.far[t] == (lam, lam)
@@ -139,16 +140,17 @@ def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
         assert memo == (kind == "moore" and dim == 3)
         diag = run(ca, steps)
         varied.append(len({s for t in range(steps + 1)
-                           for _, s in diag.cells(t)}) >= 2)
+                           for _, s in diag.view(t).cells()}) >= 2)
         assert same_run(diag, dense_run(ca, steps)), ca.name
         rec = _Recorder()
         run_probes(ca, steps, [rec])
         lam = ca.quiescent
         for t in range(steps + 1):
-            assert rec.cells[t] == list(diag.cells(t)), (ca.name, t)
+            view = diag.view(t)
+            assert rec.cells[t] == list(view.cells()), (ca.name, t)
             assert rec.far[t] == (lam, lam)
-            assert diag.state_at(lam_cell[t], t) == lam
-            assert diag.state_at(far_cell, t) == lam
+            assert view.state_at(lam_cell[t]) == lam
+            assert view.state_at(far_cell) == lam
         _assert_window_matches(ca, diag, steps)
         # the same table through the memo evaluator
         with monkeypatch.context() as m:
@@ -168,7 +170,7 @@ def test_window_reads(log2_diag):
         def observe(self, view):
             if view.t != 4:
                 return
-            assert view.state_at((4, 2)) == log2_diag.state_at((4, 2), 4)
+            assert view.state_at((4, 2)) == log2_diag.view(4).state_at((4, 2))
             assert view.state_at((5, 0)) == view.state_at((4, -5)) == L
             with pytest.raises(BeyondWindow):
                 view.state_at((0, 0))           # diagonal (4, 4)
@@ -186,7 +188,7 @@ def test_window_reads(log2_diag):
 def test_live_region_and_parity(log2_diag):
     # every live cell satisfies -t <= b <= a <= t with both parities even
     for t in range(log2_diag.horizon + 1):
-        for (a, b), _s in log2_diag.cells(t):
+        for (a, b), _s in log2_diag.view(t).cells():
             assert -t <= b <= a <= t, (t, a, b)
             assert (a + t) % 2 == 0 and (b + t) % 2 == 0, (t, a, b)
 
@@ -302,7 +304,7 @@ def test_retained_slices_never_view_the_workspace(monkeypatch):
     ca = _rise_and_fall_ca()
     seen = _spy_workspaces(monkeypatch)
     diag = run(ca, 40)
-    sites = [diag.n_sites(t) for t in range(41)]
+    sites = [diag.view(t).n_sites for t in range(41)]
     assert max(sites) == sites[31] == 32 and sites[32] == 2
     assert len({id(ws) for ws, _, _ in seen}) == 1
     buffers = {id(b): b for _, _, bufs in seen for b in bufs}
@@ -352,7 +354,8 @@ def test_budget_overflow_keeps_partial():
 def test_run_probes_matches_retained(log2_diag):
     probe = DiagonalProbe((0, 0), 32)
     run_probes(builtin_log2(), 40, [probe])
-    assert probe.word(L) == diagonal(log2_diag, (0, 0), 32).letters
+    retained = log2_diag.replay(DiagonalProbe((0, 0), 32), 32)
+    assert probe.word(L) == retained.word(L)
 
 
 def test_json_round_trip(xy23_diag):
@@ -410,23 +413,30 @@ def test_diagonal_start():
     assert diagonal_start((5, 0)) == 3
 
 
+def _replayed_word(diag, i, length):
+    """A DiagonalProbe fed the diagram's slices up to its last letter."""
+    probe = DiagonalProbe(i, length)
+    diag.replay(probe, probe.start + length)
+    return probe
+
+
 def test_diagonal_words(log2_diag):
-    w = diagonal(log2_diag, (0, 0), 12)
-    assert w.start_time == 0
-    assert "".join(w.letters) == "101010101010"
-    w = diagonal(log2_diag, (2, 2), 12)
-    assert w.start_time == 1
-    assert "".join(w.letters) == "λ11001100110"
-    w = diagonal(log2_diag, (-1, 0), 5)
-    assert w.letters == (L,) * 5 and w.start_time == 0
-    assert len(w) == 5
+    w = _replayed_word(log2_diag, (0, 0), 12)
+    assert w.start == 0
+    assert "".join(w.word(L)) == "101010101010"
+    w = _replayed_word(log2_diag, (2, 2), 12)
+    assert w.start == 1
+    assert "".join(w.word(L)) == "λ11001100110"
+    w = _replayed_word(log2_diag, (-1, 0), 5)
+    assert w.word(L) == (L,) * 5 and w.start == 0
+    assert w.letters == []      # a point off the cone reads no slice
 
 
 def test_diagonal_beyond_horizon(log2_diag):
     with pytest.raises(BeyondHorizon):
-        diagonal(log2_diag, (0, 0), log2_diag.horizon + 2)
+        _replayed_word(log2_diag, (0, 0), log2_diag.horizon + 2)
     with pytest.raises(ValueError):
-        diagonal(log2_diag, (0, 0, 0), 4)
+        _replayed_word(log2_diag, (0, 0, 0), 4)
 
 
 # --- sheared rows -----------------------------------------------------------
@@ -454,15 +464,11 @@ def test_w_rows_spell_the_counter(log2_diag, k):
     n = k + 1
     digits = bin(n)[2:][::-1]
     width = len(digits) + 2
-    row0 = w_row(log2_diag, k, 0, width)
+    reads = ReadSchedule([[w_site(k, l, i) for i in range(width)]
+                          for l in range(3)])
+    row0, *carries = log2_diag.replay(reads, k + width + 2).rows
     assert "".join(row0) == digits + L * 2
     ones = trailing_ones(n)
     carry = "1" * ones + "0" * (len(digits) - ones)
-    for l in (1, 2):
-        assert "".join(w_row(log2_diag, k, l, width)) == carry + L * 2
-
-
-def test_w_value_matches_state_at(log2_diag):
-    for (k, l, i) in ((5, 0, 1), (9, 3, 2), (0, 0, 0)):
-        cell, t = w_site(k, l, i)
-        assert w_value(log2_diag, k, l, i) == log2_diag.state_at(cell, t)
+    for row in carries:
+        assert "".join(row) == carry + L * 2

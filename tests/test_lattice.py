@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals.lattice import (Neighborhood, add, all_ones, format_offset,
+from ca_signals.lattice import (Neighborhood, all_ones, format_offset,
                                 in_light_cone, neg, offsets, parity_valid,
-                                parse_offset, sub)
+                                parse_offset)
 
 
 def test_offset_counts():
@@ -68,8 +68,6 @@ def test_offset_text_round_trip():
 def test_vector_helpers():
     assert all_ones(3) == (1, 1, 1)
     assert neg((1, -1)) == (-1, 1)
-    assert add((2, 3), (-1, 1)) == (1, 4)
-    assert sub((2, 3), (-1, 1)) == (3, 2)
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4))

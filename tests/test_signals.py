@@ -8,21 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (AlphabetMismatch, CheckFailed, Follower,
-                        MoveConvention, NotCoprime, NotPeriodicWithin, Signal,
-                        UnknownState, builtin_log2,
-                        builtin_quiescent, builtin_xy, detect,
-                        follow, follower_for_xy, gap_profile, is_basic,
-                        log2_partition, log_anchor_signal, marked_sites,
-                        parse_move_partition, product_construct, run,
-                        run_probes)
+from ca_signals import (AlphabetMismatch, CheckFailed, DetectProbe, Follower,
+                        FollowProbe, MarkedProbe, MoveConvention, NotCoprime,
+                        NotPeriodicWithin, Signal, UnknownState, builtin_log2,
+                        builtin_quiescent, builtin_xy, follower_for_xy,
+                        gap_profile, is_basic, log2_partition,
+                        log_anchor_signal, parse_move_partition,
+                        product_construct, run, run_probes)
 from ca_signals import engine, signals
 from ca_signals.cli import EXIT_FAIL, main
 from ca_signals.engine import _Evaluator, dense_run, same_run
 from ca_signals.lattice import Neighborhood, offsets
-from ca_signals.signals import (DetectProbe, FollowProbe, MarkedProbe,
-                                MovePartition, format_move_partition, ilog,
-                                valid_moves)
+from ca_signals.signals import MovePartition, ilog, valid_moves
 from ca_signals.verification import random_impulse_ca
 
 L = "λ"
@@ -70,7 +67,6 @@ def test_valid_moves_checks_neighborhood():
 def test_partition_text_round_trip():
     p = parse_move_partition("0:(1,1);1:(-1,-1);λ:(1,1)", 2)
     assert p.classes == {"0": (1, 1), "1": (-1, -1), L: (1, 1)}
-    assert parse_move_partition(format_move_partition(p), 2).classes == p.classes
     assert parse_move_partition("lambda:(1,1)", 2).classes == {L: (1, 1)}
     with pytest.raises(ValueError):
         parse_move_partition("0:(1,1);0:(1,1)", 2)
@@ -78,39 +74,50 @@ def test_partition_text_round_trip():
         parse_move_partition("", 2)
 
 
-def test_partition_validation(log2_diag):
+def test_partition_validation():
     with pytest.raises(AlphabetMismatch):
-        detect(log2_diag, MovePartition({"0": DOWN}), 4)
+        DetectProbe(builtin_log2(), MovePartition({"0": DOWN}), 4)
     with pytest.raises(AlphabetMismatch):
-        detect(log2_diag, MovePartition({"0": DOWN, "1": UP, L: (2, 0)}), 4)
+        DetectProbe(builtin_log2(),
+                    MovePartition({"0": DOWN, "1": UP, L: (2, 0)}), 4)
 
 
 # --- detection --------------------------------------------------------------
 
 
+def _replayed(diag, probe):
+    """A walk probe fed the diagram's slices up to its last step."""
+    return diag.replay(probe, probe.steps)
+
+
 def test_detect_counter_walk_first_steps(log2_diag):
-    sig = detect(log2_diag, log2_partition(), 8)
+    sig = _replayed(log2_diag, DetectProbe(log2_diag.ca, log2_partition(),
+                                           8)).signal()
     assert sig.sites[:5] == ((0, 0), (1, 1), (0, 0), (1, 1), (2, 2))
 
 
 def test_detect_streaming_probe_agrees(log2_diag):
     probe = DetectProbe(builtin_log2(), log2_partition(), 64)
     run_probes(builtin_log2(), 64, [probe])
-    assert probe.signal() == detect(log2_diag, log2_partition(), 64)
+    retained = _replayed(log2_diag, DetectProbe(log2_diag.ca,
+                                                log2_partition(), 64))
+    assert probe.signal() == retained.signal()
+
+
+def _streamed_signal(ca, partition, steps, **kwargs):
+    probe = DetectProbe(ca, partition, steps, **kwargs)
+    run_probes(ca, steps, [probe])
+    return probe.signal()
 
 
 def test_detect_on_quiescent_is_the_diagonal():
-    ca = builtin_quiescent()
-    diag = run(ca, 64)
-    sig = detect(diag, MovePartition({L: UP}), 64)
+    sig = _streamed_signal(builtin_quiescent(), MovePartition({L: UP}), 64)
     assert sig.sites == tuple((t, t) for t in range(65))
 
 
 def test_detect_as_written_flips_the_walk():
-    ca = builtin_quiescent()
-    diag = run(ca, 8)
-    sig = detect(diag, MovePartition({L: UP}), 8,
-                 convention=MoveConvention.AS_WRITTEN)
+    sig = _streamed_signal(builtin_quiescent(), MovePartition({L: UP}), 8,
+                           convention=MoveConvention.AS_WRITTEN)
     assert sig.sites == tuple((-t, -t) for t in range(9))
 
 
@@ -119,8 +126,10 @@ def test_detect_refuses_a_walk_off_the_neighborhood(monkeypatch, log2_diag,
     step = signals._step_site
     monkeypatch.setattr(signals, "_step_site",
                         lambda u, x, conv: step(step(u, x, conv), x, conv))
+    probe = _replayed(log2_diag, DetectProbe(log2_diag.ca, log2_partition(),
+                                             4))
     with pytest.raises(CheckFailed):
-        detect(log2_diag, log2_partition(), 4)
+        probe.signal()
     # the streamed walk runs the same check
     assert main(["detect", "--ca", "log2", "--steps", "4"]) == EXIT_FAIL
     assert main(["analyze", "gap", "--ca", "log2", "--steps", "64"]) \
@@ -200,6 +209,28 @@ def test_follower_totality_enforced():
         Follower(states=("a",), initial="z", delta={("a", "x"): ("a", UP)})
 
 
+@pytest.mark.parametrize("obj", [
+    [{"t": 0, "u": [0.9, 0]}, {"t": 1.0, "u": [1.7, "1"]}],
+    [{"t": 0, "u": [0, 0]}, {"t": 1, "u": [1.7, 1]}],
+    [{"t": 0, "u": [0, 0]}, {"t": 1, "u": [1, "1"]}],
+    [{"t": 0, "u": [0, 0]}, {"t": True, "u": [1, 1]}],
+    [{"t": 0, "u": [False, 0]}],
+])
+def test_signal_json_rejects_non_integers(obj):
+    # int() would have truncated these to sites ((0,0), (1,1))
+    with pytest.raises(ValueError, match="non-integer|must be"):
+        Signal.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("move", [[0.5, "-1"], [0.0, 1], [1, "1"],
+                                  [True, 1]])
+def test_follower_json_rejects_non_integer_moves(move):
+    obj = {"states": ["a"], "initial": "a",
+           "delta": [{"q": "a", "s": L, "q2": "a", "move": move}]}
+    with pytest.raises(ValueError, match="non-integer component"):
+        Follower.from_json_obj(obj)
+
+
 def test_follower_json_round_trip():
     f = follower_for_xy(2, 3)
     back = Follower.from_json_obj(json.loads(f.dumps()))
@@ -209,7 +240,8 @@ def test_follower_json_round_trip():
 
 
 def test_follow_trace_on_xy(xy23_diag):
-    tr = follow(xy23_diag, follower_for_xy(2, 3), 12)
+    tr = _replayed(xy23_diag, FollowProbe(xy23_diag.ca, follower_for_xy(2, 3),
+                                          12)).trace()
     assert tr.signal.sites == (
         (0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
         (4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (10, 10))
@@ -224,15 +256,15 @@ def test_follow_trace_on_xy(xy23_diag):
 def test_follow_missing_transition_raises(log2_diag):
     f = Follower(states=("a",), initial="a", delta={("a", L): ("a", UP)})
     with pytest.raises(AlphabetMismatch):
-        follow(log2_diag, f, 4)
+        _replayed(log2_diag, FollowProbe(log2_diag.ca, f, 4))
 
 
 def test_constant_follower_walks_a_line():
     ca = builtin_quiescent()
-    diag = run(ca, 16)
     f = Follower(states=("a",), initial="a", delta={("a", L): ("a", UP)})
-    tr = follow(diag, f, 16)
-    assert tr.signal.sites == tuple((t, t) for t in range(17))
+    probe = FollowProbe(ca, f, 16)
+    run_probes(ca, 16, [probe])
+    assert probe.trace().signal.sites == tuple((t, t) for t in range(17))
 
 
 # --- product construction ---------------------------------------------------
@@ -298,27 +330,33 @@ def test_large_product_table_is_not_allocated(monkeypatch):
     assert _Evaluator(prod.ca).flat is None
 
 
+def _marked(diag, subset, t_max):
+    """MarkedProbe's sites over slices 0..t_max of a retained diagram."""
+    return diag.replay(MarkedProbe(diag.ca, subset), t_max + 1).found
+
+
 def test_marked_probe_streams_the_marked_sites(log2_diag):
     probe = MarkedProbe(builtin_log2(), {"1"})
     run_probes(builtin_log2(), 30, [probe])
-    assert probe.found == marked_sites(log2_diag, {"1"}, 30)
+    assert probe.found == _marked(log2_diag, {"1"}, 30)
 
 
 def test_product_marks_equal_follow_path(xy23_diag):
     prod = product_construct(builtin_xy(2, 3), follower_for_xy(2, 3))
     pd = run(prod.ca, 40)
-    marks = marked_sites(pd, prod.marked_states, 40)
-    path = follow(xy23_diag, follower_for_xy(2, 3), 40).signal
+    marks = _marked(pd, prod.marked_states, 40)
+    walk = FollowProbe(xy23_diag.ca, follower_for_xy(2, 3), 40)
+    path = _replayed(xy23_diag, walk).trace().signal
     assert marks == {(u, t) for t, u in enumerate(path.sites)}
 
 
 def test_marked_sites_on_log2(log2_diag):
     # t=1 holds a live 1 at (1,-1); the diagonal cell (1,1) is a 0
-    assert marked_sites(log2_diag, {"1"}, 1) == {((0, 0), 0), ((1, -1), 1)}
-    assert log2_diag.state_at((1, 1), 1) == "0"
-    assert marked_sites(log2_diag, set(), 3) == set()
+    assert _marked(log2_diag, {"1"}, 1) == {((0, 0), 0), ((1, -1), 1)}
+    assert log2_diag.view(1).state_at((1, 1)) == "0"
+    assert _marked(log2_diag, set(), 3) == set()
     with pytest.raises(UnknownState):
-        marked_sites(log2_diag, {"no-such-state"}, 3)
+        MarkedProbe(log2_diag.ca, {"no-such-state"})
 
 
 # --- basic-signal test ------------------------------------------------------
@@ -366,9 +404,7 @@ def test_gap_profile():
 
 @given(st.integers(0, 400))
 def test_quiescent_detect_is_diagonal_any_horizon(t_max):
-    ca = builtin_quiescent()
-    diag = run(ca, t_max)
-    sig = detect(diag, MovePartition({L: UP}), t_max)
+    sig = _streamed_signal(builtin_quiescent(), MovePartition({L: UP}), t_max)
     assert sig.sites == tuple((t, t) for t in range(t_max + 1))
 
 
