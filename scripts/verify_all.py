@@ -24,7 +24,7 @@ def stages(quick: bool):
     yield "log2", lambda: verify_log2(2048)
     yield "xy(2,3)", lambda: verify_xy(2, 3, 1500)
     yield "xy(3,4)", lambda: verify_xy(3, 4, 600)
-    yield "bounds", lambda: verify_bounds(10, 4096)
+    yield "bounds", lambda: verify_bounds(20, 4096)
     yield "basic", lambda: verify_basic(50)
 
 

@@ -1,9 +1,10 @@
 """Analysis of diagonal words, signal gaps, and digit readouts.
 
-Periodicity here is always *windowed*: a length-H observation can only ever
-confirm an eventual period up to evidence thresholds, so the decomposition
-functions return NotPeriodicWithin(H) instead of guessing when the window
-is too short.  Two evidence policies share one core (``_decompose``):
+Periodicity comes two ways.  A finite word alone is decomposed *windowed*:
+a length-H observation can only confirm an eventual period up to evidence
+thresholds, so those functions return NotPeriodicWithin(H) instead of
+guessing when the window is too short.  Two evidence policies share one
+core (``_decompose``):
 
 * ``ultimate_period``: the periodic part must cover the final third of
   the window and repeat at least twice.
@@ -12,6 +13,10 @@ is too short.  Two evidence policies share one core (``_decompose``):
   stricter preperiod cap keeps a long drifting prefix with a constant tail
   from passing as periodic.
 
+A word read off the first repeat (mu, lam) of the state that generates it
+is decomposed *exactly* (``cycle_lens``), as ``verify_period_bounds`` does
+for all its diagonal words at once.
+
 Digit readouts and the plane check are probes (``BinaryReadoutProbe``,
 ``BaseXYReadoutProbe``, ``PlaneProbe``), fed the slices ``run_probes`` steps
 or a retained diagram's ``replay``.
@@ -19,22 +24,23 @@ or a retained diagram's ``replay``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from .automaton import ImpulseCA
-from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, check_window,
-                     run_probes)
+from .engine import DEFAULT_SITE_BUDGET, diagonal_start, run_probes
 from .errors import (BeyondHorizon, CheckFailed, NotCoprime, OverflowHorizon,
                      PlaneViolation)
 from .signals import Signal, gap_profile
 
 # ---------------------------------------------------------------------------
-# windowed eventual periodicity
+# windowed eventual periodicity of a finite word
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ def is_basic(signal: Signal, horizon: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# recursive period bounds over diagonal words
+# exact periods and the recursive period bounds over diagonal words
 
 
 @dataclass(frozen=True)
@@ -157,89 +163,96 @@ class PeriodBoundsReport:
         return not self.findings
 
 
-def _lower_points(i, arg_order, dim):
-    """Lattice points whose diagonal words feed the word at i.
+def cycle_lens(rows: np.ndarray, mu: int) -> list[tuple[int, int]]:
+    """Exact minimal (preperiod, period) of the infinite word each column of
+    ``rows`` begins, given that letter t + lam equals letter t for t >= mu,
+    with lam = len(rows) - mu.  The period is the least divisor of lam under
+    which the tail rows[mu:] repeats; the preperiod is one past the last
+    t < mu whose letter differs from the letter at t + period."""
+    lam = len(rows) - mu
+    tail = rows[mu:]
+    period = np.zeros(rows.shape[1], dtype=np.int64)
+    for d in range(1, lam + 1):
+        if lam % d == 0:
+            fits = (np.roll(tail, -d, axis=0) == tail).all(axis=0)
+            period[(period == 0) & fits] = d
+    out = []
+    for c, q in enumerate(period.tolist()):
+        bad = np.flatnonzero(rows[:mu, c] != rows[q:mu + q, c])
+        out.append((int(bad[-1]) + 1 if len(bad) else 0, q))
+    return out
 
-    The diagonal recurrence reads point i - x - 1bar for each argument
-    offset x; the offset -1bar reads i itself and is excluded.
-    """
-    minus_ones = (-1,) * dim
-    return [tuple(a - b - 1 for a, b in zip(i, x))
-            for x in arg_order if x != minus_ones]
+
+class _Repeated(Exception):
+    """Stops a run whose joint state has repeated."""
+
+
+class _JointStates:
+    """Maps each joint state of the window's diagonals at ``index`` to its
+    time, in time order, up to the first repeat, where it stops the run."""
+
+    def __init__(self, index):
+        self.index, self.seen, self.mu = index, {}, None
+
+    def observe(self, view):
+        key = view.diagonals(self.index).tobytes()
+        self.mu = self.seen.get(key)
+        if self.mu is not None:
+            raise _Repeated
+        self.seen[key] = view.t
 
 
 def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
                          budget: int = DEFAULT_SITE_BUDGET,
                          ) -> PeriodBoundsReport:
-    """Decompose every diagonal word with coordinate sum <= r_max and check
-    that each (preperiod, period) obeys the bounds implied by the diagonals
-    it depends on, plus the closed-form bound in terms of the state count.
+    """Decompose every diagonal word with coordinate sum <= r_max exactly and
+    check that each (preperiod, period) obeys the bounds implied by the
+    diagonals it depends on, plus the closed-form bound in terms of the
+    state count.
 
-    Every such point lies in [0, r_max]^dim, so only that window of
-    diagonals is stepped.  Before any stepping, the budget bounds both its
-    (r_max+1)^dim sites and the ``window`` letters kept for each point.
+    Diagonal i reads only diagonals i - d with d >= 0, so the simplex
+    S = {i >= 0, sum(i) <= r_max} is closed under an update that does not
+    depend on t: the first repeat (mu, lam) of S's joint state settles every
+    word in S for all time.  The window [0, r_max]^dim is stepped only until
+    then; with no repeat by t = ``window``, no row decomposes.  Before any
+    stepping, the budget bounds the window and the ``window`` rows held.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
     if window < 4:
         raise ValueError(f"window must be >= 4 to show a repeat, got {window}")
     dim = ca.dim
-    check_window(dim, r_max, budget)
     if math.comb(r_max + dim, dim) * window > budget:
         raise OverflowHorizon(-1, budget)
     n = len(ca.states)
     big_l = math.lcm(*range(1, n + 1))
+    points = sorted((i for i in product(range(r_max + 1), repeat=dim)
+                     if sum(i) <= r_max), key=lambda i: (sum(i), i))
 
-    points = []
+    states = _JointStates(tuple(np.array(points).T))
+    with contextlib.suppress(_Repeated):
+        run_probes(ca, window, [states], budget=budget, reach=r_max)
+    if states.mu is None:
+        rows = tuple(DiagonalPeriod(i, -1, -1, False, False, False,
+                                    "no decomposition inside window")
+                     for i in points)
+        return PeriodBoundsReport(window, rows, tuple(
+            f"diagonal {i}: not periodic within {window}" for i in points))
 
-    def fill(prefix, remaining):
-        if len(prefix) == dim:
-            points.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            fill(prefix + [a], remaining - a)
-
-    fill([], r_max)
-    points.sort(key=lambda i: (sum(i), i))
-
-    probes = {i: DiagonalProbe(i, window) for i in points}
-    horizon = max(pr.start for pr in probes.values()) + window - 1
-    run_probes(ca, horizon, list(probes.values()), budget=budget, reach=r_max)
-
-    decs: dict[tuple[int, ...], PeriodDecomposition | NotPeriodicWithin] = {}
+    held = np.frombuffer(b"".join(states.seen), dtype=np.uint8).reshape(
+        len(states.seen), len(points))
+    lens = {i: (max(0, p - diagonal_start(i)), q)
+            for i, (p, q) in zip(points, cycle_lens(held, states.mu))}
     rows = []
     findings = []
-    trivial = PeriodDecomposition((), (ca.quiescent,), window)
-
     for i in points:
-        word = probes[i].word(ca.quiescent)
-        dec = ultimate_period(word, window)
-        decs[i] = dec
-        if isinstance(dec, NotPeriodicWithin):
-            rows.append(DiagonalPeriod(i, -1, -1, False, False, False,
-                                       "no decomposition inside window"))
-            findings.append(f"diagonal {i}: not periodic within {window}")
-            continue
-        a_len, b_len = len(dec.alpha), len(dec.beta)
-
-        lowers = []
-        unverifiable = None
-        for lp in _lower_points(i, ca.arg_order, dim):
-            if any(a < 0 for a in lp):
-                lowers.append(trivial)
-            elif isinstance(decs.get(lp), PeriodDecomposition):
-                lowers.append(decs[lp])
-            else:
-                unverifiable = lp
-                break
-        if unverifiable is not None:
-            rows.append(DiagonalPeriod(i, a_len, b_len, True, False, False,
-                                       f"lower diagonal {unverifiable} undecomposed"))
-            findings.append(f"diagonal {i}: depends on undecomposed {unverifiable}")
-            continue
-
-        m_bound = max(len(d.alpha) for d in lowers)
-        p_lcm = math.lcm(*(len(d.beta) for d in lowers))
+        a_len, b_len = lens[i]
+        # diagonal i reads diagonal i - x - 1bar through argument x (x = -1bar
+        # reads i itself); one with a negative coordinate is quiescent
+        lowers = [lens.get(tuple(a - b - 1 for a, b in zip(i, x)), (0, 1))
+                  for x in ca.arg_order if x != (-1,) * dim]
+        m_bound = max(a for a, _ in lowers)
+        p_lcm = math.lcm(*(b for _, b in lowers))
         rec_ok = (a_len <= m_bound + n * p_lcm) and any(
             (v * p_lcm) % b_len == 0 for v in range(1, n + 1))
 

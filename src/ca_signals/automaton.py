@@ -49,6 +49,7 @@ from .errors import (
 from .lattice import Neighborhood, format_offset, offsets, parse_offset
 
 TOTALITY_ENUM_LIMIT = 10**6
+MAX_STATES = 255    # the engine's state codes are uint8
 
 LAMBDA = "λ"
 
@@ -309,6 +310,13 @@ def _xy_rule_rows(x: int, y: int, pi, ka, all_pi, pi_not_x, lam_d):
     return tuple(rules)
 
 
+def _check_alphabet(name: str, n: int) -> None:
+    # called before the rule list, whose size grows quadratically in n
+    if n > MAX_STATES:
+        raise ValueError(f"{name} needs {n} states; at most {MAX_STATES} fit "
+                         "the uint8 state codes")
+
+
 def _xy_rules(x: int, y: int):
     """Ordered rule list of the two-track residue counter automaton.
 
@@ -331,6 +339,7 @@ def builtin_xy(x: int, y: int) -> ImpulseCA:
         raise ValueError("moduli must be positive")
     if math.gcd(x, y) != 1:
         raise NotCoprime(f"gcd({x},{y}) != 1")
+    _check_alphabet(f"xy:{x},{y}", x + y + 3)
     states, rules = _xy_rules(x, y)
     return ImpulseCA(
         states=states,
@@ -371,6 +380,7 @@ def merged_xy(x: int, y: int) -> ImpulseCA:
             f"merged variant needs x >= 2, got ({x},{y}): with x = 1 the "
             "seed symbol is also the top first-track symbol and the tracks "
             "interfere")
+    _check_alphabet(f"merged:{x},{y}", y + 2)
     pi = [f"π_{i}" for i in range(x + 1)]
     ka = [f"π_{i}" for i in range(y + 1)]
     live = [f"π_{i}" for i in range(y + 1)]

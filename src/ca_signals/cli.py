@@ -30,9 +30,8 @@ from .analysis import (GapReport, NotPeriodicWithin, exhaustive_two_state_search
 from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
 from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, ReadSchedule,
-                     SpaceTimeDiagram, dense_run, diagram_from_json_obj, run,
-                     run_probes, w_site)
-from .errors import CheckFailed, OverflowHorizon
+                     dense_run, diagram_from_json_obj, run, run_probes, w_site)
+from .errors import BeyondHorizon, CheckFailed, OverflowHorizon
 from .signals import (DetectProbe, Follower, FollowProbe, MoveConvention,
                       Signal, follower_for_xy, log2_partition,
                       parse_move_partition)
@@ -139,18 +138,22 @@ def _emit(content, out: str | None) -> None:
         sys.stdout.writelines(content)
 
 
-def _load_diagram(args, fallback_steps: int | None = None) -> SpaceTimeDiagram:
-    """Diagram from --in when given, otherwise a fresh run of --ca."""
+def _render_source(args, fallback_steps: int | None = None):
+    """The diagram to render as (ca, horizon, feed): ``feed(probe)`` passes
+    the probe every slice 0..horizon, replayed from --in when given,
+    otherwise streamed from a fresh run of --ca that retains no slice."""
     ca = parse_ca_spec(args.ca)
-    if getattr(args, "infile", None):
+    if args.infile:
         obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-        return diagram_from_json_obj(ca, obj)
-    steps = getattr(args, "steps", None)
-    if steps is None:
-        steps = fallback_steps
+        diag = diagram_from_json_obj(ca, obj)
+        return ca, diag.horizon, lambda probe: diag.replay(probe,
+                                                           diag.horizon + 1)
+    steps = args.steps if args.steps is not None else fallback_steps
     if steps is None:
         raise ValueError("need either --in FILE or --steps N")
-    return run(ca, steps, budget=_site_budget(args))
+    budget = _site_budget(args)
+    return ca, steps, lambda probe: run_probes(ca, steps, [probe],
+                                               budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +183,21 @@ def cmd_simulate(args) -> int:
 # render
 
 
-def _slice_text(diag: SpaceTimeDiagram, t: int) -> str:
-    ca = diag.ca
-    cells = dict(diag.view(t).cells())
+class _KeepSlice:
+    """Keeps the view of slice t; a streamed view never shares its arrays
+    with the stepper, so it stays valid after the run moves on."""
+
+    def __init__(self, t: int):
+        self.t, self.view = t, None
+
+    def observe(self, view):
+        if view.t == self.t:
+            self.view = view
+
+
+def _slice_text(view) -> str:
+    ca, t = view.ca, view.t
+    cells = dict(view.cells())
     width = max([len(s) for s in cells.values()] + [1])
     sep = " " if width > 1 else ""
 
@@ -193,74 +208,62 @@ def _slice_text(diag: SpaceTimeDiagram, t: int) -> str:
         return sep.join(glyph((a,)) for a in range(-t, t + 1)) + "\n"
     if ca.dim != 2:
         raise ValueError(f"slice rendering supports 1 or 2 dimensions, CA has {ca.dim}")
-    lines = []
-    for a in range(-t, t + 1):
-        lines.append(sep.join(glyph((a, b)) for b in range(-t, t + 1)))
-    return "\n".join(lines) + "\n"
+    return "".join(sep.join(glyph((a, b)) for b in range(-t, t + 1)) + "\n"
+                   for a in range(-t, t + 1))
 
 
-def _ppm_bytes(diag: SpaceTimeDiagram, t: int, colors: dict[str, tuple]) -> bytes:
-    half = diag.horizon
-    side = 2 * half + 1
-    quiet = bytes(colors[diag.ca.quiescent])
-    grid = bytearray(quiet * (side * side))
-    for (a, b), s in diag.view(t).cells():
-        idx = 3 * ((a + half) * side + (b + half))
-        grid[idx:idx + 3] = bytes(colors[s])
-    return f"P6\n{side} {side}\n255\n".encode() + bytes(grid)
+class _PPMFrames:
+    """Writes each slice as a PPM frame of side 2*half+1 as it arrives; the
+    directory and its palette are made with the first frame."""
 
+    def __init__(self, ca: ImpulseCA, half: int, out_dir: str):
+        states = ca.states
+        self.colors = {states[0]: PPM_PALETTE[0]}
+        for j, s in enumerate(states[1:]):
+            self.colors[s] = PPM_PALETTE[1 + j % (len(PPM_PALETTE) - 1)]
+        self.quiet = bytes(self.colors[ca.quiescent])
+        self.half, self.dir = half, Path(out_dir)
 
-def _render_ppm(diag: SpaceTimeDiagram, out_dir: str, args) -> int:
-    if diag.ca.dim != 2:
-        raise ValueError("ppm rendering is two-dimensional only")
-    states = diag.ca.states
-    colors = {states[0]: PPM_PALETTE[0]}
-    for j, s in enumerate(states[1:]):
-        colors[s] = PPM_PALETTE[1 + j % (len(PPM_PALETTE) - 1)]
-    d = Path(out_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    (d / "palette.json").write_text(
-        json.dumps({s: list(c) for s, c in colors.items()},
-                   ensure_ascii=False, separators=(",", ":")) + "\n",
-        encoding="utf-8")
-    for t in range(diag.horizon + 1):
-        (d / f"slice_{t:04d}.ppm").write_bytes(_ppm_bytes(diag, t, colors))
-    side = 2 * diag.horizon + 1
-    manifest = {"frames": diag.horizon + 1, "size": [side, side],
-                "palette": "palette.json"}
-    _emit((_dump(manifest, args),), None)
-    return EXIT_OK
-
-
-def _wplane_text(diag: SpaceTimeDiagram, k: int, rows: int, width: int) -> str:
-    if diag.ca.dim != 2:
-        raise ValueError("the sheared plane is defined for 2-D trellis runs")
-    lam = diag.ca.quiescent
-    reads = ReadSchedule([[w_site(k, l, i) for i in range(width)]
-                          for l in range(rows)])
-    table = diag.replay(reads, k + width + rows - 1).rows
-    wide = max(len(s) for row in table for s in row)
-    sep = " " if wide > 1 else ""
-    lines = []
-    for row in table:
-        lines.append(sep.join(
-            (DISPLAY_QUIESCENT if s == lam else s).rjust(wide) for s in row))
-    return "\n".join(lines) + "\n"
+    def observe(self, view):
+        if view.t == 0:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            (self.dir / "palette.json").write_text(
+                json.dumps({s: list(c) for s, c in self.colors.items()},
+                           ensure_ascii=False, separators=(",", ":")) + "\n",
+                encoding="utf-8")
+        half, side = self.half, 2 * self.half + 1
+        grid = bytearray(self.quiet * (side * side))
+        for (a, b), s in view.cells():
+            idx = 3 * ((a + half) * side + (b + half))
+            grid[idx:idx + 3] = bytes(self.colors[s])
+        (self.dir / f"slice_{view.t:04d}.ppm").write_bytes(
+            f"P6\n{side} {side}\n255\n".encode() + bytes(grid))
 
 
 def cmd_render(args) -> int:
     if args.mode == "slice":
         if args.t is None:
             raise ValueError("--mode slice needs --t")
-        diag = _load_diagram(args, fallback_steps=args.t)
-        text = _slice_text(diag, args.t)
-        _emit((text,), args.out)
+        _ca, horizon, feed = _render_source(args, fallback_steps=args.t)
+        keep = _KeepSlice(args.t)
+        feed(keep)
+        if keep.view is None:
+            raise BeyondHorizon(
+                f"t={args.t} outside simulated range 0..{horizon}")
+        _emit((_slice_text(keep.view),), args.out)
         return EXIT_OK
     if args.mode == "ppm":
         if not args.out_dir:
             raise ValueError("--mode ppm needs --out-dir")
-        diag = _load_diagram(args)
-        return _render_ppm(diag, args.out_dir, args)
+        ca, horizon, feed = _render_source(args)
+        if ca.dim != 2:
+            raise ValueError("ppm rendering is two-dimensional only")
+        feed(_PPMFrames(ca, horizon, args.out_dir))
+        side = 2 * horizon + 1
+        manifest = {"frames": horizon + 1, "size": [side, side],
+                    "palette": "palette.json"}
+        _emit((_dump(manifest, args),), None)
+        return EXIT_OK
     if args.mode == "wplane":
         if args.k is None:
             raise ValueError("--mode wplane needs --k")
@@ -272,9 +275,20 @@ def cmd_render(args) -> int:
         if width is None:
             width = max(8, (args.k + 1).bit_length() + 2)
         needed = args.k + (width - 1) + (args.rows - 1)
-        diag = _load_diagram(args, fallback_steps=needed)
-        text = _wplane_text(diag, args.k, args.rows, width)
-        _emit((text,), args.out)
+        ca, horizon, feed = _render_source(args, fallback_steps=needed)
+        if ca.dim != 2:
+            raise ValueError("the sheared plane is defined for 2-D trellis runs")
+        reads = ReadSchedule([[w_site(args.k, l, i) for i in range(width)]
+                              for l in range(args.rows)])
+        feed(reads)
+        if needed > horizon:
+            raise BeyondHorizon(
+                f"t={horizon + 1} outside simulated range 0..{horizon}")
+        wide = max(len(s) for row in reads.rows for s in row)
+        sep = " " if wide > 1 else ""
+        _emit(("".join(sep.join(
+            (DISPLAY_QUIESCENT if s == ca.quiescent else s).rjust(wide)
+            for s in row) + "\n" for row in reads.rows),), args.out)
         return EXIT_OK
     raise ValueError(f"unknown render mode {args.mode!r}")
 

@@ -31,8 +31,8 @@ region and mark checks, diagonal words and fixed-site reads (``ReadSchedule``)
 each observe one ``SliceView`` per time step.  Claims stream: ``run_probes``
 feeds probes the live slice (or window) as it steps and retains nothing
 else.  Only dumps retain: ``run`` keeps every slice the same stepper yields,
-for ``simulate``, ``render`` and loaded diagrams, and
-``SpaceTimeDiagram.replay`` feeds probes its stored slices.
+for ``simulate`` and loaded diagrams, and ``SpaceTimeDiagram.replay`` feeds
+probes its stored slices.
 
 A retained diagram's JSON dump is formatted slice by slice straight from the
 packed arrays (``json_chunks``), with no object per cell.
@@ -50,7 +50,7 @@ from itertools import product
 
 import numpy as np
 
-from .automaton import ImpulseCA
+from .automaton import MAX_STATES, ImpulseCA
 from .errors import (BeyondHorizon, BeyondWindow, CheckFailed,
                      CoordinateOverflow, OverflowHorizon, UnknownState,
                      json_list, json_object)
@@ -115,8 +115,9 @@ class _Evaluator:
 
     def __init__(self, ca: ImpulseCA):
         n, v = len(ca.states), ca.table.arity
-        if n > 255:
-            raise ValueError("at most 255 states fit the uint8 state codes")
+        if n > MAX_STATES:
+            raise ValueError(f"at most {MAX_STATES} states fit the uint8 state "
+                             "codes")
         if n ** v > 2 ** 63:
             raise ValueError(f"{n} states over {v} arguments make {n}**{v} "
                              "neighbor codes; at most 2**63 fit int64 codes")
@@ -238,6 +239,10 @@ class SliceView:
             idx = np.argwhere(self._window)[::-1]
             return self.t - idx, self._window[tuple(idx.T)]
         return unpack_cells(self._sl[0], self.ca.dim), self._sl[1]
+
+    def diagonals(self, index) -> np.ndarray:
+        """A window view's state codes at ``index``, one array per axis."""
+        return self._window[index]
 
     def cells(self):
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
@@ -409,17 +414,6 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
     return SpaceTimeDiagram(ca, slices)
 
 
-def check_window(dim: int, reach: int, budget: int) -> None:
-    """Raise OverflowHorizon if the window [0, reach]^dim exceeds the budget.
-
-    A windowed run holds that one array as its only slice.
-    """
-    if reach < 0:
-        raise ValueError(f"reach must be >= 0, got {reach}")
-    if (reach + 1) ** dim > budget:
-        raise OverflowHorizon(-1, budget)
-
-
 def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
     """The sparse stepper, the one loop behind ``run`` and ``run_probes``:
     a view of each slice t = 0..steps; the budget bounds each slice."""
@@ -436,7 +430,10 @@ def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
 
 
 def _window_views(ca: ImpulseCA, steps: int, reach: int, budget: int):
-    check_window(ca.dim, reach, budget)
+    if reach < 0:
+        raise ValueError(f"reach must be >= 0, got {reach}")
+    if (reach + 1) ** ca.dim > budget:
+        raise OverflowHorizon(-1, budget)
     ev = _Evaluator(ca)
     size = reach + 1
     # Argument x of diagonal i is diagonal i - d with d = x + 1bar >= 0; an

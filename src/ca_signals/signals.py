@@ -198,6 +198,18 @@ class Follower:
     def inputs(self) -> frozenset[str]:
         return frozenset(s for (_q, s) in self.delta)
 
+    def orbit(self, symbol: str) -> tuple[list[Offset], int]:
+        """Moves of a walk reading ``symbol`` at every step, up to the first
+        repeat of its state q -> delta(q, symbol), and the step mu from which
+        they repeat with period len(moves) - mu."""
+        seen: dict[str, int] = {}
+        q, moves = self.initial, []
+        while q not in seen:
+            seen[q] = len(moves)
+            q, x = self.delta[(q, symbol)]
+            moves.append(x)
+        return moves, seen[q]
+
     def to_json_obj(self) -> dict:
         rows = [
             {"q": q, "s": s, "q2": q2, "move": list(x)}
@@ -263,7 +275,6 @@ def follower_for_xy(x: int, y: int,
 class FollowTrace:
     signal: Signal
     automaton_states: tuple[str, ...]
-    consumed: tuple[tuple[str, str], ...]
     defaulted_hits: tuple[tuple[str, str], ...]
 
 
@@ -279,7 +290,6 @@ class FollowProbe:
         self.convention = convention
         self.sites = [(0,) * ca.dim]
         self.qs = [follower.initial]
-        self.consumed: list[tuple[str, str]] = []
         self.defaulted_hits: list[tuple[str, str]] = []
 
     def observe(self, view):
@@ -290,7 +300,6 @@ class FollowProbe:
         key = (self.qs[-1], view.state_at(u))
         if key not in self.follower.delta:
             raise AlphabetMismatch(f"follower has no transition for {key!r}")
-        self.consumed.append(key)
         if key in self.follower.defaulted:
             self.defaulted_hits.append(key)
         q, x = self.follower.delta[key]
@@ -299,7 +308,7 @@ class FollowProbe:
 
     def trace(self) -> FollowTrace:
         return FollowTrace(Signal(tuple(self.sites)), tuple(self.qs),
-                           tuple(self.consumed), tuple(self.defaulted_hits))
+                           tuple(self.defaulted_hits))
 
 
 class DetectProbe(FollowProbe):

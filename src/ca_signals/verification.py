@@ -7,7 +7,8 @@ sites instead of stopping at the first failure.
 
 Claims stream: every check is a probe, so each automaton is stepped once
 by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
-slice is held.
+slice is held.  The period bounds stop that run at the first repeat of its
+joint state, and ``verify_basic``'s random followers are not stepped.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice
 
+import numpy as np
+
 from . import analysis
 from .analysis import (LOG_OR_ABOVE, BaseXYReadoutProbe, BinaryReadoutProbe,
-                       NotPeriodicWithin, PlaneProbe, gap_probe, is_basic,
-                       verify_period_bounds)
-from .automaton import (LAMBDA, TRELLIS2_ORDER, WILDCARD, AnyOf, ImpulseCA,
-                        Literal, Rule, RuleTable, builtin_log2,
-                        builtin_quiescent, builtin_xy, merged_xy)
+                       NotPeriodicWithin, PlaneProbe, cycle_lens, gap_probe,
+                       is_basic, verify_period_bounds)
+from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
 from .engine import DEFAULT_SITE_BUDGET, ReadSchedule, w_site
 from .errors import PlaneViolation, XNotSmallest
 from .lattice import Neighborhood, offsets
@@ -329,27 +330,24 @@ def random_follower(rng: random.Random, max_states: int = 6,
     return Follower(qs, qs[0], delta)
 
 
-def verify_basic(count: int = 50, *, window: int = 64,
-                 move_horizon: int = 2000, seed: int = 11,
+def verify_basic(count: int = 50, *, move_horizon: int = 2000, seed: int = 11,
                  budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Random followers on the empty diagram walk ultimately periodically
     with preperiod + period <= |Q| + 1; the binary counter's detected walk
-    shows no such decomposition within ``move_horizon``."""
+    shows no such decomposition within ``move_horizon``.  A follower reads
+    only λ on the empty diagram, so its walk is the orbit of q -> delta(q, λ),
+    decomposed exactly at the orbit's first repeat.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    quiet = builtin_quiescent()
     rng = random.Random(seed)
-    walks = [FollowProbe(quiet, random_follower(rng), window)
-             for _ in range(count)]
-    analysis.run_probes(quiet, window, walks, budget=budget)
     bad = []
-    for idx, walk in enumerate(walks):
-        n_q = len(walk.follower.states)
-        dec = is_basic(walk.trace().signal, window)
-        if isinstance(dec, NotPeriodicWithin):
-            bad.append((idx, n_q, "not periodic in window"))
-            continue
-        p, q = len(dec.alpha), len(dec.beta)
+    for idx in range(count):
+        fol = random_follower(rng)
+        moves, mu = fol.orbit(LAMBDA)
+        ids = {x: k for k, x in enumerate(dict.fromkeys(moves))}
+        [(p, q)] = cycle_lens(np.array([[ids[x]] for x in moves]), mu)
+        n_q = len(fol.states)
         if p + q > n_q + 1:
             bad.append((idx, n_q, f"(p,q)=({p},{q})"))
     checks = [Check(
@@ -366,47 +364,3 @@ def verify_basic(count: int = 50, *, window: int = 64,
 
     return VerifyReport("basic", tuple(checks),
                         {"count": count, "move_horizon": move_horizon})
-
-
-# ---------------------------------------------------------------------------
-# random rule tables (shared by the engine cross-check and property tests)
-
-
-def random_impulse_ca(rng: random.Random, n_states: int | None = None,
-                      max_states: int = 4,
-                      neigh: Neighborhood | None = None) -> ImpulseCA:
-    """Random total rule table with a guaranteed catch-all.
-
-    Each rule constrains one to three argument positions and leaves the
-    rest wildcard, so rules keep matching on large neighborhoods (a Moore
-    dim-3 cell has 27 arguments) instead of all falling to the catch-all.
-    """
-    if neigh is None:
-        neigh = Neighborhood("trellis", 2)
-    order = offsets(neigh) if neigh.kind != "trellis" or neigh.dim != 2 \
-        else TRELLIS2_ORDER
-    v = len(order)
-    n = n_states if n_states is not None else rng.randint(2, max_states)
-    states = (LAMBDA,) + tuple("ABCDEFGH"[:n - 1])
-    rules = [Rule((Literal(LAMBDA),) * v, LAMBDA)]
-    for _ in range(rng.randint(0, 8)):
-        pat = [WILDCARD] * v
-        for pos in rng.sample(range(v), min(v, rng.randint(1, 3))):
-            if rng.random() < 0.7:
-                pat[pos] = Literal(rng.choice(states))
-            else:
-                # a proper subset, so the position is really constrained
-                k = rng.randint(1, n - 1)
-                pat[pos] = AnyOf(frozenset(rng.sample(states, k)))
-        rules.append(Rule(tuple(pat), rng.choice(states)))
-    rules.append(Rule((WILDCARD,) * v, rng.choice(states)))
-    seed_state = rng.choice(states[1:])
-    return ImpulseCA(
-        states=states,
-        quiescent=LAMBDA,
-        seed=seed_state,
-        neighborhood=neigh,
-        arg_order=order,
-        table=RuleTable(tuple(rules)),
-        name=f"random-{n}",
-    )

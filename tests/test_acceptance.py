@@ -21,7 +21,8 @@ from ca_signals import (DetectProbe, FollowProbe, MarkedProbe, Signal,
                         same_run, verify_basic, verify_bounds, verify_log2,
                         verify_xy)
 from ca_signals.analysis import BELOW_LOG, CONSTANT, LOG_OR_ABOVE
-from ca_signals.verification import random_impulse_ca
+
+from tables import random_impulse_ca
 
 pytestmark = pytest.mark.acceptance
 
@@ -146,6 +147,18 @@ def test_criterion_6_period_bounds_to_r10():
     _check_period_bounds(10, 66)
     print("[PASS] criterion 6b: all 66 diagonals with r<=10 decompose "
           "within window 4096 with preperiod < 3*6^r and period | 6^(r+1)")
+
+
+def test_criterion_6c_period_bounds_to_r20():
+    _check_period_bounds(20, 231)
+    # the joint state of the 231 diagonals first repeats at (mu, lam) =
+    # (36, 64): lam is the lcm of their periods, and a cap of mu + lam - 1
+    # rows is one too few
+    lens = verify_bounds(20, 4096).params["lens"].values()
+    assert math.lcm(*(beta for _, beta in lens)) == 64
+    assert not verify_bounds(20, 99).ok and verify_bounds(20, 100).ok
+    print("[PASS] criterion 6c: all 231 diagonals with r<=20 settle at the "
+          "first repeat (36, 64) with preperiod < 3*6^r and period | 6^(r+1)")
 
 
 def test_criterion_7_sparse_and_dense_engines_agree():

@@ -1,9 +1,11 @@
 """Periodicity decomposition, period bounds, gap growth, readouts, search."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,17 +13,19 @@ from hypothesis import strategies as st
 from ca_signals import (BaseXYReadoutProbe, BeyondHorizon, BinaryReadoutProbe,
                         DetectProbe, DiagonalProbe, NotCoprime,
                         NotPeriodicWithin, PeriodDecomposition, PlaneProbe,
-                        PlaneViolation, Signal, builtin_log2, builtin_xy,
+                        PlaneViolation, Signal, analysis, builtin_log2,
+                        builtin_xy,
                         crt_digit, diagram_from_json_obj,
                         exhaustive_two_state_search, gap_probe, gap_profile,
-                        log2_partition, run, run_probes, ultimate_period,
-                        verify_period_bounds)
+                        log2_partition, merged_xy, run, run_probes,
+                        ultimate_period, verify_period_bounds)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
-                                 SEARCH_TARGETS, _decompose)
+                                 SEARCH_TARGETS, _decompose, cycle_lens)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
 from ca_signals.lattice import Neighborhood
 from ca_signals.signals import MovePartition
-from ca_signals.verification import random_impulse_ca
+
+from tables import random_impulse_ca
 
 L = LAMBDA
 UP, DOWN = (-1, -1), (1, 1)
@@ -114,6 +118,81 @@ def test_period_bounds_small_window():
     assert by_i[(0, 0)].beta_len == 2
     assert all(r.decomposed and r.recursive_ok and r.closed_form_ok
                for r in rep.rows)
+
+
+def _windowed_lens(ca, r_max, window):
+    """The windowed oracle: each diagonal's word of ``window`` letters, read
+    point by point, decomposed under the final-third evidence policy."""
+    points = [i for i in itertools.product(range(r_max + 1), repeat=ca.dim)
+              if sum(i) <= r_max]
+    probes = [DiagonalProbe(i, window) for i in points]
+    horizon = max(pr.start for pr in probes) + window - 1
+    run_probes(ca, horizon, probes, reach=r_max)
+    out = {}
+    for pr in probes:
+        dec = ultimate_period(pr.word(ca.quiescent), window)
+        if isinstance(dec, PeriodDecomposition):
+            out[pr.i] = (len(dec.alpha), len(dec.beta))
+    return out
+
+
+def _exact_lens(ca, r_max, window):
+    rep = verify_period_bounds(ca, r_max, window)
+    assert all(r.decomposed for r in rep.rows)
+    return {r.i: (r.alpha_len, r.beta_len) for r in rep.rows}
+
+
+@pytest.mark.parametrize("ca", [builtin_log2(), builtin_xy(2, 3),
+                                merged_xy(2, 3)], ids=lambda ca: ca.name)
+def test_exact_lens_equal_the_windowed_oracle(ca):
+    exact = _exact_lens(ca, 10, 4096)
+    assert len(exact) == 66
+    assert _windowed_lens(ca, 10, 4096) == exact
+
+
+@pytest.mark.parametrize("kind", ["trellis", "moore", "von_neumann"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exact_lens_equal_the_windowed_oracle_on_random_tables(kind, dim):
+    rng = random.Random(f"{kind}-{dim}")
+    r_max = {1: 8, 2: 5, 3: 3}[dim]
+    for _ in range(3):
+        ca = random_impulse_ca(rng, neigh=Neighborhood(kind, dim))
+        assert _windowed_lens(ca, r_max, 192) == _exact_lens(ca, r_max, 192)
+
+
+def test_cycle_lens_reads_each_column():
+    # rows 1..4 are the cycle: row 5 would repeat row 1
+    rows = np.array([[0, 3, 2, 0],
+                     [1, 7, 1, 1],
+                     [2, 7, 2, 2],
+                     [1, 7, 1, 3],
+                     [2, 7, 2, 4]])
+    assert cycle_lens(rows, 1) == [(1, 2), (1, 1), (0, 2), (1, 4)]
+
+
+def test_a_cap_below_the_first_repeat_decomposes_no_row():
+    # log2's joint state on r <= 6 first repeats at t = 3 + 4
+    short = verify_period_bounds(builtin_log2(), 6, 6)
+    assert not short.ok and len(short.rows) == 28
+    assert not any(r.decomposed for r in short.rows)
+    assert short.findings[0] == "diagonal (0, 0): not periodic within 6"
+    assert verify_period_bounds(builtin_log2(), 6, 7).ok
+
+
+def test_period_bounds_step_only_to_the_first_repeat(monkeypatch):
+    seen = []
+
+    class Times:
+        def observe(self, view):
+            seen.append(view.t)
+
+    def counted(ca, steps, probes, **kwargs):
+        return run_probes(ca, steps, [Times(), *probes], **kwargs)
+
+    monkeypatch.setattr(analysis, "run_probes", counted)
+    assert verify_period_bounds(builtin_log2(), 6, 1024).ok
+    # (mu, lam) = (3, 4): slices 0..7, where the old path stepped 1,030
+    assert seen == list(range(8))
 
 
 def test_stabilized_walks_keep_a_constant_gap():

@@ -9,6 +9,7 @@ from ca_signals import (LAMBDA, WILDCARD, AnyOf, ArityMismatch, ImpulseCA,
                         Rule, RuleTable, RuleSyntaxError, UnknownState,
                         XNotSmallest, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
+from ca_signals.automaton import MAX_STATES
 from ca_signals.lattice import Neighborhood
 
 L = LAMBDA
@@ -96,6 +97,15 @@ def test_xy_alphabet_and_coprimality():
         builtin_xy(2, 4)
     with pytest.raises(ValueError):
         builtin_xy(0, 3)
+
+
+def test_two_track_alphabets_stop_at_the_state_code_limit():
+    assert len(builtin_xy(251, 1).states) == MAX_STATES == 255
+    assert len(merged_xy(2, 253).states) == MAX_STATES
+    for build, x, y in ((builtin_xy, 252, 1), (builtin_xy, 8000, 1),
+                        (merged_xy, 3, 254)):
+        with pytest.raises(ValueError, match="at most 255 fit"):
+            build(x, y)
 
 
 def test_merged_alphabet_is_shared():

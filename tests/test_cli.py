@@ -11,6 +11,7 @@ import io
 import json
 import random
 import sys
+import time
 from datetime import datetime
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from ca_signals import (DiagonalProbe, OverflowHorizon, analysis,
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main, parse_ca_spec)
 from ca_signals.lattice import Neighborhood
-from ca_signals.verification import random_impulse_ca
+
+from tables import random_impulse_ca
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -347,6 +349,36 @@ def test_render_rejects_a_wrapped_coordinate(capsys, tmp_path):
     assert "light cone" in err
 
 
+@pytest.mark.parametrize("flags,steps", [
+    (("--mode", "slice", "--t", "5"), 7),
+    (("--mode", "ppm"), 5),
+    (("--mode", "wplane", "--k", "6", "--rows", "3"), 15),
+], ids=["slice", "ppm", "wplane"])
+def test_fresh_renders_stream_what_a_saved_dump_renders(capsys, tmp_path,
+                                                        monkeypatch, flags,
+                                                        steps):
+    saved = tmp_path / "diag.json"
+    run_cli(capsys, "simulate", "--ca", "log2", "--steps", str(steps),
+            "--out", str(saved))
+    base = ("render", "--ca", "log2", *flags)
+    loaded = run_cli(capsys, *base, "--in", str(saved),
+                     "--out-dir", str(tmp_path / "loaded"))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("render retained a SpaceTimeDiagram")
+
+    monkeypatch.setattr(engine.SpaceTimeDiagram, "__init__", refuse)
+    # wplane steps as far as its rows need when --steps is not given
+    fresh_steps = () if flags[1] == "wplane" else ("--steps", str(steps))
+    fresh = run_cli(capsys, *base, *fresh_steps,
+                    "--out-dir", str(tmp_path / "fresh"))
+    assert fresh == loaded and fresh[0] == EXIT_OK
+    frames = [{p.name: p.read_bytes() for p in (tmp_path / d).glob("*")}
+              for d in ("loaded", "fresh")]
+    assert frames[0] == frames[1]
+    assert len(frames[0]) == (steps + 2 if flags[1] == "ppm" else 0)
+
+
 # --- malformed JSON inputs ---------------------------------------------------
 
 RENDER_IN = ("render", "--ca", "log2", "--mode", "slice", "--t", "0", "--in")
@@ -660,6 +692,60 @@ def test_small_integer_sizes_exit_with_a_code(command, values, budget):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_OVERFLOW)
+
+
+# --- string arguments, fuzzed -------------------------------------------------
+
+MODULI = st.integers(-2, 10**9)
+CA_SPECS = st.one_of(
+    st.sampled_from(["log2", "quiescent", "xy:2,3", "merged:2,3", "xy:2",
+                     "file:", "file:no-such.rules", ""]),
+    st.builds("{}:{},{}".format, st.sampled_from(["xy", "merged"]),
+              MODULI, MODULI),
+    st.text(max_size=12))
+POINTS = st.one_of(
+    st.builds(lambda xs, fmt: fmt.format(",".join(map(str, xs))),
+              st.lists(st.integers(-12, 12), max_size=4),
+              st.sampled_from(["{}", "({})", " {} "])),
+    st.text(max_size=8))
+PARTITIONS = st.one_of(
+    st.builds(";".join, st.lists(st.builds(
+        "{}:({},{})".format,
+        st.sampled_from(["0", "1", "lambda", "λ", "π_1", "κ_1", "x", ""]),
+        st.integers(-2, 2), st.integers(-2, 2)), max_size=4)),
+    st.text(max_size=16))
+STRING_COMMANDS = [
+    ("rules", "print", "--ca={ca}"),
+    ("simulate", "--ca={ca}", "--steps", "3"),
+    ("follow", "--ca={ca}", "--steps", "4"),
+    ("render", "--ca={ca}", "--mode", "slice", "--t", "2"),
+    ("analyze", "diagonal", "--ca={ca}", "--i={i}", "--length", "4"),
+    ("analyze", "period", "--ca={ca}", "--i={i}", "--horizon", "8"),
+    ("detect", "--ca={ca}", "--steps", "4", "--partition={p}"),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(STRING_COMMANDS), CA_SPECS, POINTS, PARTITIONS)
+def test_string_arguments_exit_with_a_code(command, ca, point, partition):
+    argv = [tok.format(ca=ca, i=point, p=partition) for tok in command]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_OVERFLOW)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--ca", "xy:200000,1", "--steps", "2"),
+    ("simulate", "--ca", "merged:2,1000000001", "--steps", "2"),
+    ("rules", "print", "--ca", "xy:300,1"),
+])
+def test_oversized_two_track_alphabets_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_CONFIG and out == ""
+    assert "states; at most 255 fit the uint8 state codes" in err
 
 
 # --- rules --------------------------------------------------------------------

@@ -19,7 +19,8 @@ from ca_signals import engine
 from ca_signals.engine import (FLAT_ENUM_LIMIT, ReadSchedule, diagonal_start,
                                pack_cells, unpack_cells)
 from ca_signals.lattice import Neighborhood
-from ca_signals.verification import random_impulse_ca
+
+from tables import random_impulse_ca
 
 L = "λ"
 

@@ -20,7 +20,8 @@ from ca_signals.cli import EXIT_FAIL, main
 from ca_signals.engine import _Evaluator, dense_run, same_run
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.signals import MovePartition, ilog, valid_moves
-from ca_signals.verification import random_impulse_ca
+
+from tables import random_impulse_ca
 
 L = "λ"
 UP = (-1, -1)    # negated convention: the site step is u - x

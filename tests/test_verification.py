@@ -8,15 +8,17 @@ import random
 
 import pytest
 
-from ca_signals import (LAMBDA, Follower, ImpulseCA, Rule, RuleTable,
-                        builtin_log2, dense_run, diagram_from_json_obj, run,
+from ca_signals import (LAMBDA, Follower, FollowProbe, ImpulseCA, Rule,
+                        RuleTable, analysis, builtin_log2, builtin_quiescent,
+                        dense_run, diagram_from_json_obj, run, run_probes,
                         same_run, verification, verify_basic, verify_bounds,
                         verify_log2, verify_xy)
 from ca_signals.engine import SpaceTimeDiagram
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.verification import (MISMATCH_CAP, Check, VerifyReport,
-                                     _RegionProbe, random_follower,
-                                     random_impulse_ca)
+                                     _RegionProbe, random_follower)
+
+from tables import random_impulse_ca
 
 # canonical report digests, the same as the benchmark's pinned outputs
 COUNTER_1024 = "9d4e652e2aad459d2dbf119f214c4d8541c1ad4776012ac8ccb3450b728bb2fc"
@@ -25,6 +27,10 @@ TWO_TRACK_750 = "e08c90ba0b47efc2484e39373a8ae0bb8137bf809d26d23d95f33ca9891cb03
 # instead, computed on the retained-diagram implementation
 BROKEN_COUNTER_64 = \
     "cb77ad4ba933370da51c41496cd3cfd576f041d218a7789e171638530dd02fc5"
+DIAGONALS_1024 = \
+    "b5ae84279b00d85f79305aff2ec9754f76457d7e0bb1266a16b006859b59d868"
+DIAGONALS_64 = \
+    "2441112770993279294e4079e38078f42fe667c99312d96cc436206e291a2fbd"
 
 
 def _digest(rep) -> str:
@@ -112,8 +118,42 @@ def test_verify_xy_skips_merged_variant_when_x_is_1():
 
 
 def test_verify_basic_few_followers():
-    rep = verify_basic(count=8, window=64, move_horizon=200)
+    rep = verify_basic(count=8, move_horizon=200)
     assert rep.ok, list(rep.lines())
+
+
+def test_follower_orbits_equal_their_walks_on_the_empty_diagram():
+    # the 50 followers verify_basic draws, walked 64 steps by the prober
+    rng = random.Random(11)
+    quiet = builtin_quiescent()
+    for _ in range(50):
+        fol = random_follower(rng)
+        moves, mu = fol.orbit(LAMBDA)
+        lam = len(moves) - mu
+        assert 1 <= lam and mu + lam <= len(fol.states)
+        walk = FollowProbe(quiet, fol, 64)
+        run_probes(quiet, 64, [walk])
+        want = [moves[t] if t < mu else moves[mu + (t - mu) % lam]
+                for t in range(64)]
+        assert walk.trace().signal.moves() == tuple(
+            tuple(-a for a in x) for x in want)
+
+
+def test_verify_basic_steps_only_the_counter_walk(monkeypatch):
+    stepped = []
+
+    def recorded(ca, steps, probes, **kwargs):
+        stepped.append((ca.name, steps))
+        return run_probes(ca, steps, probes, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_probes", recorded)
+    assert verify_basic(50, move_horizon=200).ok
+    assert stepped == [("log2", 200)]
+
+
+def test_bounds_report_bytes_are_pinned():
+    assert _digest(verify_bounds(6, 1024)) == DIAGONALS_1024
+    assert _digest(verify_bounds(3, 64)) == DIAGONALS_64
 
 
 def test_random_tables_still_agree_across_engines():
