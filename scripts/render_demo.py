@@ -9,9 +9,8 @@ binary digits of k+1 (low-order bit first, '.' marks quiescent cells).
 import argparse
 import sys
 
-from ca_signals import builtin_log2, run_probes, w_site
+from ca_signals import ReadSchedule, builtin_log2, run_probes, w_sites
 from ca_signals.cli import main as cli_main
-from ca_signals.engine import ReadSchedule
 
 
 def main() -> int:
@@ -28,8 +27,7 @@ def main() -> int:
 
     width = max(8, (args.k_max + 1).bit_length() + 2)
     ca = builtin_log2()
-    reads = ReadSchedule([[w_site(k, 0, i) for i in range(width)]
-                          for k in range(args.k_max + 1)])
+    reads = ReadSchedule(w_sites(k, 0, width) for k in range(args.k_max + 1))
     run_probes(ca, args.k_max + width - 1, [reads])
     lam = ca.quiescent
     print(f"\ndigit rows k=0..{args.k_max} (row k spells k+1 in binary, "

@@ -1,4 +1,4 @@
-"""Analysis of diagonal words, signal gaps, and digit readouts.
+"""Analysis of diagonal words, signal gaps, and the two-track planes.
 
 Periodicity comes two ways.  A finite word alone is decomposed *windowed*:
 a length-H observation can only confirm an eventual period up to evidence
@@ -17,9 +17,8 @@ A word read off the first repeat (mu, lam) of the state that generates it
 is decomposed *exactly* (``cycle_lens``), as ``verify_period_bounds`` does
 for all its diagonal words at once.
 
-Digit readouts and the plane check are probes (``BinaryReadoutProbe``,
-``BaseXYReadoutProbe``, ``PlaneProbe``), fed the slices ``run_probes`` steps
-or a retained diagram's ``replay``.
+The plane check is a probe (``PlaneProbe``), fed the slices ``run_probes``
+steps or a retained diagram's ``replay``.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ import numpy as np
 
 from .automaton import ImpulseCA
 from .engine import DEFAULT_SITE_BUDGET, diagonal_start, run_probes
-from .errors import (BeyondHorizon, CheckFailed, NotCoprime, OverflowHorizon,
-                     PlaneViolation)
+from .errors import CheckFailed, OverflowHorizon, PlaneViolation
 from .signals import Signal, gap_profile
 
 # ---------------------------------------------------------------------------
@@ -420,115 +418,7 @@ def exhaustive_two_state_search(limit: int | None = None) -> SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# digit readouts
-
-
-def crt_digit(x: int, y: int, p_idx: int, k_idx: int) -> int:
-    """Digit in 0..x*y-1 congruent to p_idx mod x and k_idx mod y."""
-    if math.gcd(x, y) != 1:
-        raise NotCoprime(f"moduli must be coprime, got ({x},{y})")
-    if not (0 <= p_idx <= x and 0 <= k_idx <= y):
-        raise ValueError(
-            f"track indices ({p_idx},{k_idx}) outside 0..{x} x 0..{y}")
-    a = p_idx % x
-    b = k_idx % y
-    if x == 1:
-        return b
-    inv = pow(x, -1, y)
-    return a + x * (((b - a) * inv) % y)
-
-
-class _RowReadout:
-    """Digits along sheared rows k, read as the slices arrive: track l holds
-    entry i at cell (k-i+l, k-i-l) at t = k+i+l (``engine.w_site``), so a
-    row opens at t = k and a digit is complete with its last track.  Only
-    open rows are held; a row closes with its word or its reads' error."""
-
-    def __init__(self, ca: ImpulseCA, rows):
-        self.lam, self.rows = ca.quiescent, frozenset(rows)
-        self.open, self.closed, self.last = {}, {}, -1
-
-    def observe(self, view):
-        t = self.last = view.t
-        if t in self.rows:
-            self.open[t] = ([], [])
-        for k, (digits, entries) in list(self.open.items()):
-            while k + len(digits) + len(entries) == t:
-                i, l = len(digits), len(entries)
-                entries.append(view.state_at((k - i + l, k - i - l)))
-                if len(entries) < self.tracks:
-                    continue
-                try:
-                    d = self._digit(k, i, *entries)
-                except ValueError as exc:
-                    d = exc
-                if d is None or isinstance(d, ValueError):
-                    self.closed[k] = self._word(digits) if d is None else d
-                    del self.open[k]
-                    break
-                digits.append(d)
-                entries.clear()
-
-    def word(self, k: int):
-        """Row k's word; raises its reads' error, or BeyondHorizon if the
-        row did not end inside the run."""
-        out = self.closed.get(k)
-        if out is None:
-            raise BeyondHorizon(f"t={max(k, self.last + 1)} outside simulated "
-                                f"range 0..{self.last}")
-        if isinstance(out, ValueError):
-            raise out
-        return out
-
-
-class BinaryReadoutProbe(_RowReadout):
-    """Bit words of sheared rows (k, 0), low-order digit first, each ending
-    at its first quiescent entry; on the binary counter row k spells k+1."""
-
-    tracks = 1
-    _word = "".join
-
-    def _digit(self, k, i, s):
-        if s == self.lam:
-            return None
-        if s not in ("0", "1"):
-            raise ValueError(f"row ({k},0) entry {i} is {s!r}, not a bit")
-        return s
-
-
-def _track_index(sym: str, prefix: str, where: str) -> int:
-    if sym.startswith(prefix + "_"):
-        try:
-            return int(sym[len(prefix) + 1:])
-        except ValueError:
-            pass
-    raise PlaneViolation(f"{where} holds {sym!r}, expected a {prefix} state")
-
-
-class BaseXYReadoutProbe(_RowReadout):
-    """Base x*y digits of sheared rows (k,0)/(k,1), low-order digit first.
-
-    Row (k, 0) carries the mod-x residue track and row (k, 1) the mod-y
-    track; each digit is recovered by the Chinese remainder theorem.  On
-    the two-track counter the digits are those of k+1.
-    """
-
-    tracks = 2
-    _word = tuple
-
-    def __init__(self, ca: ImpulseCA, rows, x: int, y: int):
-        super().__init__(ca, rows)
-        self.x, self.y = x, y
-
-    def _digit(self, k, i, s0, s1):
-        if s0 == self.lam and s1 == self.lam:
-            return None
-        if s0 == self.lam or s1 == self.lam:
-            raise PlaneViolation(
-                f"rows ({k},0)/({k},1) disagree on digit {i}: {s0!r}/{s1!r}")
-        return crt_digit(self.x, self.y,
-                         _track_index(s0, "π", f"row ({k},0) entry {i}"),
-                         _track_index(s1, "κ", f"row ({k},1) entry {i}"))
+# plane discipline of the two-track counter
 
 
 class PlaneProbe:

@@ -29,8 +29,9 @@ from .analysis import (GapReport, NotPeriodicWithin, exhaustive_two_state_search
                        gap_probe, ultimate_period)
 from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
-from .engine import (DEFAULT_SITE_BUDGET, DiagonalProbe, ReadSchedule,
-                     dense_run, diagram_from_json_obj, run, run_probes, w_site)
+from .engine import (DEFAULT_SITE_BUDGET, ReadSchedule, dense_run,
+                     diagonal_sites, diagonal_start, diagram_from_json_obj,
+                     run, run_probes, w_sites)
 from .errors import BeyondHorizon, CheckFailed, OverflowHorizon
 from .signals import (DetectProbe, Follower, FollowProbe, MoveConvention,
                       Signal, follower_for_xy, log2_partition,
@@ -138,10 +139,11 @@ def _emit(content, out: str | None) -> None:
         sys.stdout.writelines(content)
 
 
-def _render_source(args, fallback_steps: int | None = None):
+def _render_source(args, fallback_steps: int | None = None, last=-1):
     """The diagram to render as (ca, horizon, feed): ``feed(probe)`` passes
     the probe every slice 0..horizon, replayed from --in when given,
-    otherwise streamed from a fresh run of --ca that retains no slice."""
+    otherwise streamed from a fresh run of --ca that retains no slice and
+    stops at slice ``last`` when that is in 0..horizon."""
     ca = parse_ca_spec(args.ca)
     if args.infile:
         obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
@@ -152,7 +154,8 @@ def _render_source(args, fallback_steps: int | None = None):
     if steps is None:
         raise ValueError("need either --in FILE or --steps N")
     budget = _site_budget(args)
-    return ca, steps, lambda probe: run_probes(ca, steps, [probe],
+    stop = steps if last < 0 else min(steps, last)
+    return ca, steps, lambda probe: run_probes(ca, stop, [probe],
                                                budget=budget)
 
 
@@ -244,7 +247,7 @@ def cmd_render(args) -> int:
     if args.mode == "slice":
         if args.t is None:
             raise ValueError("--mode slice needs --t")
-        _ca, horizon, feed = _render_source(args, fallback_steps=args.t)
+        _ca, horizon, feed = _render_source(args, args.t, last=args.t)
         keep = _KeepSlice(args.t)
         feed(keep)
         if keep.view is None:
@@ -278,8 +281,8 @@ def cmd_render(args) -> int:
         ca, horizon, feed = _render_source(args, fallback_steps=needed)
         if ca.dim != 2:
             raise ValueError("the sheared plane is defined for 2-D trellis runs")
-        reads = ReadSchedule([[w_site(args.k, l, i) for i in range(width)]
-                              for l in range(args.rows)])
+        reads = ReadSchedule(w_sites(args.k, l, width)
+                             for l in range(args.rows))
         feed(reads)
         if needed > horizon:
             raise BeyondHorizon(
@@ -349,31 +352,32 @@ def cmd_follow(args) -> int:
 # analyze
 
 
-def _collect_diagonal(args, length: int) -> tuple[ImpulseCA, DiagonalProbe]:
+def _diagonal_word(args, length: int) -> tuple[dict, list[str]]:
+    """The report head {"i", "start"} and diagonal --i's first letters."""
     ca = parse_ca_spec(args.ca)
     i = _parse_point(args.i)
     if len(i) != ca.dim:
         raise ValueError(f"point {i} has {len(i)} coordinates, CA has {ca.dim}")
-    probe = DiagonalProbe(i, length)
-    steps = 0 if probe.skip else probe.start + length - 1
-    run_probes(ca, steps, [probe], budget=_site_budget(args))
-    return ca, probe
+    reads = ReadSchedule([diagonal_sites(i, length)])
+    head = {"i": list(i), "start": diagonal_start(i)}
+    if min(i) < 0:
+        # every cell t*1bar - i lies off the light cone: nothing to step
+        return head, [ca.quiescent] * length
+    run_probes(ca, head["start"] + length - 1, [reads],
+               budget=_site_budget(args))
+    return head, reads.rows[0]
 
 
 def cmd_analyze_diagonal(args) -> int:
-    ca, probe = _collect_diagonal(args, args.length)
-    word = probe.word(ca.quiescent)
-    obj = {"i": list(probe.i), "start": probe.start, "letters": list(word)}
-    _emit((_dump(obj, args),), args.out)
+    head, word = _diagonal_word(args, args.length)
+    _emit((_dump({**head, "letters": word}, args),), args.out)
     return EXIT_OK
 
 
 def cmd_analyze_period(args) -> int:
-    ca, probe = _collect_diagonal(args, args.horizon)
-    word = probe.word(ca.quiescent)
+    obj, word = _diagonal_word(args, args.horizon)
     res = ultimate_period(word)
-    obj: dict = {"i": list(probe.i), "start": probe.start,
-                 "horizon": args.horizon}
+    obj["horizon"] = args.horizon
     if isinstance(res, NotPeriodicWithin):
         obj["decomposed"] = False
     else:

@@ -26,13 +26,15 @@ The sparse and window engines map flat neighbor codes through one evaluator
 that applies the rule table the first time a run meets a code and caches the
 result, so no table is enumerated before the first step.
 
-Probes are the only way to read a diagram: walkers, digit readouts, plane,
-region and mark checks, diagonal words and fixed-site reads (``ReadSchedule``)
-each observe one ``SliceView`` per time step.  Claims stream: ``run_probes``
-feeds probes the live slice (or window) as it steps and retains nothing
-else.  Only dumps retain: ``run`` keeps every slice the same stepper yields,
-for ``simulate`` and loaded diagrams, and ``SpaceTimeDiagram.replay`` feeds
-probes its stored slices.
+Probes are the only way to read a diagram: walkers, plane, region and mark
+checks, and ``ReadSchedule``, the one reader of sites fixed before stepping,
+each observe one ``SliceView`` per time step.  A schedule's rows are the
+sheared digit and carry rows (``w_sites``) and diagonal words
+(``diagonal_sites``).  Claims stream: ``run_probes`` feeds probes the live
+slice (or window) as it steps and retains nothing else.  Only dumps retain:
+``run`` keeps every slice the same stepper yields, for ``simulate`` and
+loaded diagrams, and ``SpaceTimeDiagram.replay`` feeds probes its stored
+slices.
 
 A retained diagram's JSON dump is formatted slice by slice straight from the
 packed arrays (``json_chunks``), with no object per cell.
@@ -46,7 +48,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -584,35 +586,13 @@ def diagonal_start(i: tuple[int, ...]) -> int:
     return max(0, (m + 1) // 2)
 
 
-class DiagonalProbe:
-    """Collector for one diagonal word, fed slice views in time order."""
-
-    def __init__(self, i: tuple[int, ...], length: int):
-        if length < 1:
-            raise ValueError(f"length must be >= 1, got {length}")
-        self.i = tuple(i)
-        self.length = length
-        self.start = diagonal_start(self.i)
-        self.letters: list[str] = []
-        self.skip = any(a < 0 for a in self.i)
-
-    def observe(self, view: SliceView):
-        if self.skip or len(self.letters) >= self.length:
-            return
-        t = view.t
-        if t < self.start:
-            return
-        cell = tuple(t - a for a in self.i)
-        self.letters.append(view.state_at(cell))
-
-    def word(self, quiescent: str) -> tuple[str, ...]:
-        if self.skip:
-            return (quiescent,) * self.length
-        if len(self.letters) < self.length:
-            raise BeyondHorizon(
-                f"diagonal {self.i} collected {len(self.letters)} of "
-                f"{self.length} letters")
-        return tuple(self.letters)
+def diagonal_sites(i: tuple[int, ...], length: int):
+    """Cell and time of the first ``length`` letters of diagonal i, the cell
+    t*1bar - i at t = diagonal_start(i), diagonal_start(i) + 1, ..."""
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    start = diagonal_start(i)
+    return ((tuple(t - a for a in i), t) for t in range(start, start + length))
 
 
 def w_site(k: int, l: int, i: int) -> tuple[tuple[int, int], int]:
@@ -620,17 +600,53 @@ def w_site(k: int, l: int, i: int) -> tuple[tuple[int, int], int]:
     return (k - i + l, k - i - l), k + i + l
 
 
+def w_sites(k: int, l: int, n: int):
+    """Sites of entries (k, l, 0..n-1), in time order."""
+    return map(w_site, repeat(k, n), repeat(l, n), range(n))
+
+
 class ReadSchedule:
-    """Reads sites fixed before stepping: ``rows[j]`` collects the states
-    at the (cell, t) sites of ``sites[j]``, which are in time order."""
+    """Reads sites fixed before stepping: ``rows[j]`` collects the states at
+    the (cell, t) sites of row j of ``sites``.  Rows come in order of their
+    first site and each row's sites in time order, drawn lazily: a row when
+    its first read is due, each later site once the one before it is read.
+    A site out of time order raises ValueError."""
 
     def __init__(self, sites):
-        self.rows: list[list[str]] = [[] for _ in sites]
-        self.due = defaultdict(list)    # t -> [(row, cell)] still to read
-        for row, row_sites in zip(self.rows, sites):
-            for cell, t in row_sites:
-                self.due[t].append((row, cell))
+        self._rows, self._read, self.last = iter(sites), [], -1
+        self._due = defaultdict(list)   # t -> [(row, its sites, cell, first)]
+        self._open(0)
+
+    def _open(self, now: int):
+        """Draw the next row that has a site and schedule its first read."""
+        for row_sites in self._rows:
+            self._read.append([])
+            it = iter(row_sites)
+            first = next(it, None)
+            if first is not None:
+                return self._put(self._read[-1], it, *first, now, True)
+
+    def _put(self, row, it, cell, when: int, now: int, first=False):
+        if when < now:
+            raise ValueError(f"site at t={when} is out of time order: the "
+                             f"schedule is at t={now}")
+        self._due[when].append((row, it, cell, first))
 
     def observe(self, view):
-        for row, cell in self.due.pop(view.t, ()):
-            row.append(view.state_at(cell))
+        t = self.last = view.t
+        while t in self._due:   # a row opened at t may be read at t too
+            for row, it, cell, first in self._due.pop(t):
+                row.append(view.state_at(cell))
+                later = next(it, None)
+                if later is not None:
+                    self._put(row, it, *later, t + 1)
+                if first:
+                    self._open(t)
+
+    @property
+    def rows(self) -> list[list[str]]:
+        """The states read, row by row; BeyondHorizon while a read is due."""
+        if self._due:
+            raise BeyondHorizon(f"t={min(self._due)} outside simulated range "
+                                f"0..{self.last}")
+        return self._read

@@ -30,7 +30,8 @@ import numpy as np
 from .automaton import LAMBDA, ImpulseCA
 from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, UnknownState,
                      json_list, json_object)
-from .lattice import Offset, all_ones, neg, offsets, parse_offset
+from .lattice import (Offset, all_ones, in_light_cone, neg, offsets,
+                      parse_offset)
 
 
 class MoveConvention(Enum):
@@ -91,7 +92,11 @@ class Signal:
                       key=lambda r: r["t"])
         if [r["t"] for r in rows] != list(range(len(rows))):
             raise ValueError("signal times must be 0..T without gaps")
-        return cls(tuple(_ints(r["u"], "signal site") for r in rows))
+        sites = tuple(_ints(r["u"], "signal site") for r in rows)
+        for t, u in enumerate(sites):
+            if not in_light_cone(u, t):
+                raise ValueError(f"site {list(u)} outside light cone at t={t}")
+        return cls(sites)
 
 
 def valid_moves(signal: Signal, neigh, convention=MoveConvention.NEGATED) -> bool:

@@ -9,23 +9,28 @@ Claims stream: every check is a probe, so each automaton is stepped once
 by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
 slice is held.  The period bounds stop that run at the first repeat of its
 joint state, and ``verify_basic``'s random followers are not stepped.
+
+Each digit, carry or two-track row is a row of one ``ReadSchedule`` per
+claim, read as its digits and their quiescent end: a row that does not read
+back is a FAIL mismatch showing what it read, never an error.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, takewhile
 
 import numpy as np
 
 from . import analysis
-from .analysis import (LOG_OR_ABOVE, BaseXYReadoutProbe, BinaryReadoutProbe,
-                       NotPeriodicWithin, PlaneProbe, cycle_lens, gap_probe,
-                       is_basic, verify_period_bounds)
+from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, PlaneProbe, cycle_lens,
+                       gap_probe, is_basic, verify_period_bounds)
 from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
-from .engine import DEFAULT_SITE_BUDGET, ReadSchedule, w_site
-from .errors import PlaneViolation, XNotSmallest
+from .engine import DEFAULT_SITE_BUDGET, ReadSchedule, w_sites
+from .errors import NotCoprime, PlaneViolation, XNotSmallest
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, FollowProbe, MarkedProbe, Signal,
                       follower_for_xy, log2_partition, log_anchor_signal,
@@ -140,13 +145,20 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
         length = (k + 1).bit_length()
         if k + l + length <= horizon:
             picked.append((k, l, length))
+
+    # digit rows (k, 0) and carry rows (k, l), read as their n digits and
+    # quiescent end, in order of their first read at t = k + l
+    def rows():
+        return heapq.merge(
+            ((k, 0, (k + 1).bit_length()) for k in range(steps + 1)),
+            sorted(picked, key=lambda r: r[0] + r[1]),
+            key=lambda r: r[0] + r[1])
+
     walk = DetectProbe(ca, log2_partition(), steps)
-    readout = BinaryReadoutProbe(ca, range(steps + 1))
-    carry = ReadSchedule([[w_site(k, l, i) for i in range(length + 1)]
-                           for k, l, length in picked])
+    reads = ReadSchedule(w_sites(k, l, n + 1) for k, l, n in rows())
     region = _RegionProbe()
-    analysis.run_probes(ca, horizon, [walk, readout, carry, region],
-                        budget=budget)
+    analysis.run_probes(ca, horizon, [walk, reads, region], budget=budget)
+    read = {(k, l): "".join(row) for (k, l, _), row in zip(rows(), reads.rows)}
 
     checks = []
 
@@ -157,22 +169,20 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
     bad = []
     for k in range(steps + 1):
         want = bin(k + 1)[2:][::-1]
-        got = readout.word(k)
-        if got != want:
-            bad.append((k, got, want))
+        if read[k, 0] != want + ca.quiescent:
+            bad.append((k, read[k, 0].partition(ca.quiescent)[0], want))
     checks.append(Check("binary-readout", not bad,
                         f"rows k=0..{steps} read back", _capped(bad)))
 
     bad = []
-    for (k, l, length), row in zip(picked, carry.rows):
+    for k, l, length in picked:
         n = k + 1
         ones = 0
         while (n >> ones) & 1:
             ones += 1
         want = "1" * ones + "0" * (length - ones)
-        got, term = "".join(row[:length]), row[length]
-        if got != want or term != ca.quiescent:
-            bad.append((k, l, got, want))
+        if read[k, l] != want + ca.quiescent:
+            bad.append((k, l, read[k, l][:length], want))
     checks.append(Check("carry-rows", not bad,
                         f"{samples} sampled rows with l >= 1", _capped(bad)))
 
@@ -194,6 +204,21 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
 # two-track counter
 
 
+def crt_digit(x: int, y: int, p_idx: int, k_idx: int) -> int:
+    """Digit in 0..x*y-1 congruent to p_idx mod x and k_idx mod y."""
+    if math.gcd(x, y) != 1:
+        raise NotCoprime(f"moduli must be coprime, got ({x},{y})")
+    if not (0 <= p_idx <= x and 0 <= k_idx <= y):
+        raise ValueError(
+            f"track indices ({p_idx},{k_idx}) outside 0..{x} x 0..{y}")
+    a = p_idx % x
+    b = k_idx % y
+    if x == 1:
+        return b
+    inv = pow(x, -1, y)
+    return a + x * (((b - a) * inv) % y)
+
+
 def verify_xy(x: int, y: int, steps: int, *,
               budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Follower anchors, CRT digit readout, plane discipline, the product
@@ -212,9 +237,12 @@ def verify_xy(x: int, y: int, steps: int, *,
         k += 1
     rows = range(k)
     walk = FollowProbe(ca, fol, steps)
-    readout = BaseXYReadoutProbe(ca, rows, x, y)
+    # row k's mod-x (π) track l = 0 and mod-y (κ) track l = 1, each read as
+    # the digits of k+1 and their quiescent end
+    reads = ReadSchedule(w_sites(k, l, len(_digits(k + 1, base)) + 1)
+                         for k in rows for l in (0, 1))
     planes = PlaneProbe(ca)
-    analysis.run_probes(ca, steps, [walk, readout, planes], budget=budget)
+    analysis.run_probes(ca, steps, [walk, reads, planes], budget=budget)
 
     checks = []
 
@@ -226,12 +254,19 @@ def verify_xy(x: int, y: int, steps: int, *,
         "walk consumed only designed transitions",
         _capped(tr.defaulted_hits)))
 
+    digit = {(f"π_{a}", f"κ_{b}"): crt_digit(x, y, a, b)
+             for a in range(x + 1) for b in range(y + 1)}
+    end = (ca.quiescent,) * 2
     bad = []
-    for k in rows:
-        want = _digits(k + 1, base)
-        got = readout.word(k)
+    tracks = iter(reads.rows)
+    for k, pi, kappa in zip(rows, tracks, tracks):
+        want = list(_digits(k + 1, base))
+        # the digits up to the tracks' common quiescent end; a pair that is
+        # no (π_a, κ_b) shows as "s0/s1"
+        got = [digit.get(pair, "/".join(pair)) for pair in
+               takewhile(end.__ne__, zip(pi, kappa))]
         if got != want:
-            bad.append((k, list(got), list(want)))
+            bad.append((k, got, want))
     checks.append(Check("digit-readout", not bad,
                         f"rows k=0..{len(rows) - 1} read back in base {base}",
                         _capped(bad)))

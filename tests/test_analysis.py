@@ -1,5 +1,6 @@
 """Periodicity decomposition, period bounds, gap growth, readouts, search."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,18 +11,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (BaseXYReadoutProbe, BeyondHorizon, BinaryReadoutProbe,
-                        DetectProbe, DiagonalProbe, NotCoprime,
+from ca_signals import (BeyondHorizon, DetectProbe, NotCoprime,
                         NotPeriodicWithin, PeriodDecomposition, PlaneProbe,
-                        PlaneViolation, Signal, analysis, builtin_log2,
-                        builtin_xy,
-                        crt_digit, diagram_from_json_obj,
-                        exhaustive_two_state_search, gap_probe, gap_profile,
-                        log2_partition, merged_xy, run, run_probes,
-                        ultimate_period, verify_period_bounds)
+                        PlaneViolation, ReadSchedule, Signal, analysis,
+                        builtin_log2, builtin_xy, crt_digit, diagonal_sites,
+                        diagram_from_json_obj, exhaustive_two_state_search,
+                        gap_probe, gap_profile, log2_partition, merged_xy,
+                        run, run_probes, ultimate_period, verification,
+                        verify_period_bounds, verify_xy, w_sites)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
                                  SEARCH_TARGETS, _decompose, cycle_lens)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
+from ca_signals.engine import diagonal_start
 from ca_signals.lattice import Neighborhood
 from ca_signals.signals import MovePartition
 
@@ -123,16 +124,17 @@ def test_period_bounds_small_window():
 def _windowed_lens(ca, r_max, window):
     """The windowed oracle: each diagonal's word of ``window`` letters, read
     point by point, decomposed under the final-third evidence policy."""
-    points = [i for i in itertools.product(range(r_max + 1), repeat=ca.dim)
-              if sum(i) <= r_max]
-    probes = [DiagonalProbe(i, window) for i in points]
-    horizon = max(pr.start for pr in probes) + window - 1
-    run_probes(ca, horizon, probes, reach=r_max)
+    points = sorted((i for i in itertools.product(range(r_max + 1),
+                                                  repeat=ca.dim)
+                     if sum(i) <= r_max), key=diagonal_start)
+    reads = ReadSchedule(diagonal_sites(i, window) for i in points)
+    horizon = diagonal_start(points[-1]) + window - 1
+    run_probes(ca, horizon, [reads], reach=r_max)
     out = {}
-    for pr in probes:
-        dec = ultimate_period(pr.word(ca.quiescent), window)
+    for i, word in zip(points, reads.rows):
+        dec = ultimate_period(word, window)
         if isinstance(dec, PeriodDecomposition):
-            out[pr.i] = (len(dec.alpha), len(dec.beta))
+            out[i] = (len(dec.alpha), len(dec.beta))
     return out
 
 
@@ -227,11 +229,12 @@ def test_stabilized_walks_keep_a_constant_gap():
         profile = gap_profile(sig)
         assert len(set(profile[t0:])) == 1, (ca.name, t0)
         c = t0 - sig.sites[t0][0]
-        word = DiagonalProbe((c, c), horizon - max(0, (c + 1) // 2))
-        diag.replay(word, horizon)
-        dec = ultimate_period(word.word(ca.quiescent))
+        start = diagonal_start((c, c))
+        reads = ReadSchedule([diagonal_sites((c, c), horizon - start)])
+        [word] = diag.replay(reads, horizon).rows
+        dec = ultimate_period(word)
         assert not isinstance(dec, NotPeriodicWithin), (ca.name, c)
-        if word.start + len(dec.alpha) >= t0:
+        if start + len(dec.alpha) >= t0:
             assert down_state not in dec.beta, (ca.name, c, dec)
 
 
@@ -278,62 +281,77 @@ def test_gap_probe_needs_sites():
 # --- digit readouts -----------------------------------------------------------
 
 
-def _replayed_rows(diag, probe):
-    """A readout probe fed every slice of a retained diagram."""
-    return diag.replay(probe, diag.horizon + 1)
+def _digit_rows(rows, n_digits):
+    """A schedule of sheared rows (k, l), each read as its digits and their
+    quiescent end."""
+    return ReadSchedule(w_sites(k, l, n_digits(k) + 1) for k, l in rows)
+
+
+def _bits(k):
+    return (k + 1).bit_length()
 
 
 def test_binary_readout_against_python_bin(log2_diag):
-    probe = _replayed_rows(log2_diag, BinaryReadoutProbe(log2_diag.ca,
-                                                         range(65)))
-    for k in range(65):
-        want = bin(k + 1)[2:][::-1]
-        got = probe.word(k)
-        assert isinstance(got, str)
-        assert got == want, k
+    reads = _digit_rows(((k, 0) for k in range(65)), _bits)
+    rows = log2_diag.replay(reads, log2_diag.horizon + 1).rows
+    for k, row in enumerate(rows):
+        assert "".join(row) == bin(k + 1)[2:][::-1] + L, k
 
 
 def test_binary_readout_probe_streams_every_row():
-    probe = BinaryReadoutProbe(builtin_log2(), range(65))
-    run_probes(builtin_log2(), 80, [probe])
-    assert [probe.word(k) for k in range(65)] == \
-        [bin(k + 1)[2:][::-1] for k in range(65)]
-    assert len(probe.open) == 0
+    drawn, seen = [], []
+
+    class Drawn:
+        def observe(self, view):
+            seen.append(len(drawn))
+
+    def rows():
+        for k in range(65):
+            drawn.append(k)
+            yield k, 0
+
+    reads = _digit_rows(rows(), _bits)
+    run_probes(builtin_log2(), 80, [reads, Drawn()])
+    assert ["".join(row) for row in reads.rows] == \
+        [bin(k + 1)[2:][::-1] + L for k in range(65)]
+    # by slice t the schedule has drawn rows 0..t and one row ahead
+    assert seen[:64] == [t + 2 for t in range(64)]
 
 
 def test_readout_rows_that_do_not_end_are_beyond_the_horizon(log2_diag):
-    # row 255 spells 256 = 100000000b: nine digits, past t=256
-    probe = _replayed_rows(log2_diag, BinaryReadoutProbe(log2_diag.ca,
-                                                         (200, 255, 300)))
+    def read(*ks):
+        reads = _digit_rows(((k, 0) for k in ks), _bits)
+        return log2_diag.replay(reads, log2_diag.horizon + 1).rows
+
     # row 200 spells 201 = 10010011b: eight bits, then its quiescent end
-    assert probe.word(200) == "10010011"
-    with pytest.raises(BeyondHorizon, match="t=257 outside"):
-        probe.word(255)
+    assert read(200) == [list("10010011") + [L]]
+    # row 255 spells 256 = 100000000b: its end at t=264 is past t=256
+    with pytest.raises(BeyondHorizon, match="t=257 outside .* 0..256"):
+        read(200, 255, 300)
     with pytest.raises(BeyondHorizon, match="t=300 outside"):
-        probe.word(300)
-    probe = BinaryReadoutProbe(builtin_log2(), (3,))
-    run_probes(builtin_log2(), 4, [probe])
-    with pytest.raises(BeyondHorizon):
-        probe.word(3)
+        read(300)
+    reads = _digit_rows([(3, 0)], _bits)
+    run_probes(builtin_log2(), 4, [reads])
+    with pytest.raises(BeyondHorizon, match="t=5 outside simulated range "
+                                            "0..4"):
+        reads.rows
 
 
-def test_readout_errors_surface_for_their_row():
-    ca = builtin_xy(2, 3)
-    # row (1,0) entry 0 holds a π state, row (1,1) entry 0 is empty
-    bad = diagram_from_json_obj(ca, [
-        {"t": 0, "cells": [{"u": [0, 0], "s": "π_1"}]},
-        {"t": 1, "cells": [{"u": [1, 1], "s": "π_1"}]},
-        {"t": 2, "cells": []},
-        {"t": 3, "cells": []},
-    ])
-    probe = bad.replay(BaseXYReadoutProbe(ca, (0, 1), 2, 3), 4)
-    with pytest.raises(PlaneViolation, match="rows \\(0,0\\)/\\(0,1\\)"):
-        probe.word(0)
-    with pytest.raises(PlaneViolation, match="rows \\(1,0\\)/\\(1,1\\)"):
-        probe.word(1)
-    bits = bad.replay(BinaryReadoutProbe(ca, (0,)), 4)
-    with pytest.raises(ValueError, match="not a bit"):
-        bits.word(0)
+def test_readout_errors_surface_for_their_row(monkeypatch):
+    # with rule 23, which seeds the mod-y track, sending to λ every row's
+    # κ track reads quiescent next to a live π entry: each row fails with
+    # the pairs it read, where the retired readout raised PlaneViolation
+    base = builtin_xy(2, 3)
+    rules = list(base.table.rules)
+    rules[23] = Rule(rules[23].pattern, L)
+    broken = dataclasses.replace(base, table=RuleTable(tuple(rules)))
+    monkeypatch.setattr(verification, "builtin_xy", lambda x, y: broken)
+    [digits] = [c for c in verify_xy(2, 3, 40).checks
+                if c.name == "digit-readout"]
+    assert not digits.ok
+    assert digits.mismatches[:3] == ((0, ["π_1/λ"], [1]),
+                                     (1, ["π_2/λ"], [2]),
+                                     (2, ["π_1/λ"], [3]))
 
 
 def base6_digits(n: int) -> tuple[int, ...]:
@@ -344,13 +362,22 @@ def base6_digits(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _base6_rows(rows):
+    """Row k's tracks (π, κ) decoded digit by digit up to their end."""
+    it = iter(rows)
+    out = []
+    for pi, kappa in zip(it, it):
+        out.append(tuple(crt_digit(2, 3, int(a[2:]), int(b[2:]))
+                         for a, b in zip(pi, kappa) if (a, b) != (L, L)))
+        assert (pi[-1], kappa[-1]) == (L, L)
+    return out
+
+
 def test_base_xy_readout_against_int_division(xy23_diag):
-    probe = _replayed_rows(xy23_diag, BaseXYReadoutProbe(xy23_diag.ca,
-                                                         range(41), 2, 3))
-    for k in range(41):
-        got = probe.word(k)
-        assert isinstance(got, tuple)
-        assert got == base6_digits(k + 1), k
+    reads = _digit_rows(((k, l) for k in range(41) for l in (0, 1)),
+                        lambda k: len(base6_digits(k + 1)))
+    rows = xy23_diag.replay(reads, xy23_diag.horizon + 1).rows
+    assert _base6_rows(rows) == [base6_digits(k + 1) for k in range(41)]
 
 
 def test_crt_digit():
@@ -374,10 +401,10 @@ def test_crt_digit_is_a_bijection_for_3_4():
 
 
 def test_base_xy_readout_probe_streams_every_row():
-    probe = BaseXYReadoutProbe(builtin_xy(2, 3), range(41), 2, 3)
-    run_probes(builtin_xy(2, 3), 50, [probe])
-    assert [probe.word(k) for k in range(41)] == \
-        [base6_digits(k + 1) for k in range(41)]
+    reads = _digit_rows(((k, l) for k in range(41) for l in (0, 1)),
+                        lambda k: len(base6_digits(k + 1)))
+    run_probes(builtin_xy(2, 3), 50, [reads])
+    assert _base6_rows(reads.rows) == [base6_digits(k + 1) for k in range(41)]
 
 
 def _planes(diag, stop=None):

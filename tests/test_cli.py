@@ -11,6 +11,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 import time
 from datetime import datetime
 from pathlib import Path
@@ -20,12 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ca_signals import (DiagonalProbe, OverflowHorizon, analysis,
-                        builtin_log2, engine, follower_for_xy, run,
-                        serialize_rules)
+from ca_signals import (OverflowHorizon, ReadSchedule, analysis,
+                        builtin_log2, cli, diagonal_sites, engine,
+                        follower_for_xy, run, serialize_rules)
+from ca_signals.engine import diagonal_start
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main, parse_ca_spec)
-from ca_signals.lattice import Neighborhood
+from ca_signals.lattice import Neighborhood, format_offset, offsets
 
 from tables import random_impulse_ca
 
@@ -43,6 +45,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
 
 
 # --- simulate -----------------------------------------------------------------
@@ -490,7 +499,11 @@ def test_join_option_values_protects_negative_points():
     assert _join_option_values(["--i", "0,0"]) == ["--i", "0,0"]
 
 
-def test_analyze_diagonal_negative_point_is_quiescent(capsys):
+def test_analyze_diagonal_negative_point_is_quiescent(capsys, monkeypatch):
+    def stepped(*_args, **_kwargs):
+        raise AssertionError("run_probes was called")
+
+    monkeypatch.setattr(cli, "run_probes", stepped)
     code, out, _ = run_cli(capsys, "analyze", "diagonal", "--i", "-1,0",
                            "--length", "6")
     assert code == EXIT_OK
@@ -503,9 +516,9 @@ def test_analyze_diagonal_start_matches_library(capsys):
     for i, start in (((-1, 4), 2), ((-1, 0), 0)):
         _, out, _ = run_cli(capsys, "analyze", "diagonal",
                             "--i", ",".join(map(str, i)), "--length", "4")
-        assert json.loads(out)["start"] == start
-        probe = diag.replay(DiagonalProbe(i, 4), 8)
-        assert probe.start == start and len(probe.word("λ")) == 4
+        assert json.loads(out)["start"] == start == diagonal_start(i)
+        reads = diag.replay(ReadSchedule([diagonal_sites(i, 4)]), 8)
+        assert json.loads(out)["letters"] == reads.rows[0]
 
 
 def test_streamed_budget_overflow_exits_3(capsys):
@@ -688,10 +701,8 @@ def test_small_integer_sizes_exit_with_a_code(command, values, budget):
     argv = template.format(*values).split()
     if has_budget and budget is not None:
         argv += ["--budget", str(budget)]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_OVERFLOW)
+    assert _exit_code(argv) in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG,
+                                EXIT_OVERFLOW)
 
 
 # --- string arguments, fuzzed -------------------------------------------------
@@ -729,10 +740,8 @@ STRING_COMMANDS = [
 @given(st.sampled_from(STRING_COMMANDS), CA_SPECS, POINTS, PARTITIONS)
 def test_string_arguments_exit_with_a_code(command, ca, point, partition):
     argv = [tok.format(ca=ca, i=point, p=partition) for tok in command]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_OVERFLOW)
+    assert _exit_code(argv) in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG,
+                                EXIT_OVERFLOW)
 
 
 @pytest.mark.parametrize("argv", [
@@ -746,6 +755,127 @@ def test_oversized_two_track_alphabets_exit_2_at_once(capsys, argv):
     assert time.perf_counter() - start < 0.5
     assert code == EXIT_CONFIG and out == ""
     assert "states; at most 255 fit the uint8 state codes" in err
+
+
+# --- rule files and signal JSON, fuzzed ---------------------------------------
+
+LOG2_RULES = serialize_rules(builtin_log2()).splitlines()
+SYMBOLS = st.sampled_from(["λ", "lambda", "0", "1", "2", "π_1", "*", "{0,1}",
+                           "{0,", "{}", "a#b", "a:b", "->", ""])
+RULE_LINES = st.one_of(
+    st.sampled_from(LOG2_RULES),
+    st.builds("states: {}".format,
+              st.lists(SYMBOLS, max_size=4).map(" ".join)),
+    st.builds("seed: {}".format, SYMBOLS),
+    st.builds("neighborhood: {} {}".format,
+              st.sampled_from(["trellis", "moore", "von_neumann",
+                               "von-neumann", "vonneumann", "hex", ""]),
+              st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "x", ""])),
+    st.builds("order: {}".format, st.lists(st.sampled_from(
+        ["(-1,-1)", "(-1,1)", "(1,1)", "(1,-1)", "(0)", "(-1)", "(1)",
+         "(1,)", "()", "(a,b)", "-1,1", "(99999999999999999999,1)"]),
+        max_size=5).map(" ".join)),
+    st.builds("rule: {} -> {}".format,
+              st.lists(SYMBOLS, max_size=5).map(" ".join), SYMBOLS),
+    st.text(max_size=20))
+
+
+@st.composite
+def rule_text(draw):
+    """A rule file built directive by directive, each usually well formed,
+    with fuzzed lines replacing or joining some of them."""
+    neigh = Neighborhood(draw(st.sampled_from(["trellis", "moore",
+                                               "von_neumann"])),
+                         draw(st.integers(1, 3)))
+    order = draw(st.permutations(offsets(neigh)))
+    states = draw(st.lists(st.sampled_from(["λ", "0", "1", "2", "a"]),
+                           min_size=1, max_size=4, unique=True))
+    token = st.sampled_from([*states, "*", "{" + ",".join(states) + "}"])
+    lines = [f"states: {' '.join(states)}",
+             f"seed: {draw(st.sampled_from(states))}",
+             f"neighborhood: {neigh.kind} {neigh.dim}",
+             "order: " + " ".join(map(format_offset, order))]
+    for _ in range(draw(st.integers(0, 4))):
+        args = draw(st.lists(token, min_size=len(order), max_size=len(order)))
+        lines.append(f"rule: {' '.join(args)} -> "
+                     f"{draw(st.sampled_from(states))}")
+    if draw(st.booleans()):
+        lines.append(f"rule: {' '.join('*' * len(order))} -> {states[0]}")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        j = draw(st.integers(0, len(lines)))
+        lines[j:j + draw(st.integers(0, 1))] = [draw(RULE_LINES)]
+    return "\n".join(lines)
+
+
+RULE_TEXTS = st.one_of(rule_text(),
+                       st.lists(RULE_LINES, max_size=8).map("\n".join))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RULE_TEXTS)
+def test_rule_files_exit_with_a_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.rules"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["rules", "check", str(path)],
+                     ["simulate", f"--ca=file:{path}", "--steps", "3"]):
+            assert _exit_code(argv) in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG,
+                                        EXIT_OVERFLOW), argv
+
+
+ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(["t", "u", "x"]),
+                                            inner, max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def signal_json(draw):
+    """A walk of 0..130 moves from the origin, often long enough to
+    classify, then up to three of its fields overwritten with any JSON
+    value."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(0, 130), st.integers(63, 130)))
+    moves = draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim,
+                                   max_size=dim), min_size=n, max_size=n))
+    u, rows = [0] * dim, [{"t": 0, "u": [0] * dim}]
+    for t, x in enumerate(moves, start=1):
+        u = [a + b for a, b in zip(u, x)]
+        rows.append({"t": t, "u": u})
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        j = draw(st.integers(0, len(rows) - 1))
+        key = draw(st.sampled_from(["t", "u"]))
+        rows[j][key] = draw(st.one_of(
+            ANY_JSON, st.integers(-10**5, 10**5),
+            st.lists(st.integers(-10**5, 10**5), max_size=3)))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(signal_json(), ANY_JSON))
+def test_signal_files_exit_with_a_code(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert _exit_code(["analyze", "gap", "--signal", str(path)]) in (
+            EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_OVERFLOW)
+
+
+def test_analyze_gap_rejects_sites_off_the_light_cone(capsys, tmp_path):
+    # 80 sites 10^4 off the origin: the exact fit of C raised rationals to
+    # the powers m(t) ~ 10^4 for seconds before such a signal was refused
+    sig = tmp_path / "far.json"
+    sig.write_text(json.dumps([{"t": 0, "u": [0, 0]}] + [
+        {"t": t, "u": [-10**4, -10**4]} for t in range(1, 80)]),
+        encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "gap", "--signal", str(sig))
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: site [-10000, -10000] outside light cone at t=1\n"
 
 
 # --- rules --------------------------------------------------------------------

@@ -11,13 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (BeyondHorizon, BeyondWindow, CoordinateOverflow,
-                        DiagonalProbe, OverflowHorizon, builtin_log2,
+                        OverflowHorizon, ReadSchedule, builtin_log2,
                         builtin_quiescent, builtin_xy, dense_run,
-                        diagram_from_json_obj, max_horizon, merged_xy, run,
-                        run_probes, same_run, verify_xy, w_site)
+                        diagonal_sites, diagram_from_json_obj, max_horizon,
+                        merged_xy, run, run_probes, same_run, verify_xy,
+                        w_site, w_sites)
 from ca_signals import engine
-from ca_signals.engine import (FLAT_ENUM_LIMIT, ReadSchedule, diagonal_start,
-                               pack_cells, unpack_cells)
+from ca_signals.engine import (FLAT_ENUM_LIMIT, diagonal_start, pack_cells,
+                               unpack_cells)
 from ca_signals.lattice import Neighborhood
 
 from tables import random_impulse_ca
@@ -112,13 +113,16 @@ def _assert_window_matches(ca, diag, steps):
     every diagonal word it holds and every live cell on its diagonals."""
     reach = steps // 2
     lam = ca.quiescent
-    probes = [DiagonalProbe(i, steps + 1 - diagonal_start(i))
-              for i in product(range(reach + 1), repeat=ca.dim)]
-    rec = _Recorder()
-    run_probes(ca, steps, probes + [rec], reach=reach)
-    for p in probes:
-        want = diag.replay(DiagonalProbe(p.i, p.length), steps + 1)
-        assert p.word(lam) == want.word(lam), (ca.name, p.i)
+    points = sorted(product(range(reach + 1), repeat=ca.dim),
+                    key=diagonal_start)
+
+    def words():
+        return ReadSchedule(diagonal_sites(i, steps + 1 - diagonal_start(i))
+                            for i in points)
+
+    reads, rec = words(), _Recorder()
+    run_probes(ca, steps, [reads, rec], reach=reach)
+    assert reads.rows == diag.replay(words(), steps + 1).rows, ca.name
     for t in range(steps + 1):
         want = [(u, s) for u, s in diag.view(t).cells()
                 if max(t - a for a in u) <= reach]
@@ -181,7 +185,8 @@ def test_window_reads(log2_diag):
     run_probes(builtin_log2(), 6, [Reader()], reach=2)
     assert seen == [4]
     with pytest.raises(BeyondWindow):
-        run_probes(builtin_log2(), 8, [DiagonalProbe((3, 3), 4)], reach=2)
+        run_probes(builtin_log2(), 8,
+                   [ReadSchedule([diagonal_sites((3, 3), 4)])], reach=2)
     with pytest.raises(OverflowHorizon, match="no slice was computed"):
         run_probes(builtin_log2(), 8, [], reach=9, budget=99)
 
@@ -236,7 +241,7 @@ def test_negative_sizes_are_rejected():
         with pytest.raises(ValueError, match="steps must be >= 0"):
             run_probes(ca, -1, [], reach=reach)
     with pytest.raises(ValueError, match="length must be >= 1"):
-        DiagonalProbe((0, 0), 0)
+        diagonal_sites((0, 0), 0)
 
 
 class _CountingTable:
@@ -353,10 +358,10 @@ def test_budget_overflow_keeps_partial():
 
 
 def test_run_probes_matches_retained(log2_diag):
-    probe = DiagonalProbe((0, 0), 32)
-    run_probes(builtin_log2(), 40, [probe])
-    retained = log2_diag.replay(DiagonalProbe((0, 0), 32), 32)
-    assert probe.word(L) == retained.word(L)
+    reads = ReadSchedule([diagonal_sites((0, 0), 32)])
+    run_probes(builtin_log2(), 40, [reads])
+    retained = log2_diag.replay(ReadSchedule([diagonal_sites((0, 0), 32)]), 32)
+    assert reads.rows == retained.rows
 
 
 def test_json_round_trip(xy23_diag):
@@ -415,22 +420,19 @@ def test_diagonal_start():
 
 
 def _replayed_word(diag, i, length):
-    """A DiagonalProbe fed the diagram's slices up to its last letter."""
-    probe = DiagonalProbe(i, length)
-    diag.replay(probe, probe.start + length)
-    return probe
+    """Diagonal i's first ``length`` letters, fed the diagram's slices up to
+    the last of them."""
+    reads = ReadSchedule([diagonal_sites(i, length)])
+    [word] = diag.replay(reads, diagonal_start(i) + length).rows
+    return "".join(word)
 
 
 def test_diagonal_words(log2_diag):
-    w = _replayed_word(log2_diag, (0, 0), 12)
-    assert w.start == 0
-    assert "".join(w.word(L)) == "101010101010"
-    w = _replayed_word(log2_diag, (2, 2), 12)
-    assert w.start == 1
-    assert "".join(w.word(L)) == "λ11001100110"
-    w = _replayed_word(log2_diag, (-1, 0), 5)
-    assert w.word(L) == (L,) * 5 and w.start == 0
-    assert w.letters == []      # a point off the cone reads no slice
+    assert _replayed_word(log2_diag, (0, 0), 12) == "101010101010"
+    assert _replayed_word(log2_diag, (2, 2), 12) == "λ11001100110"
+    assert list(diagonal_sites((2, 2), 2)) == [((-1, -1), 1), ((0, 0), 2)]
+    # a point off the cone reads quiescent at every t
+    assert _replayed_word(log2_diag, (-1, 0), 5) == L * 5
 
 
 def test_diagonal_beyond_horizon(log2_diag):
@@ -438,6 +440,44 @@ def test_diagonal_beyond_horizon(log2_diag):
         _replayed_word(log2_diag, (0, 0), log2_diag.horizon + 2)
     with pytest.raises(ValueError):
         _replayed_word(log2_diag, (0, 0, 0), 4)
+    reads = ReadSchedule([diagonal_sites((0, 0), 12)])
+    log2_diag.replay(reads, 10)
+    with pytest.raises(BeyondHorizon, match="t=10 outside simulated range "
+                                            "0..9"):
+        reads.rows
+
+
+def test_read_schedule_draws_rows_and_sites_lazily():
+    drawn = []
+
+    def row(k):
+        for site in w_sites(k, 0, 3):
+            drawn.append(site[1])
+            yield site
+
+    class Drawn:
+        def observe(self, view):
+            seen.append((view.t, max(drawn)))
+
+    seen = []
+    reads = ReadSchedule(row(k) for k in (0, 0, 2, 5))
+    run_probes(builtin_log2(), 8, [reads, Drawn()])
+    # a site is drawn once the one before it is read, and the next row's
+    # first site once the row before it opens: rows 0, 0 and 2 open at
+    # t = 0, 0 and 2, each drawing the next row's first site
+    assert seen[:6] == [(0, 2), (1, 2), (2, 5), (3, 5), (4, 5), (5, 6)]
+    assert ["".join(r) for r in reads.rows] == ["1λλ", "1λλ", "11λ", "011"]
+
+
+@pytest.mark.parametrize("rows,when", [
+    ([[((0, 0), 0), ((1, 1), 1), ((0, 0), 1)]], 1),     # a row steps back
+    ([w_sites(3, 0, 2), w_sites(1, 0, 2)], 1),          # rows out of order
+    ([[((0, 0), -1)]], -1),                             # before t = 0
+])
+def test_read_schedule_rejects_sites_out_of_time_order(rows, when):
+    with pytest.raises(ValueError, match=f"site at t={when} is out of time "
+                                         "order"):
+        run_probes(builtin_log2(), 6, [ReadSchedule(rows)])
 
 
 # --- sheared rows -----------------------------------------------------------

@@ -1,13 +1,16 @@
 """Properties of the package source itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ca_signals
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ca_signals"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ca_signals"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -25,3 +28,22 @@ def test_every_export_resolves():
     missing = [name for name in ca_signals.__all__
                if not hasattr(ca_signals, name)]
     assert not missing, f"__all__ names missing objects: {missing}"
+
+
+def test_every_definition_is_used():
+    # a function, class or method whose name occurs in src/, tests/ and
+    # scripts/ only where it is defined is dead weight
+    defined = Counter()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined.update(
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+    words = Counter(re.findall(r"\w+", "\n".join(
+        path.read_text(encoding="utf-8")
+        for top in ("src", "tests", "scripts")
+        for path in sorted((ROOT / top).rglob("*.py")))))
+    dead = sorted(name for name, n in defined.items() if words[name] <= n)
+    assert not dead, f"defined but never used: {dead}"

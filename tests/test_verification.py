@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from ca_signals import (LAMBDA, Follower, FollowProbe, ImpulseCA, Rule,
-                        RuleTable, analysis, builtin_log2, builtin_quiescent,
+from ca_signals import (LAMBDA, BeyondWindow, Follower, FollowProbe,
+                        ImpulseCA, ReadSchedule, Rule, RuleTable, analysis,
+                        builtin_log2, builtin_quiescent, builtin_xy,
                         dense_run, diagram_from_json_obj, run, run_probes,
                         same_run, verification, verify_basic, verify_bounds,
                         verify_log2, verify_xy)
@@ -192,6 +193,40 @@ def test_failing_counter_report_bytes_are_pinned(monkeypatch):
     assert [c.name for c in rep.checks if not c.ok] == [
         "anchor-walk", "binary-readout", "carry-rows", "gap-classification"]
     assert _digest(rep) == BROKEN_COUNTER_64
+
+
+def _claim_sites(monkeypatch, claim):
+    """The site rows of the one ReadSchedule a passing claim builds."""
+    made = []
+
+    def recording(sites):
+        made.append([list(row) for row in sites])
+        return ReadSchedule(made[-1])
+
+    monkeypatch.setattr(verification, "ReadSchedule", recording)
+    assert claim().ok
+    [rows] = made
+    return rows
+
+
+@pytest.mark.parametrize("ca,claim,n_rows", [
+    (builtin_log2(), lambda: verify_log2(64), 65 + 50),
+    (builtin_xy(2, 3), lambda: verify_xy(2, 3, 44), 2 * 41),
+], ids=["log2", "xy:2,3"])
+def test_claim_readouts_read_the_same_on_the_window(monkeypatch, ca, claim,
+                                                    n_rows):
+    # log2: digit rows k <= 64 and the carry rows; xy:2,3: both tracks of
+    # rows k <= 40.  Entry (k, l, i) lies on diagonal (2i, 2i + 2l).
+    rows = _claim_sites(monkeypatch, claim)
+    assert len(rows) == n_rows
+    steps = max(t for row in rows for _, t in row)
+    reach = max(t - a for row in rows for cell, t in row for a in cell)
+    sparse, window = ReadSchedule(rows), ReadSchedule(rows)
+    run_probes(ca, steps, [sparse])
+    run_probes(ca, steps, [window], reach=reach)
+    assert window.rows == sparse.rows
+    with pytest.raises(BeyondWindow):
+        run_probes(ca, steps, [ReadSchedule(rows)], reach=reach - 1)
 
 
 def test_region_probe_reports_cells_off_the_wedge():
