@@ -4,31 +4,30 @@ The package splits along the pipeline: ``lattice`` fixes neighborhoods over
 Z^k, ``automaton`` defines rule tables and the built-in counter automata,
 ``engine`` simulates (sparse vectorized, a diagonal window for claims, and an
 independent dense reference) and reads fixed sites (``ReadSchedule``: digit
-rows and diagonal words), ``signals`` detects and follows site walks,
+rows and diagonal words) and whole slices (``CellScan``), ``signals`` detects and follows site walks,
 ``analysis`` measures periodicity and gap growth, ``verification`` bundles the
 end-to-end checks, and ``cli`` exposes everything as a command line.
 """
 
 from .analysis import (GapReport, NotPeriodicWithin, PeriodDecomposition,
-                       PlaneProbe, SearchReport, exhaustive_two_state_search,
-                       gap_probe, is_basic, ultimate_period,
-                       verify_period_bounds)
+                       SearchReport, exhaustive_two_state_search, gap_probe,
+                       is_basic, ultimate_period, verify_period_bounds)
 from .automaton import (LAMBDA, WILDCARD, AnyOf, ImpulseCA, Literal, Rule,
                         RuleTable, builtin_log2, builtin_quiescent, builtin_xy,
                         merged_xy, parse_rules, serialize_rules)
-from .engine import (ReadSchedule, SpaceTimeDiagram, dense_run,
+from .engine import (CellScan, ReadSchedule, SpaceTimeDiagram, dense_run,
                      diagonal_sites, diagram_from_json_obj, max_horizon, run,
                      run_probes, same_run, w_site, w_sites)
 from .errors import (AlphabetMismatch, ArityMismatch, BeyondHorizon,
                      BeyondWindow, CheckFailed, CoordinateOverflow, NoMatch,
-                     NotCoprime, NotTotal, OverflowHorizon, PlaneViolation,
-                     QuiescentViolation, RuleFileError, RuleSyntaxError,
-                     UnknownState, XNotSmallest)
+                     NotCoprime, NotTotal, OverflowHorizon, QuiescentViolation,
+                     RuleFileError, RuleSyntaxError, UnknownState,
+                     XNotSmallest)
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, FollowProbe, FollowTrace,
-                      MarkedProbe, MoveConvention, MovePartition, ProductCA,
-                      Signal, follower_for_xy, gap_profile, ilog,
-                      log2_partition, log_anchor_signal, parse_move_partition,
+                      MoveConvention, MovePartition, ProductCA, Signal,
+                      follower_for_xy, gap_profile, ilog, log2_partition,
+                      log_anchor_signal, parse_move_partition,
                       product_construct)
 from .verification import (VerifyReport, crt_digit, verify_basic,
                            verify_bounds, verify_log2, verify_xy)
@@ -37,13 +36,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatch", "AnyOf", "ArityMismatch", "BeyondHorizon",
-    "BeyondWindow", "CheckFailed", "CoordinateOverflow", "DetectProbe",
-    "FollowProbe", "FollowTrace", "Follower", "GapReport", "ImpulseCA",
-    "LAMBDA", "Literal", "MarkedProbe", "MoveConvention", "MovePartition",
+    "BeyondWindow", "CellScan", "CheckFailed", "CoordinateOverflow",
+    "DetectProbe", "FollowProbe", "FollowTrace", "Follower", "GapReport",
+    "ImpulseCA", "LAMBDA", "Literal", "MoveConvention", "MovePartition",
     "Neighborhood", "NoMatch", "NotCoprime", "NotPeriodicWithin", "NotTotal",
-    "OverflowHorizon", "PeriodDecomposition", "PlaneProbe", "PlaneViolation",
-    "ProductCA", "QuiescentViolation", "ReadSchedule", "Rule",
-    "RuleFileError", "RuleSyntaxError", "RuleTable", "SearchReport", "Signal",
+    "OverflowHorizon", "PeriodDecomposition", "ProductCA",
+    "QuiescentViolation", "ReadSchedule", "Rule", "RuleFileError",
+    "RuleSyntaxError", "RuleTable", "SearchReport", "Signal",
     "SpaceTimeDiagram", "UnknownState", "VerifyReport", "WILDCARD",
     "XNotSmallest", "builtin_log2", "builtin_quiescent", "builtin_xy",
     "crt_digit", "dense_run", "diagonal_sites", "diagram_from_json_obj",

@@ -1,4 +1,4 @@
-"""Analysis of diagonal words, signal gaps, and the two-track planes.
+"""Analysis of diagonal words and signal gaps.
 
 Periodicity comes two ways.  A finite word alone is decomposed *windowed*:
 a length-H observation can only confirm an eventual period up to evidence
@@ -17,8 +17,8 @@ A word read off the first repeat (mu, lam) of the state that generates it
 is decomposed *exactly* (``cycle_lens``), as ``verify_period_bounds`` does
 for all its diagonal words at once.
 
-The plane check is a probe (``PlaneProbe``), fed the slices ``run_probes``
-steps or a retained diagram's ``replay``.
+Scans over every live cell of a slice (the two-track planes among them)
+are ``engine.CellScan`` probes, built where each claim is checked.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .automaton import ImpulseCA
 from .engine import DEFAULT_SITE_BUDGET, diagonal_start, run_probes
-from .errors import CheckFailed, OverflowHorizon, PlaneViolation
+from .errors import CheckFailed, OverflowHorizon
 from .signals import Signal, gap_profile
 
 # ---------------------------------------------------------------------------
@@ -147,18 +147,16 @@ class DiagonalPeriod:
     decomposed: bool
     recursive_ok: bool
     closed_form_ok: bool
-    notes: str = ""
 
 
 @dataclass(frozen=True)
 class PeriodBoundsReport:
-    window: int
     rows: tuple[DiagonalPeriod, ...]
-    findings: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.findings
+        return all(r.decomposed and r.recursive_ok and r.closed_form_ok
+                   for r in self.rows)
 
 
 def cycle_lens(rows: np.ndarray, mu: int) -> list[tuple[int, int]]:
@@ -231,18 +229,14 @@ def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
     with contextlib.suppress(_Repeated):
         run_probes(ca, window, [states], budget=budget, reach=r_max)
     if states.mu is None:
-        rows = tuple(DiagonalPeriod(i, -1, -1, False, False, False,
-                                    "no decomposition inside window")
-                     for i in points)
-        return PeriodBoundsReport(window, rows, tuple(
-            f"diagonal {i}: not periodic within {window}" for i in points))
+        return PeriodBoundsReport(tuple(
+            DiagonalPeriod(i, -1, -1, False, False, False) for i in points))
 
     held = np.frombuffer(b"".join(states.seen), dtype=np.uint8).reshape(
         len(states.seen), len(points))
     lens = {i: (max(0, p - diagonal_start(i)), q)
             for i, (p, q) in zip(points, cycle_lens(held, states.mu))}
     rows = []
-    findings = []
     for i in points:
         a_len, b_len = lens[i]
         # diagonal i reads diagonal i - x - 1bar through argument x (x = -1bar
@@ -256,22 +250,9 @@ def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
 
         r = sum(i)
         cor_ok = (a_len < n * big_l ** r) and (big_l ** (r + 1)) % b_len == 0
+        rows.append(DiagonalPeriod(i, a_len, b_len, True, rec_ok, cor_ok))
 
-        notes = []
-        if not rec_ok:
-            msg = (f"diagonal {i}: (|alpha|,|beta|)=({a_len},{b_len}) breaks "
-                   f"recursive bound (M={m_bound}, P={p_lcm}, n={n})")
-            findings.append(msg)
-            notes.append("recursive bound violated")
-        if not cor_ok:
-            msg = (f"diagonal {i}: (|alpha|,|beta|)=({a_len},{b_len}) breaks "
-                   f"closed-form bound (L={big_l}, r={r})")
-            findings.append(msg)
-            notes.append("closed-form bound violated")
-        rows.append(DiagonalPeriod(i, a_len, b_len, True, rec_ok, cor_ok,
-                                   "; ".join(notes)))
-
-    return PeriodBoundsReport(window, tuple(rows), tuple(findings))
+    return PeriodBoundsReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -415,37 +396,3 @@ def exhaustive_two_state_search(limit: int | None = None) -> SearchReport:
     h.update(ok.astype(np.uint8).tobytes())
     return SearchReport(n_c, len(witnesses), witnesses, SEARCH_TARGETS,
                         h.hexdigest())
-
-
-# ---------------------------------------------------------------------------
-# plane discipline of the two-track counter
-
-
-class PlaneProbe:
-    """Counts the live cells of a two-track run and keeps the first one off
-    its carrier plane: a - b = 0 for the mod-x (π) track, a - b = 2 for the
-    mod-y (κ) track.  ``count()`` raises it; keeping it lets a streamed run
-    go on feeding its other probes."""
-
-    def __init__(self, ca: ImpulseCA):
-        self.states, self.checked, self.error = ca.states, 0, None
-        self.plane = np.array([0 if s.startswith("π_") else
-                               2 if s.startswith("κ_") else -1
-                               for s in ca.states])
-
-    def observe(self, view):
-        coords, codes = view.arrays()
-        self.checked += len(codes)
-        bad = np.flatnonzero(coords[:, 0] - coords[:, 1] != self.plane[codes])
-        if len(bad) and self.error is None:
-            (a, b), s = coords[bad[0]].tolist(), self.states[codes[bad[0]]]
-            on = {0: "π", 2: "κ"}.get(a - b)
-            self.error = PlaneViolation(
-                f"cell ({a},{b}) at t={view.t} " + (
-                    f"holds {s!r} on the {on} plane" if on
-                    else f"lies on plane offset {a - b}"))
-
-    def count(self) -> int:
-        if self.error is not None:
-            raise self.error
-        return self.checked

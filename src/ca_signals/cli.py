@@ -139,22 +139,22 @@ def _emit(content, out: str | None) -> None:
         sys.stdout.writelines(content)
 
 
-def _render_source(args, fallback_steps: int | None = None, last=-1):
+def _render_source(args, last: int | None = None):
     """The diagram to render as (ca, horizon, feed): ``feed(probe)`` passes
     the probe every slice 0..horizon, replayed from --in when given,
-    otherwise streamed from a fresh run of --ca that retains no slice and
-    stops at slice ``last`` when that is in 0..horizon."""
+    otherwise streamed from a fresh run of --ca (to slice ``last`` without
+    --steps) that retains no slice and stops at slice ``last``."""
     ca = parse_ca_spec(args.ca)
     if args.infile:
         obj = json.loads(Path(args.infile).read_text(encoding="utf-8"))
         diag = diagram_from_json_obj(ca, obj)
         return ca, diag.horizon, lambda probe: diag.replay(probe,
                                                            diag.horizon + 1)
-    steps = args.steps if args.steps is not None else fallback_steps
+    steps = args.steps if args.steps is not None else last
     if steps is None:
         raise ValueError("need either --in FILE or --steps N")
     budget = _site_budget(args)
-    stop = steps if last < 0 else min(steps, last)
+    stop = steps if last is None else min(steps, max(last, 0))
     return ca, steps, lambda probe: run_probes(ca, stop, [probe],
                                                budget=budget)
 
@@ -247,7 +247,7 @@ def cmd_render(args) -> int:
     if args.mode == "slice":
         if args.t is None:
             raise ValueError("--mode slice needs --t")
-        _ca, horizon, feed = _render_source(args, args.t, last=args.t)
+        _ca, horizon, feed = _render_source(args, args.t)
         keep = _KeepSlice(args.t)
         feed(keep)
         if keep.view is None:
@@ -278,7 +278,7 @@ def cmd_render(args) -> int:
         if width is None:
             width = max(8, (args.k + 1).bit_length() + 2)
         needed = args.k + (width - 1) + (args.rows - 1)
-        ca, horizon, feed = _render_source(args, fallback_steps=needed)
+        ca, horizon, feed = _render_source(args, needed)
         if ca.dim != 2:
             raise ValueError("the sheared plane is defined for 2-D trellis runs")
         reads = ReadSchedule(w_sites(args.k, l, width)

@@ -26,15 +26,17 @@ The sparse and window engines map flat neighbor codes through one evaluator
 that applies the rule table the first time a run meets a code and caches the
 result, so no table is enumerated before the first step.
 
-Probes are the only way to read a diagram: walkers, plane, region and mark
-checks, and ``ReadSchedule``, the one reader of sites fixed before stepping,
-each observe one ``SliceView`` per time step.  A schedule's rows are the
-sheared digit and carry rows (``w_sites``) and diagonal words
-(``diagonal_sites``).  Claims stream: ``run_probes`` feeds probes the live
-slice (or window) as it steps and retains nothing else.  Only dumps retain:
-``run`` keeps every slice the same stepper yields, for ``simulate`` and
-loaded diagrams, and ``SpaceTimeDiagram.replay`` feeds probes its stored
-slices.
+Probes are the only way to read a diagram: walkers, ``ReadSchedule``, the
+one reader of sites fixed before stepping, and ``CellScan``, the one reader
+of whole slices, each observe one ``SliceView`` per time step.  A schedule's
+rows are the sheared digit and carry rows (``w_sites``) and diagonal words
+(``diagonal_sites``).  A scan tests every live cell with one vectorised
+predicate and keeps the hits: the counter's wedge, the two-track planes,
+the product's marks and ``run(..., check=True)``.  Claims stream:
+``run_probes`` feeds probes the live slice (or window) as it steps and
+retains nothing else.  Only dumps retain: ``run`` keeps every slice the
+same stepper yields, for ``simulate`` and loaded diagrams, and
+``SpaceTimeDiagram.replay`` feeds probes its stored slices.
 
 A retained diagram's JSON dump is formatted slice by slice straight from the
 packed arrays (``json_chunks``), with no object per cell.
@@ -390,6 +392,17 @@ def _misplaced(cell: tuple[int, ...], t: int, ca: ImpulseCA) -> str | None:
     return None
 
 
+def _misplaced_select(ca: ImpulseCA):
+    """``_misplaced`` over a slice's arrays: a ``CellScan`` select marking
+    the cells off the light cone or, for trellis, off t's parity."""
+    def select(coords, _codes, t):
+        off = np.abs(coords) > t
+        if ca.neighborhood.kind == "trellis":
+            off |= ((coords + t) & 1).astype(bool)
+        return off.any(axis=1)
+    return select
+
+
 def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
         check: bool = False) -> SpaceTimeDiagram:
     """Simulate t = 0..steps inclusive, retaining every slice.
@@ -399,6 +412,7 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
     exception carries the finished part as its ``partial`` attribute.
     """
     slices, total = [], 0
+    scan = CellScan(_misplaced_select(ca), cap=1)
     try:
         for view in _sparse_views(ca, steps, budget):
             total += view.n_sites
@@ -406,10 +420,10 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
                 raise OverflowHorizon(view.t - 1, budget)
             slices.append(view._sl)
             if check:
-                for cell, _ in view.cells():
-                    problem = _misplaced(cell, view.t, ca)
-                    if problem:
-                        raise CheckFailed(problem)
+                scan.observe(view)
+                if scan.found:
+                    [(cell, t, _)] = scan.found
+                    raise CheckFailed(_misplaced(cell, t, ca))
     except OverflowHorizon as exc:
         exc.partial = SpaceTimeDiagram(ca, slices, truncated=True)
         raise
@@ -603,6 +617,27 @@ def w_site(k: int, l: int, i: int) -> tuple[tuple[int, int], int]:
 def w_sites(k: int, l: int, n: int):
     """Sites of entries (k, l, 0..n-1), in time order."""
     return map(w_site, repeat(k, n), repeat(l, n), range(n))
+
+
+class CellScan:
+    """Reads every live cell of each slice: ``total`` counts them, and
+    ``found`` keeps (cell, t, symbol) for each cell that the vectorised
+    ``select(coords, codes, t)`` marks, over the arrays of
+    ``SliceView.arrays()``, in time and then lexicographic order.  It keeps
+    no more than ``cap`` of them; all with ``cap=None``."""
+
+    def __init__(self, select, cap: int | None = None):
+        self.select, self.cap = select, cap
+        self.total, self.found = 0, []
+
+    def observe(self, view):
+        coords, codes = view.arrays()
+        self.total += len(codes)
+        room = None if self.cap is None else self.cap - len(self.found)
+        hits = np.flatnonzero(self.select(coords, codes, view.t))[:room]
+        states = view.ca.states
+        self.found += [(tuple(u), view.t, states[c]) for u, c in
+                       zip(coords[hits].tolist(), codes[hits].tolist())]
 
 
 class ReadSchedule:

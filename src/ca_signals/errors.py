@@ -59,10 +59,6 @@ class AlphabetMismatch(ValueError):
     pass
 
 
-class PlaneViolation(ValueError):
-    """A state was found on the wrong diagonal plane of a counter diagram."""
-
-
 class CheckFailed(RuntimeError):
     """A computed result broke a property the construction guarantees.
 

@@ -14,8 +14,8 @@ following uses a finite automaton that additionally carries its own state.
 A detection walk is a one-state follower.  Both walk as probes
 (``DetectProbe``, ``FollowProbe``), fed the slices ``engine.run_probes``
 steps or a retained diagram's ``replay``.  ``product_construct`` compiles CA
-and follower into one product automaton whose marked sites, collected by
-``MarkedProbe``, reproduce the follower's path.
+and follower into one product automaton whose marked sites reproduce the
+follower's path; an ``engine.CellScan`` over ``marked_states`` collects them.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .automaton import LAMBDA, ImpulseCA
-from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, UnknownState,
-                     json_list, json_object)
+from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, json_list,
+                     json_object)
 from .lattice import (Offset, all_ones, in_light_cone, neg, offsets,
                       parse_offset)
 
@@ -65,6 +63,8 @@ class Signal:
         if not self.sites:
             raise ValueError("a signal has at least its t=0 site")
         dim = len(self.sites[0])
+        if dim == 0:
+            raise ValueError("signal sites need coordinates, got u=[]")
         if any(len(u) != dim for u in self.sites):
             raise ValueError("all sites must share one dimension")
         if any(a != 0 for a in self.sites[0]):
@@ -364,9 +364,6 @@ class ProductTable:
     def __init__(self, base: ImpulseCA, follower: Follower,
                  convention: MoveConvention):
         self.base = base
-        self.follower = follower
-        self.convention = convention
-        self.marks = (UNMARKED,) + follower.states
         req = {x: (x if convention is MoveConvention.NEGATED else neg(x))
                for x in base.arg_order}
         # per argument position: (marker, symbol) -> marker produced here
@@ -401,21 +398,14 @@ class ProductTable:
 
 @dataclass(frozen=True)
 class ProductCA:
-    """Product of a base CA and a follower, plus decoding helpers."""
+    """Product of a base CA and a follower, and its marked states."""
 
     ca: ImpulseCA
-    base: ImpulseCA
-    follower: Follower
-    convention: MoveConvention
-
-    def split(self, pair: str) -> tuple[str, str | None]:
-        s, _, m = pair.rpartition(PAIR_SEP)
-        return s, (None if m == UNMARKED else m)
 
     @property
     def marked_states(self) -> frozenset[str]:
         return frozenset(s for s in self.ca.states
-                         if self.split(s)[1] is not None)
+                         if self.ca.table.split(s)[1] != UNMARKED)
 
 
 def product_construct(base: ImpulseCA, follower: Follower,
@@ -441,24 +431,7 @@ def product_construct(base: ImpulseCA, follower: Follower,
         table=table,
         name=f"product({base.name or 'ca'})",
     )
-    return ProductCA(ca, base, follower, convention)
-
-
-class MarkedProbe:
-    """Collects every (cell, t) whose state lies in ``subset``."""
-
-    def __init__(self, ca: ImpulseCA, subset):
-        unknown = set(subset) - set(ca.states)
-        if unknown:
-            raise UnknownState(f"not states of this automaton: {sorted(unknown)}")
-        self.marked = np.array([s in subset for s in ca.states], dtype=bool)
-        self.found: set = set()
-
-    def observe(self, view):
-        coords, codes = view.arrays()
-        t = view.t
-        self.found.update((tuple(u), t)
-                          for u in coords[self.marked[codes]].tolist())
+    return ProductCA(ca)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ sites instead of stopping at the first failure.
 
 Claims stream: every check is a probe, so each automaton is stepped once
 by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
-slice is held.  The period bounds stop that run at the first repeat of its
+slice is held.  The checks over every live cell (the counter's wedge, the
+two-track planes, the product's marks) are each one ``CellScan`` with a
+numpy predicate.  The period bounds stop that run at the first repeat of its
 joint state, and ``verify_basic``'s random followers are not stepped.
 
 Each digit, carry or two-track row is a row of one ``ReadSchedule`` per
@@ -26,13 +28,13 @@ from itertools import islice, takewhile
 import numpy as np
 
 from . import analysis
-from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, PlaneProbe, cycle_lens,
-                       gap_probe, is_basic, verify_period_bounds)
+from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, cycle_lens, gap_probe,
+                       is_basic, verify_period_bounds)
 from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
-from .engine import DEFAULT_SITE_BUDGET, ReadSchedule, w_sites
-from .errors import NotCoprime, PlaneViolation, XNotSmallest
+from .engine import DEFAULT_SITE_BUDGET, CellScan, ReadSchedule, w_sites
+from .errors import NotCoprime, XNotSmallest
 from .lattice import Neighborhood, offsets
-from .signals import (DetectProbe, Follower, FollowProbe, MarkedProbe, Signal,
+from .signals import (DetectProbe, Follower, FollowProbe, Signal,
                       follower_for_xy, log2_partition, log_anchor_signal,
                       product_construct)
 
@@ -105,22 +107,11 @@ def _digits(n: int, base: int) -> tuple[int, ...]:
 # binary counter
 
 
-class _RegionProbe:
-    """Sums the live sites and keeps those off the wedge -t <= b <= a <= t
-    or off t's parity."""
-
-    def __init__(self):
-        self.bad: list = []
-        self.total = 0
-
-    def observe(self, view):
-        coords, t = view.arrays()[0], view.t
-        a, b = coords.T
-        off = (b > a) | (a > t) | (b < -t) \
-            | (((a ^ t) | (b ^ t)) & 1).astype(bool)    # a+t or b+t odd
-        self.total += len(coords)
-        room = MISMATCH_CAP - len(self.bad)    # keep no more than a report shows
-        self.bad += [(ua, ub, t) for ua, ub in coords[off][:room].tolist()]
+def _off_wedge(coords, _codes, t):
+    """Marks the cells off the wedge -t <= b <= a <= t or off t's parity."""
+    a, b = coords.T
+    return (b > a) | (a > t) | (b < -t) \
+        | (((a ^ t) | (b ^ t)) & 1).astype(bool)    # a+t or b+t odd
 
 
 def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
@@ -156,7 +147,7 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
 
     walk = DetectProbe(ca, log2_partition(), steps)
     reads = ReadSchedule(w_sites(k, l, n + 1) for k, l, n in rows())
-    region = _RegionProbe()
+    region = CellScan(_off_wedge, cap=MISMATCH_CAP)
     analysis.run_probes(ca, horizon, [walk, reads, region], budget=budget)
     read = {(k, l): "".join(row) for (k, l, _), row in zip(rows(), reads.rows)}
 
@@ -186,9 +177,9 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
     checks.append(Check("carry-rows", not bad,
                         f"{samples} sampled rows with l >= 1", _capped(bad)))
 
-    checks.append(Check("live-region", not region.bad,
+    checks.append(Check("live-region", not region.found,
                         f"{region.total} stored sites inside the wedge",
-                        _capped(region.bad)))
+                        tuple((*u, t) for u, t, _ in region.found)))
 
     if steps >= 64:
         rep = gap_probe(sig)
@@ -219,6 +210,27 @@ def crt_digit(x: int, y: int, p_idx: int, k_idx: int) -> int:
     return a + x * (((b - a) * inv) % y)
 
 
+def _plane_scan(ca: ImpulseCA) -> CellScan:
+    """Keeps the first live cell of a two-track run off its carrier plane:
+    a - b = 0 for the mod-x (π) track, a - b = 2 for the mod-y (κ) track."""
+    plane = np.array([0 if s.startswith("π_") else
+                      2 if s.startswith("κ_") else -1 for s in ca.states])
+    return CellScan(lambda coords, codes, _t:
+                    coords[:, 0] - coords[:, 1] != plane[codes], cap=1)
+
+
+def _plane_check(scan: CellScan) -> Check:
+    """The plane-discipline line of a finished ``_plane_scan``."""
+    if not scan.found:
+        return Check("plane-discipline", True,
+                     f"{scan.total} live cells on the two carrier planes")
+    [((a, b), t, s)] = scan.found
+    on = {0: "π", 2: "κ"}.get(a - b)
+    return Check("plane-discipline", False, f"cell ({a},{b}) at t={t} " + (
+        f"holds {s!r} on the {on} plane" if on
+        else f"lies on plane offset {a - b}"))
+
+
 def verify_xy(x: int, y: int, steps: int, *,
               budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Follower anchors, CRT digit readout, plane discipline, the product
@@ -241,7 +253,7 @@ def verify_xy(x: int, y: int, steps: int, *,
     # the digits of k+1 and their quiescent end
     reads = ReadSchedule(w_sites(k, l, len(_digits(k + 1, base)) + 1)
                          for k in rows for l in (0, 1))
-    planes = PlaneProbe(ca)
+    planes = _plane_scan(ca)
     analysis.run_probes(ca, steps, [walk, reads, planes], budget=budget)
 
     checks = []
@@ -271,18 +283,14 @@ def verify_xy(x: int, y: int, steps: int, *,
                         f"rows k=0..{len(rows) - 1} read back in base {base}",
                         _capped(bad)))
 
-    try:
-        n_cells = planes.count()
-        checks.append(Check("plane-discipline", True,
-                            f"{n_cells} live cells on the two carrier planes"))
-    except PlaneViolation as e:
-        checks.append(Check("plane-discipline", False, str(e)))
+    checks.append(_plane_check(planes))
 
     t_prod = min(steps, 200)
     prod = product_construct(ca, fol)
-    marks = MarkedProbe(prod.ca, prod.marked_states)
+    marked = np.array([s in prod.marked_states for s in prod.ca.states])
+    marks = CellScan(lambda _coords, codes, _t: marked[codes])
     analysis.run_probes(prod.ca, t_prod, [marks], budget=budget)
-    ms = marks.found
+    ms = {(u, t) for u, t, _ in marks.found}
     path = {(u, t) for t, u in enumerate(tr.signal.sites[:t_prod + 1])}
     diff = sorted(ms ^ path, key=lambda p: (p[1], p[0]))
     checks.append(Check(

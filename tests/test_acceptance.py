@@ -11,9 +11,10 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 
-from ca_signals import (DetectProbe, FollowProbe, MarkedProbe, Signal,
+from ca_signals import (CellScan, DetectProbe, FollowProbe, Signal,
                         builtin_log2, builtin_xy, dense_run,
                         exhaustive_two_state_search, follower_for_xy,
                         gap_probe, gap_profile, ilog, log2_partition,
@@ -110,17 +111,18 @@ def test_criterion_5_product_marks_equal_followed_path():
     ca = builtin_xy(2, 3)
     fol = follower_for_xy(2, 3)
     prod = product_construct(ca, fol)
-    marks = MarkedProbe(prod.ca, prod.marked_states)
+    marked = np.array([s in prod.marked_states for s in prod.ca.states])
+    marks = CellScan(lambda _coords, codes, _t: marked[codes])
     run_probes(prod.ca, 200, [marks])
     walk = FollowProbe(ca, fol, 200)
     run_probes(ca, 200, [walk])
     tr = walk.trace()
     full_path = {(u, t) for t, u in enumerate(tr.signal.sites)}
-    assert marks.found == full_path
+    assert {(u, t) for u, t, _ in marks.found} == full_path
     assert len(full_path) == 201
     for t_cap in (0, 1, 37, 200):
         want = {(u, t) for t, u in enumerate(tr.signal.sites[:t_cap + 1])}
-        assert {(u, t) for u, t in marks.found if t <= t_cap} == want
+        assert {(u, t) for u, t, _ in marks.found if t <= t_cap} == want
     print("[PASS] criterion 5: product-marked sites equal the followed "
           "path exactly for every horizon T<=200")
 

@@ -12,13 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (BeyondHorizon, DetectProbe, NotCoprime,
-                        NotPeriodicWithin, PeriodDecomposition, PlaneProbe,
-                        PlaneViolation, ReadSchedule, Signal, analysis,
-                        builtin_log2, builtin_xy, crt_digit, diagonal_sites,
-                        diagram_from_json_obj, exhaustive_two_state_search,
-                        gap_probe, gap_profile, log2_partition, merged_xy,
-                        run, run_probes, ultimate_period, verification,
-                        verify_period_bounds, verify_xy, w_sites)
+                        NotPeriodicWithin, PeriodDecomposition, ReadSchedule,
+                        Signal, analysis, builtin_log2, builtin_xy, crt_digit,
+                        diagonal_sites, diagram_from_json_obj,
+                        exhaustive_two_state_search, gap_probe, gap_profile,
+                        log2_partition, merged_xy, run, run_probes,
+                        ultimate_period, verification, verify_period_bounds,
+                        verify_xy, w_sites)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
                                  SEARCH_TARGETS, _decompose, cycle_lens)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
@@ -177,7 +177,8 @@ def test_a_cap_below_the_first_repeat_decomposes_no_row():
     short = verify_period_bounds(builtin_log2(), 6, 6)
     assert not short.ok and len(short.rows) == 28
     assert not any(r.decomposed for r in short.rows)
-    assert short.findings[0] == "diagonal (0, 0): not periodic within 6"
+    assert short.rows[0] == analysis.DiagonalPeriod((0, 0), -1, -1, False,
+                                                    False, False)
     assert verify_period_bounds(builtin_log2(), 6, 7).ok
 
 
@@ -340,7 +341,7 @@ def test_readout_rows_that_do_not_end_are_beyond_the_horizon(log2_diag):
 def test_readout_errors_surface_for_their_row(monkeypatch):
     # with rule 23, which seeds the mod-y track, sending to λ every row's
     # κ track reads quiescent next to a live π entry: each row fails with
-    # the pairs it read, where the retired readout raised PlaneViolation
+    # the pairs it read
     base = builtin_xy(2, 3)
     rules = list(base.table.rules)
     rules[23] = Rule(rules[23].pattern, L)
@@ -408,38 +409,52 @@ def test_base_xy_readout_probe_streams_every_row():
 
 
 def _planes(diag, stop=None):
-    """PlaneProbe's count over slices 0..stop-1 (all by default)."""
+    """The plane-discipline check over slices 0..stop-1 (all by default)."""
     stop = diag.horizon + 1 if stop is None else stop
-    return diag.replay(PlaneProbe(diag.ca), stop).count()
+    return verification._plane_check(
+        diag.replay(verification._plane_scan(diag.ca), stop))
 
 
 def test_check_planes_counts_and_rejects(xy23_diag):
-    assert _planes(xy23_diag, 41) > 0
-    assert _planes(xy23_diag, 41) == sum(
-        xy23_diag.view(t).n_sites for t in range(41))
-    probe = PlaneProbe(builtin_xy(2, 3))
-    run_probes(builtin_xy(2, 3), 40, [probe])
-    assert probe.count() == _planes(xy23_diag, 41)
+    n_cells = sum(xy23_diag.view(t).n_sites for t in range(41))
+    assert n_cells > 0
+    assert _planes(xy23_diag, 41) == verification.Check(
+        "plane-discipline", True,
+        f"{n_cells} live cells on the two carrier planes")
+    scan = verification._plane_scan(builtin_xy(2, 3))
+    run_probes(builtin_xy(2, 3), 40, [scan])
+    assert verification._plane_check(scan) == _planes(xy23_diag, 41)
     ca = builtin_xy(2, 3)
     bad = diagram_from_json_obj(ca, [
         {"t": 0, "cells": [{"u": [0, 0], "s": "π_1"}]},
         {"t": 1, "cells": [{"u": [1, -1], "s": "π_0"}]},
     ])
-    with pytest.raises(PlaneViolation,
-                       match=r"\(1,-1\) at t=1 holds 'π_0' on the κ plane"):
-        _planes(bad)
-    assert _planes(bad, 1) == 1
+    assert _planes(bad) == verification.Check(
+        "plane-discipline", False,
+        "cell (1,-1) at t=1 holds 'π_0' on the κ plane")
+    assert _planes(bad, 1).detail == "1 live cells on the two carrier planes"
     swapped = diagram_from_json_obj(ca, [
         {"t": 0, "cells": [{"u": [0, 0], "s": "κ_1"}]},
     ])
-    with pytest.raises(PlaneViolation, match="holds 'κ_1' on the π plane"):
-        _planes(swapped)
+    assert _planes(swapped).detail == "cell (0,0) at t=0 holds 'κ_1' on " \
+                                      "the π plane"
     off = diagram_from_json_obj(ca, [
         {"t": 0, "cells": []},
         {"t": 1, "cells": [{"u": [-1, 1], "s": "π_0"}]},
     ])
-    with pytest.raises(PlaneViolation, match="lies on plane offset -2"):
-        _planes(off)
+    assert _planes(off).detail == "cell (-1,1) at t=1 lies on plane offset -2"
+
+
+def test_plane_scan_keeps_the_first_cell_off_its_plane():
+    # every cell of every slice is off its plane: one is kept, all counted
+    ca = builtin_xy(2, 3)
+    diag = diagram_from_json_obj(ca, [
+        {"t": t, "cells": [{"u": [a, t], "s": "π_1"}
+                           for a in range(-t, t - 1, 2)]}
+        for t in range(6)])
+    scan = diag.replay(verification._plane_scan(ca), 6)
+    assert scan.found == [((-1, 1), 1, "π_1")]
+    assert scan.total == sum(range(6))
 
 
 # --- exhaustive two-state search -----------------------------------------------

@@ -82,9 +82,11 @@ def test_simulate_dense_engine_gives_same_bytes(capsys):
 
 
 def test_simulate_check_mode(capsys):
-    code, out, _ = run_cli(capsys, "simulate", "--ca", "log2", "--steps", "6",
+    code, out, _ = run_cli(capsys, "simulate", "--ca", "log2", "--steps", "40",
                            "--check")
-    assert code == EXIT_OK and json.loads(out)[-1]["t"] == 6
+    assert code == EXIT_OK and json.loads(out)[-1]["t"] == 40
+    assert (code, out) == run_cli(capsys, "simulate", "--ca", "log2",
+                                  "--steps", "40")[:2]
 
 
 def test_simulate_check_failure_exits_1(capsys, monkeypatch):
@@ -97,7 +99,28 @@ def test_simulate_check_failure_exits_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--ca", "log2", "--steps", "2",
                            "--check")
     assert code == EXIT_FAIL
-    assert err.startswith("error:") and "parity" in err
+    assert err == "error: cell (0, 0) parity-invalid at t=1\n"
+
+
+def test_simulate_check_rejects_a_cell_off_the_light_cone(capsys, tmp_path,
+                                                          monkeypatch):
+    # a Moore CA has no parity class, so only the light cone can be broken
+    path = tmp_path / "moore.rules"
+    path.write_text("states: λ a\nseed: a\nneighborhood: moore 2\n"
+                    f"rule: {' '.join(['λ'] * 9)} -> λ\n"
+                    f"rule: {' '.join(['*'] * 9)} -> a\n", encoding="utf-8")
+    argv = ("simulate", "--ca", f"file:{path}", "--steps", "3", "--check")
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+
+    def bad_step(ca, sl, *_args):
+        # the cone at t=1 is [-1, 1]^2; (1, 0) is inside, (1, 2) is not
+        return (engine.pack_cells(np.array([[1, 0], [1, 2]]), 2),
+                np.array([1, 1], np.uint8))
+
+    monkeypatch.setattr(engine, "_step", bad_step)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_FAIL and out == ""
+    assert err == "error: cell (1, 2) outside light cone at t=1\n"
 
 
 def test_simulate_out_file(capsys, tmp_path):
@@ -308,6 +331,18 @@ def test_render_wplane(capsys):
     assert code == EXIT_OK
     assert out.splitlines() == [
         "011.....", "000.....", "000.....", "000....."]
+
+
+def test_render_wplane_stops_at_its_last_read(capsys):
+    # rows l=0..3 of width 8 at k=5 end at t = 5 + 7 + 3 = 15, whose slice
+    # holds 47 cells; slice 16 holds 51, so stepping on would overflow
+    wplane = ("render", "--ca", "log2", "--mode", "wplane", "--k", "5")
+    _, want, _ = run_cli(capsys, *wplane)
+    assert run_cli(capsys, *wplane, "--steps", "3000", "--budget", "47") == (
+        EXIT_OK, want, "")
+    code, out, _ = run_cli(capsys, *wplane, "--steps", "3000",
+                           "--budget", "46")
+    assert code == EXIT_OVERFLOW and out == ""
 
 
 @pytest.mark.parametrize("flag,value,low", [
@@ -876,6 +911,16 @@ def test_analyze_gap_rejects_sites_off_the_light_cone(capsys, tmp_path):
     assert time.perf_counter() - start < 0.5
     assert code == EXIT_CONFIG and out == ""
     assert err == "error: site [-10000, -10000] outside light cone at t=1\n"
+
+
+def test_analyze_gap_rejects_sites_without_coordinates(capsys, tmp_path):
+    # the gap profile took max() over no coordinates and raised for it
+    sig = tmp_path / "empty.json"
+    sig.write_text(json.dumps([{"t": t, "u": []} for t in range(70)]),
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "gap", "--signal", str(sig))
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: signal sites need coordinates, got u=[]\n"
 
 
 # --- rules --------------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import json
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ca_signals import (BeyondHorizon, BeyondWindow, CoordinateOverflow,
 from ca_signals import engine
 from ca_signals.engine import (FLAT_ENUM_LIMIT, diagonal_start, pack_cells,
                                unpack_cells)
-from ca_signals.lattice import Neighborhood
+from ca_signals.lattice import KINDS, Neighborhood
 
 from tables import random_impulse_ca
 
@@ -197,6 +198,37 @@ def test_live_region_and_parity(log2_diag):
         for (a, b), _s in log2_diag.view(t).cells():
             assert -t <= b <= a <= t, (t, a, b)
             assert (a + t) % 2 == 0 and (b + t) % 2 == 0, (t, a, b)
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 3), st.integers(0, 6),
+       st.data())
+def test_check_select_agrees_with_misplaced(kind, dim, t, data):
+    # both read only the neighborhood of the CA
+    ca = SimpleNamespace(neighborhood=Neighborhood(kind, dim))
+    cells = data.draw(st.lists(st.tuples(*[st.integers(-t - 2, t + 2)] * dim),
+                               min_size=1, max_size=30))
+    mask = engine._misplaced_select(ca)(np.array(cells, dtype=np.int64),
+                                        None, t)
+    assert mask.tolist() == [engine._misplaced(c, t, ca) is not None
+                             for c in cells]
+
+
+def test_run_check_reads_each_slice_once(monkeypatch):
+    seen = []
+    arrays = engine.SliceView.arrays
+
+    def counted(view):
+        seen.append(view.t)
+        return arrays(view)
+
+    def per_cell(view):
+        raise AssertionError("the check read a slice cell by cell")
+
+    monkeypatch.setattr(engine.SliceView, "arrays", counted)
+    monkeypatch.setattr(engine.SliceView, "cells", per_cell)
+    assert same_run(run(builtin_log2(), 20, check=True),
+                    run(builtin_log2(), 20))
+    assert seen == list(range(21))
 
 
 def test_pack_unpack_round_trip():

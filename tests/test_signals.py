@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (AlphabetMismatch, CheckFailed, DetectProbe, Follower,
-                        FollowProbe, MarkedProbe, MoveConvention, NotCoprime,
-                        NotPeriodicWithin, Signal, UnknownState, builtin_log2,
+from ca_signals import (AlphabetMismatch, CellScan, CheckFailed, DetectProbe,
+                        Follower, FollowProbe, MoveConvention, NotCoprime,
+                        NotPeriodicWithin, Signal, builtin_log2,
                         builtin_quiescent, builtin_xy, follower_for_xy,
                         gap_profile, is_basic, log2_partition,
                         log_anchor_signal, parse_move_partition,
@@ -45,6 +45,8 @@ def test_signal_must_start_at_origin():
         Signal(((1, 1), (2, 2)))
     with pytest.raises(ValueError):
         Signal(())
+    with pytest.raises(ValueError, match="need coordinates"):
+        Signal(((), ()))
 
 
 def test_signal_moves_and_json():
@@ -331,15 +333,25 @@ def test_large_product_table_is_not_allocated(monkeypatch):
     assert _Evaluator(prod.ca).flat is None
 
 
+def _mark_scan(ca, subset):
+    """A scan keeping every cell whose state lies in ``subset``."""
+    marked = np.array([s in subset for s in ca.states])
+    return CellScan(lambda _coords, codes, _t: marked[codes])
+
+
 def _marked(diag, subset, t_max):
-    """MarkedProbe's sites over slices 0..t_max of a retained diagram."""
-    return diag.replay(MarkedProbe(diag.ca, subset), t_max + 1).found
+    """The marked (cell, t) over slices 0..t_max of a retained diagram."""
+    scan = diag.replay(_mark_scan(diag.ca, subset), t_max + 1)
+    return {(u, t) for u, t, _ in scan.found}
 
 
 def test_marked_probe_streams_the_marked_sites(log2_diag):
-    probe = MarkedProbe(builtin_log2(), {"1"})
-    run_probes(builtin_log2(), 30, [probe])
-    assert probe.found == _marked(log2_diag, {"1"}, 30)
+    scan = _mark_scan(builtin_log2(), {"1"})
+    run_probes(builtin_log2(), 30, [scan])
+    assert scan.found == log2_diag.replay(_mark_scan(log2_diag.ca, {"1"}),
+                                          31).found
+    assert {s for _, _, s in scan.found} == {"1"}
+    assert scan.total == sum(log2_diag.view(t).n_sites for t in range(31))
 
 
 def test_product_marks_equal_follow_path(xy23_diag):
@@ -356,8 +368,6 @@ def test_marked_sites_on_log2(log2_diag):
     assert _marked(log2_diag, {"1"}, 1) == {((0, 0), 0), ((1, -1), 1)}
     assert log2_diag.view(1).state_at((1, 1)) == "0"
     assert _marked(log2_diag, set(), 3) == set()
-    with pytest.raises(UnknownState):
-        MarkedProbe(log2_diag.ca, {"no-such-state"})
 
 
 # --- basic-signal test ------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from ca_signals import (LAMBDA, BeyondWindow, Follower, FollowProbe,
+from ca_signals import (LAMBDA, BeyondWindow, CellScan, Follower, FollowProbe,
                         ImpulseCA, ReadSchedule, Rule, RuleTable, analysis,
                         builtin_log2, builtin_quiescent, builtin_xy,
                         dense_run, diagram_from_json_obj, run, run_probes,
@@ -17,7 +17,7 @@ from ca_signals import (LAMBDA, BeyondWindow, Follower, FollowProbe,
 from ca_signals.engine import SpaceTimeDiagram
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.verification import (MISMATCH_CAP, Check, VerifyReport,
-                                     _RegionProbe, random_follower)
+                                     _off_wedge, random_follower)
 
 from tables import random_impulse_ca
 
@@ -235,9 +235,9 @@ def test_region_probe_reports_cells_off_the_wedge():
         {"t": 1, "cells": [{"u": [-1, 1], "s": "0"},
                            {"u": [1, -1], "s": "1"}]},
     ])
-    probe = diag.replay(_RegionProbe(), 2)
-    assert probe.total == 3
-    assert probe.bad == [(-1, 1, 1)]
+    scan = diag.replay(CellScan(_off_wedge, cap=MISMATCH_CAP), 2)
+    assert scan.total == 3
+    assert scan.found == [((-1, 1), 1, "0")]
 
 
 def test_region_probe_keeps_no_more_than_a_report_shows():
@@ -247,7 +247,8 @@ def test_region_probe_keeps_no_more_than_a_report_shows():
                                  for b in range(a + 2, t + 1, 2)]}
               for t in range(20)]
     diag = diagram_from_json_obj(builtin_log2(), slices)
-    probe = diag.replay(_RegionProbe(), 20)
-    assert sum(len(s["cells"]) for s in slices) > 10 * MISMATCH_CAP
-    assert len(probe.bad) == MISMATCH_CAP
-    assert probe.bad[0] == (-1, 1, 1)
+    scan = diag.replay(CellScan(_off_wedge, cap=MISMATCH_CAP), 20)
+    assert scan.total == sum(len(s["cells"]) for s in slices)
+    assert scan.total > 10 * MISMATCH_CAP
+    assert len(scan.found) == MISMATCH_CAP
+    assert scan.found[0] == ((-1, 1), 1, "1")
