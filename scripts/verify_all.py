@@ -19,7 +19,7 @@ def stages(quick: bool):
         yield "xy(2,3)", lambda: verify_xy(2, 3, 120)
         yield "xy(3,4)", lambda: verify_xy(3, 4, 120)
         yield "bounds", lambda: verify_bounds(3, 512)
-        yield "basic", lambda: verify_basic(10, move_horizon=400)
+        yield "basic", lambda: verify_basic(10)
         return
     yield "log2", lambda: verify_log2(2048)
     yield "xy(2,3)", lambda: verify_xy(2, 3, 1500)

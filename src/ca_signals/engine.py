@@ -13,11 +13,13 @@ Three engines, one per job:
   packed with Python ints; cells outside the light cone read quiescent
   without being packed.
 * ``run_probes(..., reach=R)``: the diagonal window, for claims that read
-  known diagonals.  Write a site as i = t*1bar - u; cell u at time t+1 reads
-  u + x at time t, which is diagonal i - (x + 1bar), and every coordinate of
-  x + 1bar is >= 0 for all three neighborhood kinds.  So the diagonals
-  [0, R]^dim are closed under the update: one dense uint8 array of them is
-  stepped with v shifted slice-adds of flat codes and one table lookup.
+  known diagonals: the period bounds, ``verify basic``'s counter walk and
+  ``verify xy``'s merged walk.  Write a site as i = t*1bar - u; cell u at
+  time t+1 reads u + x at time t, which is diagonal i - (x + 1bar), and
+  every coordinate of x + 1bar is >= 0 for all three neighborhood kinds.
+  So the diagonals [0, R]^dim are closed under the update: one dense uint8
+  array of them is stepped with v shifted slice-adds of flat codes and one
+  table lookup.
 * ``dense_run``: a plain dict-of-cells reference engine that re-applies the
   rule list with first-match semantics, cell by cell.  It shares no stepping
   or pruning logic with the other two so it can cross-check them.

@@ -9,8 +9,12 @@ Claims stream: every check is a probe, so each automaton is stepped once
 by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
 slice is held.  The checks over every live cell (the counter's wedge, the
 two-track planes, the product's marks) are each one ``CellScan`` with a
-numpy predicate.  The period bounds stop that run at the first repeat of its
-joint state, and ``verify_basic``'s random followers are not stepped.
+numpy predicate.  The runs that only walk step the diagonal window
+``run_probes(..., reach=R)``: the period bounds, stopped at the first
+repeat of their joint state; ``verify_basic``'s counter walk, up to its
+highest anchor's diagonal; and ``verify_xy``'s merged walk, up to the
+largest diagonal the two-track walk reads.  ``verify_basic``'s random
+followers are not stepped.
 
 Each digit, carry or two-track row is a row of one ``ReadSchedule`` per
 claim, read as its digits and their quiescent end: a row that does not read
@@ -19,6 +23,7 @@ back is a FAIL mismatch showing what it read, never an error.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import random
@@ -32,11 +37,11 @@ from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, cycle_lens, gap_probe,
                        is_basic, verify_period_bounds)
 from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
 from .engine import DEFAULT_SITE_BUDGET, CellScan, ReadSchedule, w_sites
-from .errors import NotCoprime, XNotSmallest
+from .errors import BeyondWindow, NotCoprime, XNotSmallest
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, FollowProbe, Signal,
-                      follower_for_xy, log2_partition, log_anchor_signal,
-                      product_construct)
+                      follower_for_xy, gap_profile, log2_partition,
+                      log_anchor_signal, product_construct)
 
 MISMATCH_CAP = 100
 
@@ -303,7 +308,13 @@ def verify_xy(x: int, y: int, steps: int, *,
         merged = merged_xy(x, y)
         mfol = follower_for_xy(x, y, alphabet=merged.states)
         mwalk = FollowProbe(merged, mfol, steps)
-        analysis.run_probes(merged, steps, [mwalk], budget=budget)
+        # Step only the diagonals the two-track walk reads.  A merged walk
+        # that reads past them has left that walk, so the walked prefix
+        # differs from it and the check fails.
+        reach = max(gap_profile(tr.signal)[:steps])
+        with contextlib.suppress(BeyondWindow):
+            analysis.run_probes(merged, steps, [mwalk], budget=budget,
+                                reach=reach)
         mtr = mwalk.trace()
         same = mtr.signal == tr.signal
         bad = [] if same else [
@@ -379,7 +390,9 @@ def verify_basic(count: int = 50, *, move_horizon: int = 2000, seed: int = 11,
     with preperiod + period <= |Q| + 1; the binary counter's detected walk
     shows no such decomposition within ``move_horizon``.  A follower reads
     only λ on the empty diagram, so its walk is the orbit of q -> delta(q, λ),
-    decomposed exactly at the orbit's first repeat.
+    decomposed exactly at the orbit's first repeat.  The counter is stepped
+    on the diagonal window up to the diagonal of its highest anchor, so
+    ``budget`` bounds that (R+1)^2 window.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -399,7 +412,12 @@ def verify_basic(count: int = 50, *, move_horizon: int = 2000, seed: int = 11,
         _capped(bad))]
 
     probe = DetectProbe(builtin_log2(), log2_partition(), move_horizon)
-    analysis.run_probes(builtin_log2(), move_horizon, [probe], budget=budget)
+    # the counter's walk reads no diagonal past its highest anchor; a read
+    # past it raises BeyondWindow
+    reach = max(when - site[0]
+                for site, when in log_anchor_signal(2, move_horizon))
+    analysis.run_probes(builtin_log2(), move_horizon, [probe], budget=budget,
+                        reach=reach)
     dec = is_basic(probe.signal(), move_horizon)
     checks.append(Check(
         "counter-walk-not-basic", isinstance(dec, NotPeriodicWithin),

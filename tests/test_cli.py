@@ -642,6 +642,17 @@ def test_verify_honours_the_env_budget(capsys, monkeypatch):
     assert "site budget 50 exhausted" in err
 
 
+def test_verify_xy_budget_bounds_the_merged_window(capsys):
+    # the merged walk steps the (6+1)^2-site window of the diagonals the
+    # two-track walk reads, not the thousands of live cells of its slices;
+    # the two-track and product slices hold fewer than 100
+    code, out, err = run_cli(capsys, "verify", "xy", "--x", "2", "--y", "3",
+                             "--steps", "750", "--budget", "100")
+    assert code == EXIT_OK, err
+    assert "[PASS] xy/merged-variant" in err
+    assert json.loads(out)["ok"] is True
+
+
 def test_verify_bounds_checks_the_window_against_the_budget(capsys):
     # the (10+1)^2-site window is refused before anything is stepped
     code, out, err = run_cli(capsys, "verify", "bounds", "--rmax", "10",
@@ -710,8 +721,7 @@ def test_search_rejects_a_limit_below_one(capsys, limit):
 # --- integer sizes, fuzzed ----------------------------------------------------
 
 # Each command takes small integers for its {} slots; those flagged True
-# may also get --budget.  verify basic always gets one: its counter walk to
-# t=2000 takes over a second whatever --count is.
+# may also get --budget.
 SIZED_COMMANDS = [
     ("simulate --ca log2 --steps {}", True),
     ("detect --ca log2 --steps {}", True),
@@ -721,7 +731,7 @@ SIZED_COMMANDS = [
     ("render --ca log2 --mode wplane --k {} --rows {} --width {}", True),
     ("analyze diagonal --i 0,0 --length {}", True),
     ("analyze period --i 1,0 --horizon {}", True),
-    ("verify basic --count {} --budget {}", False),
+    ("verify basic --count {}", True),
     ("verify bounds --rmax {} --window {}", True),
     ("search --limit {}", False),
 ]

@@ -178,12 +178,15 @@ def test_log_floor_property_to_1e6():
             assert b ** l <= t + 1 < b ** (l + 1)
 
 
-def test_anchor_inclusion_to_4096():
+def test_anchor_inclusion_to_16384_on_the_window():
+    # the walk is stepped only up to its highest anchor's diagonal (R = 26);
+    # a read past it raises BeyondWindow and fails the test
     ca = builtin_log2()
-    probe = DetectProbe(ca, log2_partition(), 4096)
-    run_probes(ca, 4096, [probe])
+    anchors = log_anchor_signal(2, 16384)
+    reach = max(when - site[0] for site, when in anchors)
+    probe = DetectProbe(ca, log2_partition(), 16384)
+    run_probes(ca, 16384, [probe], reach=reach)
     sig = probe.signal()
-    anchors = log_anchor_signal(2, 4096)
     for site, when in anchors:
         assert sig.sites[when] == site, (site, when)
 

@@ -11,9 +11,9 @@ import pytest
 from ca_signals import (LAMBDA, BeyondWindow, CellScan, Follower, FollowProbe,
                         ImpulseCA, ReadSchedule, Rule, RuleTable, analysis,
                         builtin_log2, builtin_quiescent, builtin_xy,
-                        dense_run, diagram_from_json_obj, run, run_probes,
-                        same_run, verification, verify_basic, verify_bounds,
-                        verify_log2, verify_xy)
+                        dense_run, diagram_from_json_obj, merged_xy, run,
+                        run_probes, same_run, verification, verify_basic,
+                        verify_bounds, verify_log2, verify_xy)
 from ca_signals.engine import SpaceTimeDiagram
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.verification import (MISMATCH_CAP, Check, VerifyReport,
@@ -140,16 +140,58 @@ def test_follower_orbits_equal_their_walks_on_the_empty_diagram():
             tuple(-a for a in x) for x in want)
 
 
-def test_verify_basic_steps_only_the_counter_walk(monkeypatch):
+def _record_runs(monkeypatch) -> list:
+    """(CA name, steps, reach, BeyondWindow raised) of each run a claim steps
+    through ``analysis.run_probes``; reach is None on the sparse engine."""
     stepped = []
 
     def recorded(ca, steps, probes, **kwargs):
-        stepped.append((ca.name, steps))
-        return run_probes(ca, steps, probes, **kwargs)
+        stepped.append([ca.name, steps, kwargs.get("reach"), False])
+        try:
+            return run_probes(ca, steps, probes, **kwargs)
+        except BeyondWindow:
+            stepped[-1][-1] = True
+            raise
 
     monkeypatch.setattr(analysis, "run_probes", recorded)
+    return stepped
+
+
+def test_verify_basic_steps_only_the_counter_walk(monkeypatch):
+    stepped = _record_runs(monkeypatch)
     assert verify_basic(50, move_horizon=200).ok
-    assert stepped == [("log2", 200)]
+    # to the diagonal of the highest anchor, level 7 at t <= 200
+    assert stepped == [["log2", 200, 14, False]]
+
+
+def test_verify_xy_steps_the_merged_walk_on_the_window(monkeypatch):
+    stepped = _record_runs(monkeypatch)
+    assert verify_xy(2, 3, 60).ok
+    # the two-track walk reads no diagonal past 4 before t = 60
+    assert stepped == [["xy:2,3", 60, None, False],
+                       ["product(xy:2,3)", 60, None, False],
+                       ["merged:2,3", 60, 4, False]]
+
+
+def test_merged_walk_that_leaves_the_window_fails(monkeypatch):
+    # rule 5 (π_0 λ π_0|π_1|π_3 * -> π_0) writes the top symbol π_2
+    # instead, so the merged walk reads it too often and climbs past the
+    # two-track walk's diagonals
+    base = merged_xy(2, 3)
+    rules = list(base.table.rules)
+    rules[5] = Rule(rules[5].pattern, "π_2")
+    broken = dataclasses.replace(base, table=RuleTable(tuple(rules)))
+    monkeypatch.setattr(verification, "merged_xy", lambda x, y: broken)
+    stepped = _record_runs(monkeypatch)
+    rep = verify_xy(2, 3, 60)
+    assert [c.name for c in rep.checks if not c.ok] == ["merged-variant"]
+    [merged] = [c for c in rep.checks if c.name == "merged-variant"]
+    assert stepped[-1] == ["merged:2,3", 60, 4, True]
+    # the mismatches end at the walked prefix's last site, the first one
+    # on a diagonal past the window
+    t, _two_track, site = merged.mismatches[-1]
+    assert t - min(site) > 4
+    assert all(t - min(site) <= 4 for t, _, site in merged.mismatches[:-1])
 
 
 def test_bounds_report_bytes_are_pinned():
