@@ -5,9 +5,12 @@
         --claim counter:peak_rss_mb --traced counter,two_track
 
 The parent commit (``--parent``; by default HEAD while the working tree
-has uncommitted changes, else HEAD~1) is exported with ``git archive`` into
-a temporary directory, so the run leaves no checkout or worktree behind.
-For each of the benchmark's four workloads, each of 10 pairs runs
+has uncommitted changes, else HEAD~1) is exported with ``git archive``, and
+the working tree's files (tracked or untracked, less the ignored ones) are
+copied, into the sibling directories ``parent`` and ``change`` of one
+temporary directory.  Both sides thus run from paths of equal length, and
+the run leaves no checkout or worktree behind.  For each of the
+benchmark's four workloads, each of 10 pairs runs
 
     python3 perfbench/run.py --workload W --seed S --trace 0
 
@@ -27,6 +30,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,6 +61,18 @@ def export_commit(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, **safe)
     return sha
+
+
+def export_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored files
+    into ``dest``."""
+    names = _git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():   # a tracked file may be deleted in the tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_once(root: Path, workload: str, seed: int, trace: int) -> dict | None:
@@ -165,8 +181,9 @@ def main(argv: list[str] | None = None) -> int:
                           "parent_sha)" if dirty else head),
            "machine": _machine(),
            "command": COMMAND.format(trace=0),
-           "method": "parent exported with git archive beside the working "
-                     "tree; each pair runs both on one seed, alternating "
+           "method": "parent exported with git archive and the working "
+                     "tree copied into sibling directories of equal path "
+                     "length; each pair runs both on one seed, alternating "
                      "which side runs first; medians and quartiles "
                      "(inclusive method) are over the runs' own medians; "
                      "a win is a pair where the change's value is lower",
@@ -174,9 +191,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         doc["claimed"] = {"workload": workload, "metric": metric}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        doc["parent_sha"] = export_commit(parent, Path(tmp))
-        sides = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
+        doc["parent_sha"] = export_commit(parent, sides["parent"])
+        export_tree(sides["change"])
         for name in WORKLOADS:
             pairs = []
             for i in range(PAIRS):

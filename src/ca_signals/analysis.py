@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import sub
 
 import numpy as np
 
@@ -170,7 +171,9 @@ def cycle_lens(rows: np.ndarray, mu: int) -> list[tuple[int, int]]:
     period = np.zeros(rows.shape[1], dtype=np.int64)
     for d in range(1, lam + 1):
         if lam % d == 0:
-            fits = (np.roll(tail, -d, axis=0) == tail).all(axis=0)
+            # d divides lam, so tail[t] == tail[t + d] for t < lam - d
+            # also covers the rows that wrap around
+            fits = (tail[d:] == tail[:lam - d]).all(axis=0)
             period[(period == 0) & fits] = d
     out = []
     for c, q in enumerate(period.tolist()):
@@ -184,14 +187,14 @@ class _Repeated(Exception):
 
 
 class _JointStates:
-    """Maps each joint state of the window's diagonals at ``index`` to its
+    """Maps each joint state of the window's diagonals ``points`` to its
     time, in time order, up to the first repeat, where it stops the run."""
 
-    def __init__(self, index):
-        self.index, self.seen, self.mu = index, {}, None
+    def __init__(self, points):
+        self.points, self.seen, self.mu = points, {}, None
 
     def observe(self, view):
-        key = view.diagonals(self.index).tobytes()
+        key = view.diagonals(self.points).tobytes()
         self.mu = self.seen.get(key)
         if self.mu is not None:
             raise _Repeated
@@ -225,7 +228,7 @@ def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
     points = sorted((i for i in product(range(r_max + 1), repeat=dim)
                      if sum(i) <= r_max), key=lambda i: (sum(i), i))
 
-    states = _JointStates(tuple(np.array(points).T))
+    states = _JointStates(tuple(points))
     with contextlib.suppress(_Repeated):
         run_probes(ca, window, [states], budget=budget, reach=r_max)
     if states.mu is None:
@@ -236,13 +239,13 @@ def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
         len(states.seen), len(points))
     lens = {i: (max(0, p - diagonal_start(i)), q)
             for i, (p, q) in zip(points, cycle_lens(held, states.mu))}
+    # diagonal i reads diagonal i - x - 1bar through argument x (x = -1bar
+    # reads i itself); one with a negative coordinate is quiescent
+    ds = [tuple(a + 1 for a in x) for x in ca.arg_order if x != (-1,) * dim]
     rows = []
     for i in points:
         a_len, b_len = lens[i]
-        # diagonal i reads diagonal i - x - 1bar through argument x (x = -1bar
-        # reads i itself); one with a negative coordinate is quiescent
-        lowers = [lens.get(tuple(a - b - 1 for a, b in zip(i, x)), (0, 1))
-                  for x in ca.arg_order if x != (-1,) * dim]
+        lowers = [lens.get(tuple(map(sub, i, d)), (0, 1)) for d in ds]
         m_bound = max(a for a, _ in lowers)
         p_lcm = math.lcm(*(b for _, b in lowers))
         rec_ok = (a_len <= m_bound + n * p_lcm) and any(
@@ -291,6 +294,31 @@ class GapReport:
     growth_ratio: float = GROWTH_RATIO
 
 
+def _fewest_bumps(c: Fraction, samples) -> int:
+    """The fewest k >= 0 with (c + k/10**6)**m >= t for every sample (t, m).
+
+    That is the largest of the per-sample counts.  A float estimate of each
+    count is within one of it, so only the samples whose estimate is within
+    two of the largest estimate can hold the largest count; each of those is
+    settled exactly with integer powers.
+    """
+    est = [math.ceil((t ** (1.0 / m) - float(c)) * 10 ** 6)
+           for t, m in samples]
+    top = max(est)
+    num, den = c.numerator * 10 ** 6, c.denominator
+    best = 0
+    for (t, m), k in zip(samples, est):
+        if k >= top - 2:
+            # (c + k/10**6)**m >= t, times (den * 10**6)**m
+            k, low = max(k, 0), t * (den * 10 ** 6) ** m
+            while (num + k * den) ** m < low:
+                k += 1
+            while k and (num + (k - 1) * den) ** m >= low:
+                k -= 1
+            best = max(best, k)
+    return best
+
+
 def gap_probe(signal: Signal, *, growth_ratio: float = GROWTH_RATIO) -> GapReport:
     if signal.horizon + 1 < 64:
         raise ValueError(
@@ -314,10 +342,7 @@ def gap_probe(signal: Signal, *, growth_ratio: float = GROWTH_RATIO) -> GapRepor
                          late_early_ratio=ratio, growth_ratio=growth_ratio)
 
     fitted = Fraction(c_obs).limit_denominator(10 ** 6)
-    bump = Fraction(1, 10 ** 6)
-    while any(t * fitted.denominator ** mt > fitted.numerator ** mt
-              for t, mt in samples):
-        fitted += bump
+    fitted += Fraction(_fewest_bumps(fitted, samples), 10 ** 6)
     return GapReport(LOG_OR_ABOVE, t_max, samples, c_observed=c_obs,
                      fitted_C=fitted, late_early_ratio=ratio,
                      growth_ratio=growth_ratio)

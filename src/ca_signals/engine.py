@@ -13,12 +13,17 @@ Three engines, one per job:
   packed with Python ints; cells outside the light cone read quiescent
   without being packed.
 * ``run_probes(..., reach=R)``: the diagonal window, for claims that read
-  known diagonals: the period bounds, ``verify basic``'s counter walk and
-  ``verify xy``'s merged walk.  Write a site as i = t*1bar - u; cell u at
-  time t+1 reads u + x at time t, which is diagonal i - (x + 1bar), and
-  every coordinate of x + 1bar is >= 0 for all three neighborhood kinds.
-  So the diagonals [0, R]^dim are closed under the update: one dense uint8
-  array of them is stepped with v shifted slice-adds of flat codes and one
+  known diagonals or whose live cells fill a thin box of them: ``verify
+  log2`` (R = 2T, the whole light cone), the period bounds, ``verify
+  basic``'s counter walk and ``verify xy``'s merged walk.  Write a site as
+  i = t*1bar - u; cell u at time t+1 reads u + x at time t, which is
+  diagonal i - (x + 1bar), and every coordinate of x + 1bar is >= 0 for
+  all three neighborhood kinds.  So the diagonals [0, R]^dim are closed
+  under the update.  Only a strided box of them is stepped: on axis a only
+  multiples of g_a, the gcd of the (x + 1bar)_a (2 for trellis, 1
+  otherwise), can be live, and each step an axis grows to one step's
+  spread past its highest live entry, capped at R.  The box is one dense
+  uint8 array, stepped with v shifted slice-adds of flat codes and one
   table lookup.
 * ``dense_run``: a plain dict-of-cells reference engine that re-applies the
   rule list with first-match semantics, cell by cell.  It shares no stepping
@@ -50,8 +55,10 @@ numeric order of packed values equals lexicographic order of cells.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product, repeat
 
 import numpy as np
@@ -191,44 +198,72 @@ def _read_cell(ca: ImpulseCA, sl: Slice, cell: tuple[int, ...], t: int) -> str:
     return ca.quiescent
 
 
-def _read_window(ca: ImpulseCA, window: np.ndarray, cell: tuple[int, ...],
-                 t: int) -> str:
+def _read_window(view: SliceView, cell: tuple[int, ...]) -> str:
     """State symbol of one cell of a diagonal window at time t.
 
     A cell outside the light cone reads quiescent; a cell inside it whose
-    diagonal t*1bar - cell lies past the window raises BeyondWindow.
+    diagonal t*1bar - cell lies past the reach raises BeyondWindow.  Within
+    the reach, a diagonal off the stride or past the stepped box reads
+    quiescent, since nothing live lies there.
     """
+    ca, t, window = view.ca, view.t, view._window
     i = tuple(t - a for a in cell)
     if min(i) < 0 or max(i) > 2 * t:
         return ca.quiescent
-    if max(i) >= len(window):
+    if max(i) > view._reach:
         raise BeyondWindow(f"cell {cell} at t={t} is on diagonal {i}, past "
-                           f"the window [0, {len(window) - 1}]^{ca.dim}")
-    return ca.states[window[i]]
+                           f"the window [0, {view._reach}]^{ca.dim}")
+    j = []
+    for a, g, n in zip(i, view._stride, window.shape):
+        q, r = divmod(a, g)
+        if r or q >= n:
+            return ca.quiescent
+        j.append(q)
+    return ca.states[window[tuple(j)]]
+
+
+@lru_cache(maxsize=8)
+def _box_index(points: tuple[tuple[int, ...], ...], stride: tuple[int, ...],
+               reach: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+    """Where the diagonals ``points`` lie in the largest box of ``reach``,
+    padded with one quiescent entry per axis, and that padded shape: a
+    diagonal off the stride lies in the pad."""
+    cap = [reach // g + 1 for g in stride]
+    cols = [[] for _ in stride]
+    for i in points:
+        off = any(a % g for a, g in zip(i, stride))
+        for col, a, g, n in zip(cols, i, stride, cap):
+            col.append(n if off else a // g)
+    return tuple(map(np.array, cols)), tuple(n + 1 for n in cap)
 
 
 class SliceView:
     """Read-only view of one time slice, the input of every probe.
 
-    It holds either a packed sparse slice or, for a windowed run, the
-    window of diagonals [0, R]^dim at time t.
+    It holds either a packed sparse slice or, for a windowed run, the box of
+    diagonals a window run steps at time t: entry j holds diagonal
+    i = stride * j, and the box covers the diagonals of [0, reach]^dim that
+    can be live.
     """
 
-    __slots__ = ("ca", "t", "_sl", "_window")
+    __slots__ = ("ca", "t", "_sl", "_window", "_stride", "_reach")
 
     def __init__(self, ca: ImpulseCA, t: int, sl: Slice | None = None, *,
-                 window: np.ndarray | None = None):
+                 window: np.ndarray | None = None,
+                 stride: tuple[int, ...] = (), reach: int = -1):
         self.ca = ca
         self.t = t
         self._sl = sl
         self._window = window
+        self._stride = stride
+        self._reach = reach
 
     def state_at(self, cell: tuple[int, ...]) -> str:
         if len(cell) != self.ca.dim:
             raise ValueError(
                 f"cell has {len(cell)} coordinates, CA has {self.ca.dim}")
         if self._window is not None:
-            return _read_window(self.ca, self._window, cell, self.t)
+            return _read_window(self, cell)
         return _read_cell(self.ca, self._sl, cell, self.t)
 
     @property
@@ -241,14 +276,19 @@ class SliceView:
         """(n, dim) int64 non-quiescent cells in lexicographic order and their
         uint8 state codes; a window view holds only its diagonals' cells."""
         if self._window is not None:
-            # cell = t*1bar - i, so descending i is ascending cell order
+            # cell = t*1bar - stride*j, so descending j is ascending cell order
             idx = np.argwhere(self._window)[::-1]
-            return self.t - idx, self._window[tuple(idx.T)]
+            return (self.t - idx * np.array(self._stride),
+                    self._window[tuple(idx.T)])
         return unpack_cells(self._sl[0], self.ca.dim), self._sl[1]
 
-    def diagonals(self, index) -> np.ndarray:
-        """A window view's state codes at ``index``, one array per axis."""
-        return self._window[index]
+    def diagonals(self, points: tuple[tuple[int, ...], ...]) -> np.ndarray:
+        """A window view's state codes on the diagonals ``points``, each
+        within the reach; a diagonal the box does not hold reads quiescent."""
+        index, padded = _box_index(points, self._stride, self._reach)
+        box = np.zeros(padded, dtype=np.uint8)
+        box[tuple(map(slice, self._window.shape))] = self._window
+        return box[index]
 
     def cells(self):
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
@@ -448,30 +488,60 @@ def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
 
 
 def _window_views(ca: ImpulseCA, steps: int, reach: int, budget: int):
+    """The window stepper: a view of the strided box of diagonals at
+    t = 0..steps (see the module docstring).  Argument x of diagonal i is
+    diagonal i - d with d = x + 1bar >= 0; an index below 0 lies off the
+    light cone and adds 0 (quiescent).  The budget bounds each box before
+    it is allocated."""
     if reach < 0:
         raise ValueError(f"reach must be >= 0, got {reach}")
-    if (reach + 1) ** ca.dim > budget:
+    if budget < 1:
         raise OverflowHorizon(-1, budget)
     ev = _Evaluator(ca)
-    size = reach + 1
-    # Argument x of diagonal i is diagonal i - d with d = x + 1bar >= 0; an
-    # index below 0 lies off the light cone and adds 0 (quiescent).
-    adds = []
-    for x, w in zip(ca.arg_order, ev.weights):
-        d = [a + 1 for a in x]
-        if max(d) < size:
-            adds.append((tuple(slice(k, None) for k in d),
-                         tuple(slice(0, size - k) for k in d), w))
-    window = np.zeros((size,) * ca.dim, dtype=np.uint8)
+    ds = [tuple(a + 1 for a in x) for x in ca.arg_order]
+    # the seed is on diagonal 0, so only multiples of the gcd are ever live
+    stride = tuple(math.gcd(*col) for col in zip(*ds))
+    # entry j of the new box reads entry j - k of the old one, padded with
+    # quiescent entries to the new box's shape
+    adds, spread = [], [0] * ca.dim
+    for d, w in zip(ds, ev.weights):
+        k = [a // g for a, g in zip(d, stride)]
+        spread = list(map(max, spread, k))
+        adds.append((tuple(slice(a, None) for a in k),
+                     tuple(slice(None, -a or None) for a in k), w))
+    cap = [reach // g + 1 for g in stride]
+    growing = [a for a in range(ca.dim) if cap[a] > 1]
+    window = np.zeros((1,) * ca.dim, dtype=np.uint8)
     window[(0,) * ca.dim] = ca.state_code(ca.seed)
     for t in range(steps + 1):
-        yield SliceView(ca, t, window=window)
-        if t < steps:
+        yield SliceView(ca, t, window=window, stride=stride, reach=reach)
+        if t == steps:
+            return
+        # an axis grows to one step's spread past its highest live entry:
+        # a cell with no live argument stays quiescent
+        shape = grown = window.shape
+        if growing:
+            grown = list(shape)
+            for a in growing:
+                for hi in range(shape[a] - 1,
+                                max(shape[a] - spread[a], 0) - 1, -1):
+                    slab = window[(slice(None),) * a + (hi,)]
+                    if np.count_nonzero(slab):
+                        grown[a] = min(cap[a], hi + spread[a] + 1)
+                        break
+            grown = tuple(grown)
+        if grown == shape:
             wide = window.astype(np.int64)
-            codes = np.zeros_like(wide)
-            for dst, src, w in adds:
-                codes[dst] += wide[src] * w
-            window = ev.lookup(codes.ravel()).reshape(window.shape)
+        else:
+            if math.prod(grown) > budget:
+                raise OverflowHorizon(t, budget)
+            growing = [a for a in growing if grown[a] < cap[a]]
+            wide = np.zeros(grown, dtype=np.int64)
+            wide[tuple(map(slice, shape))] = window
+        codes = np.zeros(grown, dtype=np.int64)
+        for dst, src, w in adds:
+            codes[dst] += wide[src] * w
+        window = ev.lookup(codes.ravel()).reshape(grown)
 
 
 def run_probes(ca: ImpulseCA, steps: int, probes, *,
@@ -482,8 +552,10 @@ def run_probes(ca: ImpulseCA, steps: int, probes, *,
     Each probe must implement ``observe(view: SliceView)``.  The budget here
     bounds a single slice, not the whole run.  With ``reach=R`` only the
     diagonals [0, R]^dim are stepped; a probe that reads a light-cone cell
-    on any other diagonal gets BeyondWindow.  The (R+1)^dim window counts
-    against the budget before it is allocated.
+    on any other diagonal gets BeyondWindow.  Of those, each step holds the
+    strided box that can be live (``_window_views``), and the budget bounds
+    that box before it is allocated: an overflow names the last complete
+    slice, as on the sparse engine.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")

@@ -7,14 +7,18 @@ sites instead of stopping at the first failure.
 
 Claims stream: every check is a probe, so each automaton is stepped once
 by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
-slice is held.  The checks over every live cell (the counter's wedge, the
-two-track planes, the product's marks) are each one ``CellScan`` with a
-numpy predicate.  The runs that only walk step the diagonal window
-``run_probes(..., reach=R)``: the period bounds, stopped at the first
-repeat of their joint state; ``verify_basic``'s counter walk, up to its
-highest anchor's diagonal; and ``verify_xy``'s merged walk, up to the
-largest diagonal the two-track walk reads.  ``verify_basic``'s random
-followers are not stepped.
+slice, or its box of diagonals, is held.  The checks over every live cell
+(the counter's wedge, the two-track planes, the product's marks) are each
+one ``CellScan`` with a numpy predicate.  The diagonal window
+``run_probes(..., reach=R)`` steps: the binary counter, with R = 2T, the
+whole light cone, whose live cells fill a thin box of diagonals (at
+T = 1,037, 9,327 live cells in a box of 12 by 1,038 strided entries); the
+period bounds, stopped at the first repeat of their joint state;
+``verify_basic``'s counter walk, up to its highest anchor's diagonal; and
+``verify_xy``'s merged walk, up to the largest diagonal the two-track walk
+reads.  ``verify_xy``'s two-track and product runs stay sparse: their
+slices hold a handful of cells, so the cost of a step is its overhead.
+``verify_basic``'s random followers are not stepped.
 
 Each digit, carry or two-track row is a row of one ``ReadSchedule`` per
 claim, read as its digits and their quiescent end: a row that does not read
@@ -124,9 +128,12 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
     """Anchor walk, digit readout, and sheared-row shape of the binary counter.
 
     Every check is a probe on one streamed run, which goes slightly past
-    ``steps`` so that every digit row k <= steps ends inside it.  The
-    sampled carry rows depend only on ``seed`` and ``steps``, so they are
-    drawn before stepping.
+    ``steps`` so that every digit row k <= steps ends inside it.  The run
+    steps the diagonal window with the whole light cone as its reach, so
+    ``budget`` bounds the box of diagonals each step holds, and the
+    live-region scan still sees every live cell.  The sampled carry rows
+    depend only on ``seed`` and ``steps``, so they are drawn before
+    stepping.
     """
     if steps < 4:
         raise ValueError("need steps >= 4")
@@ -153,7 +160,8 @@ def verify_log2(steps: int, *, samples: int = 50, seed: int = 7,
     walk = DetectProbe(ca, log2_partition(), steps)
     reads = ReadSchedule(w_sites(k, l, n + 1) for k, l, n in rows())
     region = CellScan(_off_wedge, cap=MISMATCH_CAP)
-    analysis.run_probes(ca, horizon, [walk, reads, region], budget=budget)
+    analysis.run_probes(ca, horizon, [walk, reads, region], budget=budget,
+                        reach=2 * horizon)
     read = {(k, l): "".join(row) for (k, l, _), row in zip(rows(), reads.rows)}
 
     checks = []
@@ -392,7 +400,7 @@ def verify_basic(count: int = 50, *, move_horizon: int = 2000, seed: int = 11,
     only λ on the empty diagram, so its walk is the orbit of q -> delta(q, λ),
     decomposed exactly at the orbit's first repeat.  The counter is stepped
     on the diagonal window up to the diagonal of its highest anchor, so
-    ``budget`` bounds that (R+1)^2 window.
+    ``budget`` bounds the box of those diagonals each step holds.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

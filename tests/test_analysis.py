@@ -274,6 +274,51 @@ def test_gap_probe_flags_sublogarithmic_growth():
     assert rep.late_early_ratio > rep.growth_ratio
 
 
+def _fit_by_bumps(start, samples):
+    """The fit as a loop: from ``start``, bump by 10**-6 until t <= C**m for
+    every sample (t, m)."""
+    fitted = start
+    while any(t * fitted.denominator ** m > fitted.numerator ** m
+              for t, m in samples):
+        fitted += Fraction(1, 10 ** 6)
+    return fitted
+
+
+def _nearest(rep):
+    return Fraction(rep.c_observed).limit_denominator(10 ** 6)
+
+
+def test_gap_fit_of_a_linear_gap_is_pinned():
+    # m(t) = 2t, so t**(1/m) peaks at 3**(1/6); the fit once re-checked
+    # every sample with big-integer powers per bump (8 s at 4,001 sites)
+    sig = Signal(tuple((t, -t) for t in range(4001)))
+    rep = gap_probe(sig)
+    assert rep.classification == LOG_OR_ABOVE
+    assert rep.fitted_C == Fraction(1067693, 889050)
+    small = gap_probe(Signal(sig.sites[:101]))
+    assert small.fitted_C == _fit_by_bumps(_nearest(small), small.samples)
+    assert small.fitted_C == rep.fitted_C
+
+
+def test_gap_fit_equals_the_bump_loop_on_random_signals():
+    rng = random.Random(15)
+    fitted = 0
+    for _ in range(60):
+        a, n = rng.uniform(0.3, 3.0), rng.randint(64, 300)
+        gaps = [min(2 * t, int(a * math.log2(t + 1)) + rng.choice((0, 0, 1)))
+                for t in range(n)]
+        rep = gap_probe(Signal(tuple((t - m,) for t, m in enumerate(gaps))))
+        if rep.classification != LOG_OR_ABOVE:
+            continue
+        fitted += 1
+        assert rep.fitted_C == _fit_by_bumps(_nearest(rep), rep.samples)
+        # from further below, the count of bumps runs into the dozens
+        start = _nearest(rep) - Fraction(rng.randint(0, 40), 10 ** 6)
+        assert start + Fraction(analysis._fewest_bumps(start, rep.samples),
+                                10 ** 6) == _fit_by_bumps(start, rep.samples)
+    assert fitted >= 20
+
+
 def test_gap_probe_needs_sites():
     with pytest.raises(ValueError):
         gap_probe(Signal(sites_from_moves([DOWN] * 32)))

@@ -653,8 +653,23 @@ def test_verify_xy_budget_bounds_the_merged_window(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_log2_budget_bounds_the_largest_box(capsys):
+    # verify log2 --steps 64 steps to t = 73 on the window with the whole
+    # light cone as its reach; its largest box is 8 x 74 = 592 strided
+    # diagonals, the last one
+    code, out, err = run_cli(capsys, "verify", "log2", "--steps", "64",
+                             "--budget", "592")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["ok"] is True
+    code, out, err = run_cli(capsys, "verify", "log2", "--steps", "64",
+                             "--budget", "591")
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "site budget 591 exhausted; last complete slice is t=72" in err
+
+
 def test_verify_bounds_checks_the_window_against_the_budget(capsys):
-    # the (10+1)^2-site window is refused before anything is stepped
+    # the 64 rows of the 66 diagonals with sum(i) <= 10 are refused before
+    # anything is stepped (log2's strided box at rmax 10 is at most 6x6)
     code, out, err = run_cli(capsys, "verify", "bounds", "--rmax", "10",
                              "--window", "64", "--budget", "50")
     assert code == EXIT_OVERFLOW and out == ""

@@ -111,7 +111,8 @@ CROSS_CHECK_TABLES = 12
 
 def _assert_window_matches(ca, diag, steps):
     """The diagonal window [0, R]^dim, R = steps // 2, against a full run:
-    every diagonal word it holds and every live cell on its diagonals."""
+    every diagonal word it holds and every live cell on its diagonals.  With
+    R = 2 * steps, the whole light cone, its box holds every live cell."""
     reach = steps // 2
     lam = ca.quiescent
     points = sorted(product(range(reach + 1), repeat=ca.dim),
@@ -129,6 +130,11 @@ def _assert_window_matches(ca, diag, steps):
                 if max(t - a for a in u) <= reach]
         assert rec.cells[t] == want, (ca.name, t)
         assert rec.far[t] == (lam, lam)
+    whole = _Recorder()
+    run_probes(ca, steps, [whole], reach=2 * steps)
+    for t in range(steps + 1):
+        assert whole.cells[t] == list(diag.view(t).cells()), (ca.name, t)
+        assert whole.far[t] == (lam, lam)
 
 
 @pytest.mark.parametrize("kind,dim,steps,max_states", CROSS_CHECK,
@@ -188,8 +194,15 @@ def test_window_reads(log2_diag):
     with pytest.raises(BeyondWindow):
         run_probes(builtin_log2(), 8,
                    [ReadSchedule([diagonal_sites((3, 3), 4)])], reach=2)
-    with pytest.raises(OverflowHorizon, match="no slice was computed"):
-        run_probes(builtin_log2(), 8, [], reach=9, budget=99)
+    # log2 is a trellis automaton, so its box keeps even diagonals only: at
+    # reach 9 it grows from 1x1 through 2x2, 2x3 and 3x4 to 3x5 at t = 4,
+    # 15 sites, which a budget of 12 refuses before stepping slice 4
+    rec = _Recorder()
+    with pytest.raises(OverflowHorizon, match="last complete slice is t=3"):
+        run_probes(builtin_log2(), 8, [rec], reach=9, budget=12)
+    assert len(rec.cells) == 4
+    # its largest box to t = 8 is 4x5
+    run_probes(builtin_log2(), 8, [], reach=9, budget=20)
 
 
 def test_live_region_and_parity(log2_diag):
