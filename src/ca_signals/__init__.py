@@ -10,8 +10,8 @@ end-to-end checks, and ``cli`` exposes everything as a command line.
 """
 
 from .analysis import (GapReport, NotPeriodicWithin, PeriodDecomposition,
-                       SearchReport, exhaustive_two_state_search, gap_probe,
-                       is_basic, ultimate_period, verify_period_bounds)
+                       SearchReport, exact_periods, exhaustive_two_state_search,
+                       gap_probe, is_basic, verify_period_bounds)
 from .automaton import (LAMBDA, WILDCARD, AnyOf, ImpulseCA, Literal, Rule,
                         RuleTable, builtin_log2, builtin_quiescent, builtin_xy,
                         merged_xy, parse_rules, serialize_rules)
@@ -46,10 +46,11 @@ __all__ = [
     "SpaceTimeDiagram", "UnknownState", "VerifyReport", "WILDCARD",
     "XNotSmallest", "builtin_log2", "builtin_quiescent", "builtin_xy",
     "crt_digit", "dense_run", "diagonal_sites", "diagram_from_json_obj",
-    "exhaustive_two_state_search", "follower_for_xy", "gap_probe",
-    "gap_profile", "ilog", "is_basic", "log2_partition", "log_anchor_signal",
-    "max_horizon", "merged_xy", "offsets", "parse_move_partition",
-    "parse_rules", "product_construct", "run", "run_probes", "same_run",
-    "serialize_rules", "ultimate_period", "verify_basic", "verify_bounds",
-    "verify_log2", "verify_period_bounds", "verify_xy", "w_site", "w_sites",
+    "exact_periods", "exhaustive_two_state_search", "follower_for_xy",
+    "gap_probe", "gap_profile", "ilog", "is_basic", "log2_partition",
+    "log_anchor_signal", "max_horizon", "merged_xy", "offsets",
+    "parse_move_partition", "parse_rules", "product_construct", "run",
+    "run_probes", "same_run", "serialize_rules", "verify_basic",
+    "verify_bounds", "verify_log2", "verify_period_bounds", "verify_xy",
+    "w_site", "w_sites",
 ]

@@ -1,21 +1,14 @@
 """Analysis of diagonal words and signal gaps.
 
-Periodicity comes two ways.  A finite word alone is decomposed *windowed*:
-a length-H observation can only confirm an eventual period up to evidence
-thresholds, so those functions return NotPeriodicWithin(H) instead of
-guessing when the window is too short.  Two evidence policies share one
-core (``_decompose``):
+A diagonal word takes one exact path: ``exact_periods`` steps a set of
+diagonals closed under the update to the first repeat (mu, lam) of their
+joint state, and ``cycle_lens`` reads each word's minimal (preperiod,
+period) off the rows held until then.
 
-* ``ultimate_period``: the periodic part must cover the final third of
-  the window and repeat at least twice.
-* ``is_basic``, on a signal's move word: the preperiod must fit in the
-  first half of the window and the period must repeat at least twice.  The
-  stricter preperiod cap keeps a long drifting prefix with a constant tail
-  from passing as periodic.
-
-A word read off the first repeat (mu, lam) of the state that generates it
-is decomposed *exactly* (``cycle_lens``), as ``verify_period_bounds`` does
-for all its diagonal words at once.
+The window is for ``is_basic`` only, whose move word no automaton state
+generates: a length-H observation confirms an eventual period only under an
+evidence policy (``_decompose``), and returns NotPeriodicWithin(H) rather
+than guess.
 
 Scans over every live cell of a slice (the two-track planes among them)
 are ``engine.CellScan`` probes, built where each claim is checked.
@@ -39,7 +32,7 @@ from .errors import CheckFailed, OverflowHorizon
 from .signals import Signal, gap_profile
 
 # ---------------------------------------------------------------------------
-# windowed eventual periodicity of a finite word
+# windowed eventual periodicity of a signal's move word
 
 
 @dataclass(frozen=True)
@@ -107,15 +100,6 @@ def _decompose(word, window, accept):
         if w[j] != beta[(j - p) % q]:
             raise CheckFailed("period selection is unsound")
     return PeriodDecomposition(w[:p], beta, h)
-
-
-def ultimate_period(word, window=None):
-    """Lexicographically minimal (|alpha|, |beta|) under the final-third rule."""
-    h = len(word) if window is None else window
-    if h < 4:
-        raise ValueError(f"window {h} is too short to show a repeat")
-    return _decompose(word, h,
-                      lambda p, q, H: p + 2 * q <= H and H - p >= (H + 2) // 3)
 
 
 def is_basic(signal: Signal, horizon: int | None = None):
@@ -201,50 +185,66 @@ class _JointStates:
         self.seen[key] = view.t
 
 
+def check_cap(n_points: int, cap: int, budget: int, name: str) -> None:
+    """Refuse a cap ``name`` below 1, or ``exact_periods`` rows of
+    ``n_points`` letters past the budget, before the points are built."""
+    if cap < 1:
+        raise ValueError(f"{name} must be >= 1, got {cap}")
+    if n_points * cap > budget:
+        raise OverflowHorizon(-1, budget)
+
+
+def exact_periods(ca: ImpulseCA, points, cap: int, *,
+                  budget: int = DEFAULT_SITE_BUDGET):
+    """(lens, held, mu): each diagonal word's exact (preperiod, period) in
+    ``points`` order and the rows of codes held to find them, or None with no
+    repeat by t = ``cap``.  ``points`` must be closed under the update, which
+    does not depend on t, so the window [0, max coordinate]^dim is stepped
+    only to the first repeat of their joint state: it settles every word for
+    all time.  From row mu on, the rows repeat with period len(held) - mu."""
+    points = tuple(points)
+    states = _JointStates(points)
+    with contextlib.suppress(_Repeated):
+        run_probes(ca, cap, [states], budget=budget,
+                   reach=max(map(max, points)))
+    if states.mu is None:
+        return None
+    held = np.frombuffer(b"".join(states.seen), dtype=np.uint8).reshape(
+        len(states.seen), len(points))
+    lens = [(max(0, p - diagonal_start(i)), q)
+            for i, (p, q) in zip(points, cycle_lens(held, states.mu))]
+    return lens, held, states.mu
+
+
 def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
                          budget: int = DEFAULT_SITE_BUDGET,
                          ) -> PeriodBoundsReport:
     """Decompose every diagonal word with coordinate sum <= r_max exactly and
     check that each (preperiod, period) obeys the bounds implied by the
     diagonals it depends on, plus the closed-form bound in terms of the
-    state count.
-
-    Diagonal i reads only diagonals i - d with d >= 0, so the simplex
-    S = {i >= 0, sum(i) <= r_max} is closed under an update that does not
-    depend on t: the first repeat (mu, lam) of S's joint state settles every
-    word in S for all time.  The window [0, r_max]^dim is stepped only until
-    then; with no repeat by t = ``window``, no row decomposes.  Before any
-    stepping, the budget bounds the window and the ``window`` rows held.
+    state count.  The simplex sum(i) <= r_max is closed under the update;
+    with no repeat by t = ``window``, no row decomposes.
     """
     if r_max < 0:
         raise ValueError(f"r_max must be >= 0, got {r_max}")
-    if window < 4:
-        raise ValueError(f"window must be >= 4 to show a repeat, got {window}")
     dim = ca.dim
-    if math.comb(r_max + dim, dim) * window > budget:
-        raise OverflowHorizon(-1, budget)
+    check_cap(math.comb(r_max + dim, dim), window, budget, "window")
     n = len(ca.states)
     big_l = math.lcm(*range(1, n + 1))
     points = sorted((i for i in product(range(r_max + 1), repeat=dim)
                      if sum(i) <= r_max), key=lambda i: (sum(i), i))
 
-    states = _JointStates(tuple(points))
-    with contextlib.suppress(_Repeated):
-        run_probes(ca, window, [states], budget=budget, reach=r_max)
-    if states.mu is None:
+    found = exact_periods(ca, points, window, budget=budget)
+    if found is None:
         return PeriodBoundsReport(tuple(
             DiagonalPeriod(i, -1, -1, False, False, False) for i in points))
 
-    held = np.frombuffer(b"".join(states.seen), dtype=np.uint8).reshape(
-        len(states.seen), len(points))
-    lens = {i: (max(0, p - diagonal_start(i)), q)
-            for i, (p, q) in zip(points, cycle_lens(held, states.mu))}
+    lens = dict(zip(points, found[0]))
     # diagonal i reads diagonal i - x - 1bar through argument x (x = -1bar
     # reads i itself); one with a negative coordinate is quiescent
     ds = [tuple(a + 1 for a in x) for x in ca.arg_order if x != (-1,) * dim]
     rows = []
-    for i in points:
-        a_len, b_len = lens[i]
+    for i, (a_len, b_len) in lens.items():
         lowers = [lens.get(tuple(map(sub, i, d)), (0, 1)) for d in ds]
         m_bound = max(a for a, _ in lowers)
         p_lcm = math.lcm(*(b for _, b in lowers))

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
-from .analysis import (GapReport, NotPeriodicWithin, exhaustive_two_state_search,
-                       gap_probe, ultimate_period)
+from .analysis import (GapReport, check_cap, exact_periods,
+                       exhaustive_two_state_search, gap_probe)
 from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
 from .engine import (DEFAULT_SITE_BUDGET, ReadSchedule, dense_run,
@@ -95,13 +96,6 @@ def _two_ints(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated integers, got {text!r}")
     return int(parts[0]), int(parts[1])
-
-
-def _parse_point(text: str) -> tuple[int, ...]:
-    inner = text.strip()
-    if inner.startswith("(") and inner.endswith(")"):
-        inner = inner[1:-1]
-    return tuple(int(p) for p in inner.split(","))
 
 
 def _site_budget(args) -> int:
@@ -352,38 +346,55 @@ def cmd_follow(args) -> int:
 # analyze
 
 
-def _diagonal_word(args, length: int) -> tuple[dict, list[str]]:
-    """The report head {"i", "start"} and diagonal --i's first letters."""
+def _ca_and_point(args) -> tuple[ImpulseCA, tuple[int, ...]]:
+    """--ca and the lattice point --i, written "1,2" or "(1,2)"."""
     ca = parse_ca_spec(args.ca)
-    i = _parse_point(args.i)
+    inner = args.i.strip()
+    if inner.startswith("(") and inner.endswith(")"):
+        inner = inner[1:-1]
+    i = tuple(int(p) for p in inner.split(","))
     if len(i) != ca.dim:
         raise ValueError(f"point {i} has {len(i)} coordinates, CA has {ca.dim}")
-    reads = ReadSchedule([diagonal_sites(i, length)])
-    head = {"i": list(i), "start": diagonal_start(i)}
-    if min(i) < 0:
-        # every cell t*1bar - i lies off the light cone: nothing to step
-        return head, [ca.quiescent] * length
-    run_probes(ca, head["start"] + length - 1, [reads],
-               budget=_site_budget(args))
-    return head, reads.rows[0]
+    return ca, i
 
 
 def cmd_analyze_diagonal(args) -> int:
-    head, word = _diagonal_word(args, args.length)
-    _emit((_dump({**head, "letters": word}, args),), args.out)
+    ca, i = _ca_and_point(args)
+    reads = ReadSchedule([diagonal_sites(i, args.length)])
+    start = diagonal_start(i)
+    if min(i) < 0:
+        # every cell t*1bar - i lies off the light cone: nothing to step
+        word = [ca.quiescent] * args.length
+    else:
+        run_probes(ca, start + args.length - 1, [reads],
+                   budget=_site_budget(args))
+        word = reads.rows[0]
+    _emit((_dump({"i": list(i), "start": start, "letters": word}, args),),
+          args.out)
     return EXIT_OK
 
 
 def cmd_analyze_period(args) -> int:
-    obj, word = _diagonal_word(args, args.horizon)
-    res = ultimate_period(word)
-    obj["horizon"] = args.horizon
-    if isinstance(res, NotPeriodicWithin):
-        obj["decomposed"] = False
-    else:
-        obj.update(decomposed=True, alpha="".join(res.alpha),
-                   beta="".join(res.beta), preperiod=len(res.alpha),
-                   period=len(res.beta))
+    ca, i = _ca_and_point(args)
+    budget, start = _site_budget(args), diagonal_start(i)
+    check_cap(math.prod(max(a + 1, 0) for a in i), args.horizon, budget,
+              "horizon")
+    obj = {"i": list(i), "start": start, "horizon": args.horizon,
+           "decomposed": False}
+    # the box {j : 0 <= j <= i} is closed under the update, and i is its
+    # last point; with a negative coordinate the word is quiescent (code 0)
+    found = (exact_periods(ca, product(*(range(a + 1) for a in i)),
+                           args.horizon, budget=budget)
+             if min(i) >= 0 else ([(0, 1)], [[0]], 0))
+    if found is not None:
+        # from row mu on the rows repeat, and a diagonal may start past them
+        lens, held, mu = found
+        (p, q), lam = lens[-1], len(held) - mu
+        word = [ca.states[held[t if t < len(held) else
+                               mu + (t - mu) % lam][-1]]
+                for t in range(start, start + p + q)]
+        obj.update(decomposed=True, alpha="".join(word[:p]),
+                   beta="".join(word[p:]), preperiod=p, period=q)
     _emit((_dump(obj, args),), args.out)
     return EXIT_OK
 
@@ -566,11 +577,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(fn=cmd_analyze_diagonal)
 
-    p = asub.add_parser("period", help="eventual-period decomposition of a diagonal")
+    p = asub.add_parser("period", help="exact eventual-period decomposition of a diagonal")
     _add_ca(p, required=False)
     p.set_defaults(ca="log2")
     p.add_argument("--i", required=True)
-    p.add_argument("--horizon", type=int, default=64)
+    p.add_argument("--horizon", type=int, default=4096,
+                   help="cap on the steps to the first repeat of the box "
+                        "of diagonals 0 <= j <= i")
     _add_budget(p)
     _add_out(p)
     p.set_defaults(fn=cmd_analyze_period)

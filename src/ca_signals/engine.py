@@ -14,17 +14,17 @@ Three engines, one per job:
   without being packed.
 * ``run_probes(..., reach=R)``: the diagonal window, for claims that read
   known diagonals or whose live cells fill a thin box of them: ``verify
-  log2`` (R = 2T, the whole light cone), the period bounds, ``verify
-  basic``'s counter walk and ``verify xy``'s merged walk.  Write a site as
-  i = t*1bar - u; cell u at time t+1 reads u + x at time t, which is
-  diagonal i - (x + 1bar), and every coordinate of x + 1bar is >= 0 for
-  all three neighborhood kinds.  So the diagonals [0, R]^dim are closed
-  under the update.  Only a strided box of them is stepped: on axis a only
-  multiples of g_a, the gcd of the (x + 1bar)_a (2 for trellis, 1
-  otherwise), can be live, and each step an axis grows to one step's
-  spread past its highest live entry, capped at R.  The box is one dense
-  uint8 array, stepped with v shifted slice-adds of flat codes and one
-  table lookup.
+  log2`` (R = 2T, the whole light cone), exact periods (``verify bounds``,
+  ``analyze period``), ``verify basic``'s counter walk and ``verify xy``'s
+  merged walk.  Write a site as i = t*1bar - u; cell u at time t+1 reads
+  u + x at time t, which is diagonal i - (x + 1bar), and every coordinate
+  of x + 1bar is >= 0 for all three neighborhood kinds.  So the diagonals
+  [0, R]^dim are closed under the update.  Only a strided box of them is
+  stepped: on axis a only multiples of g_a, the gcd of the (x + 1bar)_a
+  (2 for trellis, 1 otherwise), can be live, and each step an axis grows
+  to one step's spread past its highest live entry, capped at R.  The box
+  is one dense uint8 array, stepped with v shifted slice-adds of flat
+  codes and one table lookup.
 * ``dense_run``: a plain dict-of-cells reference engine that re-applies the
   rule list with first-match semantics, cell by cell.  It shares no stepping
   or pruning logic with the other two so it can cross-check them.
@@ -223,18 +223,18 @@ def _read_window(view: SliceView, cell: tuple[int, ...]) -> str:
 
 
 @lru_cache(maxsize=8)
-def _box_index(points: tuple[tuple[int, ...], ...], stride: tuple[int, ...],
-               reach: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
-    """Where the diagonals ``points`` lie in the largest box of ``reach``,
-    padded with one quiescent entry per axis, and that padded shape: a
-    diagonal off the stride lies in the pad."""
-    cap = [reach // g + 1 for g in stride]
+def _box_index(points: tuple[tuple[int, ...], ...], stride: tuple[int, ...]):
+    """Where the diagonals ``points`` lie in the box of their own extent,
+    padded with one quiescent entry per axis, the slices of that extent and
+    the padded shape: a diagonal off the stride lies in the pad."""
+    cap = [max(i[a] for i in points) // g + 1 for a, g in enumerate(stride)]
     cols = [[] for _ in stride]
     for i in points:
         off = any(a % g for a, g in zip(i, stride))
         for col, a, g, n in zip(cols, i, stride, cap):
             col.append(n if off else a // g)
-    return tuple(map(np.array, cols)), tuple(n + 1 for n in cap)
+    return (tuple(map(np.array, cols)), tuple(map(slice, cap)),
+            tuple(n + 1 for n in cap))
 
 
 class SliceView:
@@ -285,9 +285,10 @@ class SliceView:
     def diagonals(self, points: tuple[tuple[int, ...], ...]) -> np.ndarray:
         """A window view's state codes on the diagonals ``points``, each
         within the reach; a diagonal the box does not hold reads quiescent."""
-        index, padded = _box_index(points, self._stride, self._reach)
+        index, extent, padded = _box_index(points, self._stride)
         box = np.zeros(padded, dtype=np.uint8)
-        box[tuple(map(slice, self._window.shape))] = self._window
+        part = self._window[extent]
+        box[tuple(map(slice, part.shape))] = part
         return box[index]
 
     def cells(self):

@@ -17,8 +17,8 @@ from ca_signals import (BeyondHorizon, DetectProbe, NotCoprime,
                         diagonal_sites, diagram_from_json_obj,
                         exhaustive_two_state_search, gap_probe, gap_profile,
                         log2_partition, merged_xy, run, run_probes,
-                        ultimate_period, verification, verify_period_bounds,
-                        verify_xy, w_sites)
+                        verification, verify_period_bounds, verify_xy,
+                        w_sites)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
                                  SEARCH_TARGETS, _decompose, cycle_lens)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
@@ -27,6 +27,7 @@ from ca_signals.lattice import Neighborhood
 from ca_signals.signals import MovePartition
 
 from tables import random_impulse_ca
+from windowed import final_third_accept, ultimate_period
 
 L = LAMBDA
 UP, DOWN = (-1, -1), (1, 1)
@@ -64,10 +65,6 @@ def test_ultimate_period_prefers_small_preperiod():
     dec = ultimate_period(tuple("10101010"))
     assert (len(dec.alpha), len(dec.beta)) == (0, 2)
     assert dec.beta == ("1", "0")
-
-
-def final_third_accept(p: int, q: int, h: int) -> bool:
-    return p + 2 * q <= h and h - p >= (h + 2) // 3
 
 
 def brute_minimal_decomposition(word, h, accept):
@@ -160,6 +157,22 @@ def test_exact_lens_equal_the_windowed_oracle_on_random_tables(kind, dim):
     for _ in range(3):
         ca = random_impulse_ca(rng, neigh=Neighborhood(kind, dim))
         assert _windowed_lens(ca, r_max, 192) == _exact_lens(ca, r_max, 192)
+
+
+@pytest.mark.parametrize("kind", ["trellis", "moore", "von_neumann"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_each_box_gives_the_simplex_lens(kind, dim):
+    # the box {j : 0 <= j <= i} and the simplex sum(j) <= r_max are both
+    # closed under the update, so both decide diagonal i the same way
+    rng = random.Random(f"box-{kind}-{dim}")
+    r_max = {1: 8, 2: 5, 3: 3}[dim]
+    for _ in range(3):
+        ca = random_impulse_ca(rng, neigh=Neighborhood(kind, dim))
+        for i, want in _exact_lens(ca, r_max, 192).items():
+            box = itertools.product(*(range(a + 1) for a in i))
+            lens, held, mu = analysis.exact_periods(ca, box, 192)
+            assert lens[-1] == want, (ca.name, i)
+            assert held.shape[1] == math.prod(a + 1 for a in i) and mu < 192
 
 
 def test_cycle_lens_reads_each_column():

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from ca_signals import (OverflowHorizon, ReadSchedule, analysis,
                         builtin_log2, cli, diagonal_sites, engine,
-                        follower_for_xy, run, serialize_rules)
+                        follower_for_xy, run, serialize_rules, verify_bounds)
 from ca_signals.engine import diagonal_start
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main, parse_ca_spec)
@@ -582,6 +582,77 @@ def test_analyze_period(capsys):
     assert (obj["preperiod"], obj["period"]) == (0, 2)
 
 
+def _period(capsys, *argv):
+    code, out, err = run_cli(capsys, "analyze", "period", *argv)
+    assert code == EXIT_OK, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("spec,r_max", [("log2", 10), ("xy:2,3", 8)])
+def test_analyze_period_equals_the_bounds_lens(capsys, spec, r_max):
+    # every diagonal of the simplex sum(i) <= r_max, decided on its own box
+    lens = verify_bounds(r_max, 4096, parse_ca_spec(spec)).params["lens"]
+    assert len(lens) == (r_max + 1) * (r_max + 2) // 2
+    for i, want in lens.items():
+        obj = _period(capsys, "--ca", spec, "--i", i)
+        assert (obj["preperiod"], obj["period"]) == want, i
+
+
+def _letters(capsys, spec, i, length):
+    _, out, _ = run_cli(capsys, "analyze", "diagonal", "--ca", spec,
+                        "--i", i, "--length", str(length))
+    return json.loads(out)["letters"]
+
+
+def test_analyze_period_decides_xy_diagonal_4_4(capsys):
+    # the box of diagonals 0 <= j <= (4, 4) first repeats at t = 109, so a
+    # cap of 32 or 64 steps decides nothing (a window of 32 or 64 letters
+    # reads the false periods (0, 1) and (35, 1) here)
+    for horizon in ("32", "64"):
+        obj = _period(capsys, "--ca", "xy:2,3", "--i", "4,4",
+                      "--horizon", horizon)
+        assert obj == {"i": [4, 4], "start": 2, "horizon": int(horizon),
+                       "decomposed": False}
+    obj = _period(capsys, "--ca", "xy:2,3", "--i", "4,4")
+    assert (obj["horizon"], obj["preperiod"], obj["period"]) == (4096, 35, 72)
+    word = _letters(capsys, "xy:2,3", "4,4", 35 + 2 * 72)
+    assert obj["alpha"] == "".join(word[:35])
+    assert obj["beta"] == "".join(word[35:107]) == "".join(word[107:])
+
+
+def test_analyze_period_decides_long_log2_periods(capsys):
+    obj = _period(capsys, "--i", "20,20")
+    assert (obj["preperiod"], obj["period"]) == (1023, 2048)
+    assert obj["alpha"] == "".join(_letters(capsys, "log2", "20,20", 1023))
+    # (30, 0) starts at t = 15, past the 2 rows its box holds
+    obj = _period(capsys, "--i", "30,0")
+    assert obj == {"i": [30, 0], "start": 15, "horizon": 4096,
+                   "decomposed": True, "alpha": "", "beta": "λ",
+                   "preperiod": 0, "period": 1}
+
+
+def test_analyze_period_of_a_negative_point_steps_nothing(capsys,
+                                                          monkeypatch):
+    def stepped(*_args, **_kwargs):
+        raise AssertionError("run_probes was called")
+
+    monkeypatch.setattr(analysis, "run_probes", stepped)
+    obj = _period(capsys, "--i", "-1,3")
+    assert obj == {"i": [-1, 3], "start": 2, "horizon": 4096,
+                   "decomposed": True, "alpha": "", "beta": "λ",
+                   "preperiod": 0, "period": 1}
+
+
+def test_analyze_period_checks_the_box_against_the_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "period", "--ca",
+                             "quiescent", "--i", "100000000,0",
+                             "--horizon", "8")
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "no slice was computed" in err
+
+
 def test_analyze_gap_from_ca(capsys):
     code, out, _ = run_cli(capsys, "analyze", "gap", "--ca", "log2",
                            "--steps", "256")
@@ -690,11 +761,28 @@ def test_verify_bounds_checks_the_letters_against_the_budget(capsys,
 
 
 @pytest.mark.parametrize("flag,value,name", [
-    ("--rmax", "-1", "r_max"), ("--window", "2", "window")])
+    ("--rmax", "-1", "r_max"), ("--window", "0", "window")])
 def test_verify_bounds_rejects_bad_sizes(capsys, flag, value, name):
     code, out, err = run_cli(capsys, "verify", "bounds", flag, value)
     assert code == EXIT_CONFIG and out == ""
     assert f"error: {name} must be" in err
+
+
+def test_analyze_period_rejects_a_horizon_below_one(capsys):
+    code, out, err = run_cli(capsys, "analyze", "period", "--i", "0,0",
+                             "--horizon", "0")
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: horizon must be >= 1, got 0\n"
+
+
+def test_a_window_below_the_first_repeat_reports_undecomposed_rows(capsys):
+    # an exact repeat can show from a window of 1 on; log2's diagonals with
+    # sum(i) <= 6 first repeat at t = 7
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--window", "1")
+    assert code == EXIT_FAIL
+    [dec] = [c for c in json.loads(out)["checks"]
+             if c["name"] == "diagonal-decomposition"]
+    assert dec["ok"] is False and len(dec["mismatches"]) == 28
 
 
 @pytest.mark.parametrize("argv,name", [
