@@ -25,10 +25,9 @@ from .errors import (AlphabetMismatch, ArityMismatch, BeyondHorizon,
                      XNotSmallest)
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, FollowProbe, FollowTrace,
-                      MoveConvention, MovePartition, ProductCA, Signal,
-                      follower_for_xy, gap_profile, ilog, log2_partition,
-                      log_anchor_signal, parse_move_partition,
-                      product_construct)
+                      MovePartition, ProductCA, Signal, follower_for_xy,
+                      gap_profile, ilog, log2_partition, log_anchor_signal,
+                      parse_move_partition, product_construct)
 from .verification import (VerifyReport, crt_digit, verify_basic,
                            verify_bounds, verify_log2, verify_xy)
 
@@ -38,8 +37,8 @@ __all__ = [
     "AlphabetMismatch", "AnyOf", "ArityMismatch", "BeyondHorizon",
     "BeyondWindow", "CellScan", "CheckFailed", "CoordinateOverflow",
     "DetectProbe", "FollowProbe", "FollowTrace", "Follower", "GapReport",
-    "ImpulseCA", "LAMBDA", "Literal", "MoveConvention", "MovePartition",
-    "Neighborhood", "NoMatch", "NotCoprime", "NotPeriodicWithin", "NotTotal",
+    "ImpulseCA", "LAMBDA", "Literal", "MovePartition", "Neighborhood",
+    "NoMatch", "NotCoprime", "NotPeriodicWithin", "NotTotal",
     "OverflowHorizon", "PeriodDecomposition", "ProductCA",
     "QuiescentViolation", "ReadSchedule", "Rule", "RuleFileError",
     "RuleSyntaxError", "RuleTable", "SearchReport", "Signal",

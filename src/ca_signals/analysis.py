@@ -102,21 +102,19 @@ def _decompose(word, window, accept):
     return PeriodDecomposition(w[:p], beta, h)
 
 
-def is_basic(signal: Signal, horizon: int | None = None):
+def is_basic(signal: Signal):
     """Decompose the signal's move word as alpha + beta-repeats, or refuse.
 
-    A signal is basic when its move sequence settles, within the inspected
-    window, into a preperiod alpha no longer than half the window followed
-    by repeats of beta.  Windows that never commit (the candidate preperiod
-    would eat most of the window) raise NotPeriodicWithin.
+    A signal is basic when its move sequence settles, within the window of
+    all its moves, into a preperiod alpha no longer than half the window
+    followed by repeats of beta.  Windows that never commit (the candidate
+    preperiod would eat most of the window) return NotPeriodicWithin.
     """
     moves = signal.moves()
-    h = len(moves) if horizon is None else horizon
-    if h > len(moves):
-        raise ValueError(f"horizon {h} exceeds move count {len(moves)}")
+    h = len(moves)
     if h < 4:
         raise ValueError(f"window {h} is too short to show a repeat")
-    return _decompose(tuple(moves[:h]), h,
+    return _decompose(moves, h,
                       lambda p, q, H: p + 2 * q <= H and p <= H // 2)
 
 
@@ -175,10 +173,12 @@ class _JointStates:
     time, in time order, up to the first repeat, where it stops the run."""
 
     def __init__(self, points):
-        self.points, self.seen, self.mu = points, {}, None
+        self.points, self.index, self.seen, self.mu = points, None, {}, None
 
     def observe(self, view):
-        key = view.diagonals(self.points).tobytes()
+        if self.index is None:
+            self.index = view.box_index(self.points)
+        key = view.diagonals(self.index).tobytes()
         self.mu = self.seen.get(key)
         if self.mu is not None:
             raise _Repeated
@@ -280,7 +280,7 @@ class GapReport:
         t <= fitted_C**m(t) for all sampled t, so m(t) >= log(t) /
         log(fitted_C) over the window.
       * BelowLogSuspect: the maximum of t**(1/m(t)) over the late half of
-        the samples exceeds growth_ratio times the early-half maximum, as a
+        the samples exceeds GROWTH_RATIO times the early-half maximum, as a
         gap growing slower than any log would produce.
     """
 
@@ -291,7 +291,6 @@ class GapReport:
     c_observed: float | None = None
     fitted_C: Fraction | None = None
     late_early_ratio: float | None = None
-    growth_ratio: float = GROWTH_RATIO
 
 
 def _fewest_bumps(c: Fraction, samples) -> int:
@@ -319,7 +318,7 @@ def _fewest_bumps(c: Fraction, samples) -> int:
     return best
 
 
-def gap_probe(signal: Signal, *, growth_ratio: float = GROWTH_RATIO) -> GapReport:
+def gap_probe(signal: Signal) -> GapReport:
     if signal.horizon + 1 < 64:
         raise ValueError(
             f"need at least 64 sites to classify, got {signal.horizon + 1}")
@@ -328,8 +327,7 @@ def gap_probe(signal: Signal, *, growth_ratio: float = GROWTH_RATIO) -> GapRepor
     samples = tuple((t, mt) for t, mt in enumerate(m) if mt >= 1 and t >= 1)
     tail = m[t_max // 2:]
     if all(v == tail[0] for v in tail):
-        return GapReport(CONSTANT, t_max, samples, constant_value=tail[0],
-                         growth_ratio=growth_ratio)
+        return GapReport(CONSTANT, t_max, samples, constant_value=tail[0])
 
     cs = [t ** (1.0 / mt) for t, mt in samples]
     c_obs = max(cs)
@@ -337,15 +335,14 @@ def gap_probe(signal: Signal, *, growth_ratio: float = GROWTH_RATIO) -> GapRepor
     early = max(cs[:half]) if cs[:half] else cs[0]
     late = max(cs[half:])
     ratio = late / early
-    if ratio > growth_ratio:
+    if ratio > GROWTH_RATIO:
         return GapReport(BELOW_LOG, t_max, samples, c_observed=c_obs,
-                         late_early_ratio=ratio, growth_ratio=growth_ratio)
+                         late_early_ratio=ratio)
 
     fitted = Fraction(c_obs).limit_denominator(10 ** 6)
     fitted += Fraction(_fewest_bumps(fitted, samples), 10 ** 6)
     return GapReport(LOG_OR_ABOVE, t_max, samples, c_observed=c_obs,
-                     fitted_C=fitted, late_early_ratio=ratio,
-                     growth_ratio=growth_ratio)
+                     fitted_C=fitted, late_early_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -400,10 +400,9 @@ def merged_xy(x: int, y: int) -> ImpulseCA:
     )
 
 
-def builtin_quiescent(neigh: Neighborhood | None = None) -> ImpulseCA:
-    """Single-state automaton; every diagram slice is empty."""
-    if neigh is None:
-        neigh = Neighborhood("trellis", 2)
+def builtin_quiescent() -> ImpulseCA:
+    """Single-state 2-D trellis automaton; every diagram slice is empty."""
+    neigh = Neighborhood("trellis", 2)
     order = offsets(neigh)
     table = RuleTable((Rule((WILDCARD,) * len(order), LAMBDA),))
     return ImpulseCA(

@@ -34,9 +34,8 @@ from .engine import (DEFAULT_SITE_BUDGET, ReadSchedule, dense_run,
                      diagonal_sites, diagonal_start, diagram_from_json_obj,
                      run, run_probes, w_sites)
 from .errors import BeyondHorizon, CheckFailed, OverflowHorizon
-from .signals import (DetectProbe, Follower, FollowProbe, MoveConvention,
-                      Signal, follower_for_xy, log2_partition,
-                      parse_move_partition)
+from .signals import (DetectProbe, Follower, FollowProbe, Signal,
+                      follower_for_xy, log2_partition, parse_move_partition)
 from .verification import (VerifyReport, verify_basic, verify_bounds,
                            verify_log2, verify_xy)
 
@@ -113,11 +112,6 @@ def _site_budget(args) -> int:
     return budget
 
 
-def _convention(args) -> MoveConvention:
-    return (MoveConvention.AS_WRITTEN if args.convention == "aswritten"
-            else MoveConvention.NEGATED)
-
-
 def _dump(obj, args) -> str:
     if getattr(args, "timestamps", False) and isinstance(obj, dict):
         obj = {**obj, "generated_at": datetime.now(timezone.utc).isoformat()}
@@ -158,11 +152,10 @@ def _render_source(args, last: int | None = None):
 
 
 def cmd_simulate(args) -> int:
-    ca = parse_ca_spec(args.ca)
-    runner = dense_run if args.dense else run
-    kwargs = {"check": True} if (args.check and not args.dense) else {}
+    ca, budget = parse_ca_spec(args.ca), _site_budget(args)
     try:
-        diag = runner(ca, args.steps, budget=_site_budget(args), **kwargs)
+        diag = (dense_run(ca, args.steps, budget=budget) if args.dense else
+                run(ca, args.steps, budget=budget, check=args.check))
     except OverflowHorizon as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None:
@@ -303,7 +296,7 @@ def _detected_walk(args) -> Signal:
         part = log2_partition()
     else:
         raise ValueError("--partition is required for this CA")
-    probe = DetectProbe(ca, part, args.steps, _convention(args))
+    probe = DetectProbe(ca, part, args.steps)
     run_probes(ca, args.steps, [probe], budget=_site_budget(args))
     return probe.signal()
 
@@ -329,7 +322,7 @@ def cmd_follow(args) -> int:
         fol = Follower.from_json_obj(obj)
     else:
         fol = _default_follower(ca)
-    probe = FollowProbe(ca, fol, args.steps, _convention(args))
+    probe = FollowProbe(ca, fol, args.steps)
     run_probes(ca, args.steps, [probe], budget=_site_budget(args))
     tr = probe.trace()
     if args.trace:
@@ -505,12 +498,6 @@ def _add_ca(p: argparse.ArgumentParser, required: bool = True) -> None:
                    help="log2 | xy:X,Y | merged:X,Y | quiescent | file:PATH")
 
 
-def _add_convention(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--convention", choices=("negated", "aswritten"),
-                   default="negated",
-                   help="how a state's move acts on the site (default: negated)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ca-signals",
@@ -549,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--partition",
                    help="'sym:(dx,dy);...' (default: the built-in log2 partition)")
-    _add_convention(p)
     _add_budget(p)
     _add_out(p)
     p.set_defaults(fn=cmd_detect)
@@ -560,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--follower", help="follower JSON file (default: the CA's own)")
     p.add_argument("--trace", action="store_true",
                    help="include follower states and defaulted reads")
-    _add_convention(p)
     _add_budget(p)
     _add_out(p)
     p.set_defaults(fn=cmd_follow)
@@ -593,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ca(p, required=False)
     p.add_argument("--steps", type=int, default=256)
     p.add_argument("--partition")
-    _add_convention(p)
     _add_budget(p)
     _add_out(p)
     p.set_defaults(fn=cmd_analyze_gap)

@@ -58,7 +58,6 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product, repeat
 
 import numpy as np
@@ -222,21 +221,6 @@ def _read_window(view: SliceView, cell: tuple[int, ...]) -> str:
     return ca.states[window[tuple(j)]]
 
 
-@lru_cache(maxsize=8)
-def _box_index(points: tuple[tuple[int, ...], ...], stride: tuple[int, ...]):
-    """Where the diagonals ``points`` lie in the box of their own extent,
-    padded with one quiescent entry per axis, the slices of that extent and
-    the padded shape: a diagonal off the stride lies in the pad."""
-    cap = [max(i[a] for i in points) // g + 1 for a, g in enumerate(stride)]
-    cols = [[] for _ in stride]
-    for i in points:
-        off = any(a % g for a, g in zip(i, stride))
-        for col, a, g, n in zip(cols, i, stride, cap):
-            col.append(n if off else a // g)
-    return (tuple(map(np.array, cols)), tuple(map(slice, cap)),
-            tuple(n + 1 for n in cap))
-
-
 class SliceView:
     """Read-only view of one time slice, the input of every probe.
 
@@ -282,14 +266,36 @@ class SliceView:
                     self._window[tuple(idx.T)])
         return unpack_cells(self._sl[0], self.ca.dim), self._sl[1]
 
-    def diagonals(self, points: tuple[tuple[int, ...], ...]) -> np.ndarray:
-        """A window view's state codes on the diagonals ``points``, each
-        within the reach; a diagonal the box does not hold reads quiescent."""
-        index, extent, padded = _box_index(points, self._stride)
+    def box_index(self, points):
+        """For ``diagonals``, fixed for a run: the flat positions of the
+        diagonals ``points`` in the box of their extent padded with one
+        quiescent entry per axis (a diagonal off the stride lies in the pad),
+        the slices of that extent and the padded shape."""
+        cap = [max(c) // g + 1 for c, g in zip(zip(*points), self._stride)]
+        pad = 0
+        for n in cap:
+            pad = pad * (n + 1) + n
+        flat = []
+        for i in points:
+            k = 0
+            for a, g, n in zip(i, self._stride, cap):
+                q, r = divmod(a, g)
+                if r:
+                    k = pad
+                    break
+                k = k * (n + 1) + q
+            flat.append(k)
+        return (np.array(flat), tuple(map(slice, cap)),
+                tuple(n + 1 for n in cap))
+
+    def diagonals(self, index) -> np.ndarray:
+        """A window view's state codes on the diagonals of a ``box_index``,
+        each within the reach; one the box does not hold reads quiescent."""
+        flat, extent, padded = index
         box = np.zeros(padded, dtype=np.uint8)
         part = self._window[extent]
         box[tuple(map(slice, part.shape))] = part
-        return box[index]
+        return box.take(flat)
 
     def cells(self):
         """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""

@@ -1,13 +1,11 @@
 """Signals inside space-time diagrams: detection, following, marking.
 
 A signal is a site path u(0), u(1), ... with u(0) at the origin whose step
-at time t is determined by the diagram state at u(t).  Two step conventions
-exist for turning a neighborhood offset x into an actual move:
-
-* NEGATED (default): u(t+1) = u(t) - x.  The new site is exactly the cell
-  whose update read u(t) through argument offset x, so the signal rides the
-  dependency cone forward.
-* AS_WRITTEN: u(t+1) = u(t) + x.
+at time t is determined by the diagram state at u(t).  A neighborhood offset
+x moves the signal to u(t+1) = u(t) - x: the new site is exactly the cell
+whose update read u(t) through argument offset x, so the signal rides the
+dependency cone forward.  For the symmetric stock neighborhoods (V = -V) a
+walk by u(t) + x is the same walk with every offset negated.
 
 Detection uses a total map from state symbols to offsets (a move partition);
 following uses a finite automaton that additionally carries its own state.
@@ -23,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .automaton import LAMBDA, ImpulseCA
 from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, json_list,
@@ -32,21 +29,14 @@ from .lattice import (Offset, all_ones, in_light_cone, neg, offsets,
                       parse_offset)
 
 
-class MoveConvention(Enum):
-    NEGATED = "negated"
-    AS_WRITTEN = "as-written"
-
-
 def _ints(values: list, what: str) -> tuple[int, ...]:
     if not all(type(a) is int for a in values):
         raise ValueError(f"{what} {values} has a non-integer component")
     return tuple(values)
 
 
-def _step_site(u, x, convention: MoveConvention):
-    if convention is MoveConvention.NEGATED:
-        return tuple(c - d for c, d in zip(u, x))
-    return tuple(c + d for c, d in zip(u, x))
+def _step_site(u, x):
+    return tuple(c - d for c, d in zip(u, x))
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +89,10 @@ class Signal:
         return cls(sites)
 
 
-def valid_moves(signal: Signal, neigh, convention=MoveConvention.NEGATED) -> bool:
+def valid_moves(signal: Signal, neigh) -> bool:
     """True when every step of the signal is a neighborhood move."""
     allowed = set(offsets(neigh))
-    for mv in signal.moves():
-        x = neg(mv) if convention is MoveConvention.NEGATED else mv
-        if x not in allowed:
-            return False
-    return True
+    return all(neg(mv) in allowed for mv in signal.moves())
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +112,6 @@ class MovePartition:
         extra = set(self.classes) - set(ca.states)
         if extra:
             raise AlphabetMismatch(f"partition names unknown states: {sorted(extra)}")
-        allowed = set(offsets(ca.neighborhood))
-        for s, x in self.classes.items():
-            if x not in allowed:
-                raise AlphabetMismatch(
-                    f"class of {s!r} is {x}, not a neighborhood offset")
 
 
 def parse_move_partition(text: str, dim: int) -> MovePartition:
@@ -162,7 +143,7 @@ def log2_partition() -> MovePartition:
     is never read on the real path; it shares the digit-0 class so a broken
     walk drifts visibly instead of crashing.
     """
-    up = (-1, -1)   # NEGATED: u - (-1,-1) = u + (1,1)
+    up = (-1, -1)   # u - (-1,-1) = u + (1,1)
     down = (1, 1)
     return MovePartition({"1": up, "0": down, LAMBDA: down})
 
@@ -258,7 +239,7 @@ def follower_for_xy(x: int, y: int,
             + tuple(f"κ_{i}" for i in range(y + 1))
     qs = tuple(f"a_{j}" for j in range(1, y + 1))
     top = f"π_{x}"
-    up = (-1, -1)    # NEGATED: move +(1,1)
+    up = (-1, -1)    # move +(1,1)
     down = (1, 1)
     delta: dict[tuple[str, str], tuple[str, Offset]] = {}
     defaulted = set()
@@ -286,13 +267,16 @@ class FollowTrace:
 class FollowProbe:
     """Run a follower from the origin, one slice view at a time."""
 
-    def __init__(self, ca: ImpulseCA, follower: Follower, steps: int,
-                 convention: MoveConvention = MoveConvention.NEGATED):
+    def __init__(self, ca: ImpulseCA, follower: Follower, steps: int):
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
+        allowed = set(offsets(ca.neighborhood))
+        for key, (_q2, x) in follower.delta.items():
+            if x not in allowed:
+                raise AlphabetMismatch(
+                    f"move {list(x)} of {key!r} is not a neighborhood offset")
         self.follower = follower
         self.steps = steps
-        self.convention = convention
         self.sites = [(0,) * ca.dim]
         self.qs = [follower.initial]
         self.defaulted_hits: list[tuple[str, str]] = []
@@ -308,7 +292,7 @@ class FollowProbe:
         if key in self.follower.defaulted:
             self.defaulted_hits.append(key)
         q, x = self.follower.delta[key]
-        self.sites.append(_step_site(u, x, self.convention))
+        self.sites.append(_step_site(u, x))
         self.qs.append(q)
 
     def trace(self) -> FollowTrace:
@@ -320,16 +304,15 @@ class DetectProbe(FollowProbe):
     """Walk under a move partition: a one-state follower that moves by the
     class of each symbol it reads."""
 
-    def __init__(self, ca: ImpulseCA, partition: MovePartition, steps: int,
-                 convention: MoveConvention = MoveConvention.NEGATED):
+    def __init__(self, ca: ImpulseCA, partition: MovePartition, steps: int):
         partition.validate_for(ca)
         delta = {("q", s): ("q", x) for s, x in partition.classes.items()}
-        super().__init__(ca, Follower(("q",), "q", delta), steps, convention)
+        super().__init__(ca, Follower(("q",), "q", delta), steps)
         self.neighborhood = ca.neighborhood
 
     def signal(self) -> Signal:
         out = Signal(tuple(self.sites))
-        if not valid_moves(out, self.neighborhood, self.convention):
+        if not valid_moves(out, self.neighborhood):
             raise CheckFailed(
                 "detected walk takes a step outside the neighborhood")
         return out
@@ -352,7 +335,7 @@ class ProductTable:
     The base track evolves by the base table.  A cell acquires marker q2
     exactly when some argument-a neighbor carries a marker q with
     delta(q, base symbol) = (q2, x) and x is the offset that makes this
-    cell the follower's next site under the chosen convention.  On valid
+    cell the follower's next site, u - x.  On valid
     diagrams at most one neighbor is marked; ties from unreachable
     configurations resolve to the smallest argument index.  Like any table
     it is applied only to the neighbor tuples a run meets; ``assume_total``
@@ -361,19 +344,11 @@ class ProductTable:
 
     assume_total = True
 
-    def __init__(self, base: ImpulseCA, follower: Follower,
-                 convention: MoveConvention):
+    def __init__(self, base: ImpulseCA, follower: Follower):
         self.base = base
-        req = {x: (x if convention is MoveConvention.NEGATED else neg(x))
-               for x in base.arg_order}
         # per argument position: (marker, symbol) -> marker produced here
-        self.sends: list[dict[tuple[str, str], str]] = []
-        for x in base.arg_order:
-            table = {}
-            for (q, s), (q2, mv) in follower.delta.items():
-                if mv == req[x]:
-                    table[(q, s)] = q2
-            self.sends.append(table)
+        self.sends = [{key: q2 for key, (q2, mv) in follower.delta.items()
+                       if mv == x} for x in base.arg_order]
 
     @property
     def arity(self) -> int:
@@ -408,9 +383,7 @@ class ProductCA:
                          if self.ca.table.split(s)[1] != UNMARKED)
 
 
-def product_construct(base: ImpulseCA, follower: Follower,
-                      convention: MoveConvention = MoveConvention.NEGATED,
-                      ) -> ProductCA:
+def product_construct(base: ImpulseCA, follower: Follower) -> ProductCA:
     """Compile base CA and follower into one automaton with a marked site."""
     for s in base.states:
         if PAIR_SEP in s or s == UNMARKED:
@@ -421,7 +394,7 @@ def product_construct(base: ImpulseCA, follower: Follower,
             f"automaton alphabet is {sorted(base.states)}")
     marks = (UNMARKED,) + follower.states
     states = tuple(_pair_symbol(s, m) for s in base.states for m in marks)
-    table = ProductTable(base, follower, convention)
+    table = ProductTable(base, follower)
     ca = ImpulseCA(
         states=states,
         quiescent=_pair_symbol(base.quiescent, UNMARKED),

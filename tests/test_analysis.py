@@ -284,7 +284,7 @@ def test_gap_probe_flags_sublogarithmic_growth():
         for t in range(t_max + 1))
     rep = gap_probe(Signal(sites))
     assert rep.classification == BELOW_LOG
-    assert rep.late_early_ratio > rep.growth_ratio
+    assert rep.late_early_ratio > analysis.GROWTH_RATIO
 
 
 def _fit_by_bumps(start, samples):

@@ -486,10 +486,63 @@ def test_detect_explicit_partition_and_convention(capsys):
                         "--partition", "lambda:(-1,-1)")
     assert [tuple(r["u"]) for r in json.loads(neg)] == [
         (0, 0), (1, 1), (2, 2), (3, 3)]
+    # the one step is u - x; an as-written walk negates the partition
     _, asw, _ = run_cli(capsys, "detect", "--ca", "quiescent", "--steps", "3",
-                        "--partition", "lambda:(1,1)",
-                        "--convention", "aswritten")
-    assert neg == asw
+                        "--partition", "lambda:(1,1)")
+    assert [tuple(r["u"]) for r in json.loads(asw)] == [
+        (0, 0), (-1, -1), (-2, -2), (-3, -3)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("detect", "--ca", "log2", "--steps", "4"),
+    ("follow", "--ca", "xy:2,3", "--steps", "4"),
+    ("analyze", "gap", "--ca", "log2", "--steps", "64"),
+], ids=["detect", "follow", "gap"])
+def test_convention_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--convention", "aswritten"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--convention" in capsys.readouterr().err
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_as_written_detect_bytes_equal_the_negated_partition(capsys):
+    # the digest of `detect --ca log2 --steps 64 --partition
+    # "0:(-1,-1);1:(1,1);lambda:(-1,-1)" --convention aswritten` before that
+    # flag was removed
+    code, out, _ = run_cli(capsys, "detect", "--ca", "log2", "--steps", "64",
+                           "--partition", "0:(1,1);1:(-1,-1);lambda:(1,1)")
+    assert code == EXIT_OK
+    assert _sha256(out) == (
+        "798a13937f063c1a448553574b2a10e21862e2828f2c0b160e3805fde31ecf37")
+
+
+def test_as_written_follow_bytes_equal_the_negated_follower(capsys, tmp_path):
+    # the digest of `follow --ca xy:2,3 --steps 64 --convention aswritten`
+    # with the xy:2,3 follower's moves negated, before that flag was removed
+    fol = tmp_path / "follower.json"
+    fol.write_text(follower_for_xy(2, 3).dumps(), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "follow", "--ca", "xy:2,3", "--steps",
+                           "64", "--follower", str(fol))
+    assert code == EXIT_OK
+    assert _sha256(out) == (
+        "cd0f251e238852f8fe678cef5278391256335555d5bb7114c433f52cd1260320")
+
+
+@pytest.mark.parametrize("move", [[5, 5], [-1, -1, 7]],
+                         ids=["off-the-cone", "three-coordinates"])
+def test_follow_rejects_moves_off_the_neighborhood(capsys, tmp_path, move):
+    path = tmp_path / "follower.json"
+    path.write_text(json.dumps({"states": ["a"], "initial": "a", "delta": [
+        {"q": "a", "s": s, "q2": "a", "move": move}
+        for s in ("λ", "0", "1")]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "follow", "--ca", "log2", "--steps", "3",
+                             "--follower", str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"move {move}" in err and "not a neighborhood offset" in err
 
 
 def test_follow_default_follower_and_merged_equivalence(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (AlphabetMismatch, CellScan, CheckFailed, DetectProbe,
-                        Follower, FollowProbe, MoveConvention, NotCoprime,
+                        Follower, FollowProbe, NotCoprime,
                         NotPeriodicWithin, Signal, builtin_log2,
                         builtin_quiescent, builtin_xy, follower_for_xy,
                         gap_profile, is_basic, log2_partition,
@@ -24,7 +24,7 @@ from ca_signals.signals import MovePartition, ilog, valid_moves
 from tables import random_impulse_ca
 
 L = "λ"
-UP = (-1, -1)    # negated convention: the site step is u - x
+UP = (-1, -1)    # the site step is u - x
 DOWN = (1, 1)
 
 
@@ -107,8 +107,8 @@ def test_detect_streaming_probe_agrees(log2_diag):
     assert probe.signal() == retained.signal()
 
 
-def _streamed_signal(ca, partition, steps, **kwargs):
-    probe = DetectProbe(ca, partition, steps, **kwargs)
+def _streamed_signal(ca, partition, steps):
+    probe = DetectProbe(ca, partition, steps)
     run_probes(ca, steps, [probe])
     return probe.signal()
 
@@ -119,8 +119,8 @@ def test_detect_on_quiescent_is_the_diagonal():
 
 
 def test_detect_as_written_flips_the_walk():
-    sig = _streamed_signal(builtin_quiescent(), MovePartition({L: UP}), 8,
-                           convention=MoveConvention.AS_WRITTEN)
+    # a walk by u + x is the walk by u - x under the negated partition
+    sig = _streamed_signal(builtin_quiescent(), MovePartition({L: DOWN}), 8)
     assert sig.sites == tuple((-t, -t) for t in range(9))
 
 
@@ -128,7 +128,7 @@ def test_detect_refuses_a_walk_off_the_neighborhood(monkeypatch, log2_diag,
                                                     capsys):
     step = signals._step_site
     monkeypatch.setattr(signals, "_step_site",
-                        lambda u, x, conv: step(step(u, x, conv), x, conv))
+                        lambda u, x: step(step(u, x), x))
     probe = _replayed(log2_diag, DetectProbe(log2_diag.ca, log2_partition(),
                                              4))
     with pytest.raises(CheckFailed):
@@ -401,11 +401,9 @@ def test_is_basic_rejects_counter_walk():
 
 
 def test_is_basic_window_guards():
-    sig = Signal(sites_from_moves([DOWN] * 16))
-    with pytest.raises(ValueError):
-        is_basic(sig, horizon=3)
-    with pytest.raises(ValueError):
-        is_basic(sig, horizon=17)
+    with pytest.raises(ValueError, match="too short"):
+        is_basic(Signal(sites_from_moves([DOWN] * 3)))
+    assert is_basic(Signal(sites_from_moves([DOWN] * 4))).beta == (DOWN,)
 
 
 def test_gap_profile():
@@ -434,5 +432,5 @@ def test_anchor_l_is_integer_log(base, t):
 def test_signal_moves_round_trip(moves):
     sig = Signal(sites_from_moves(moves))
     assert sig.moves() == tuple(moves)
-    assert valid_moves(sig, Neighborhood("trellis", 2),
-                       MoveConvention.AS_WRITTEN)
+    # the trellis is symmetric, so each move u(t+1) - u(t) = -x is an offset
+    assert valid_moves(sig, Neighborhood("trellis", 2))

@@ -47,3 +47,36 @@ def test_every_definition_is_used():
         for path in sorted((ROOT / top).rglob("*.py")))))
     dead = sorted(name for name, n in defined.items() if words[name] <= n)
     assert not dead, f"defined but never used: {dead}"
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def test_every_keyword_only_parameter_is_passed():
+    # a keyword-only parameter that no call in src/, tests/, scripts/ or
+    # perfbench/ passes by name is an option nobody sets; a class's
+    # __init__ is called by the class name
+    params = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__":
+                params.update((node.name, a.arg)
+                              for a in node.args.kwonlyargs)
+            elif isinstance(node, ast.ClassDef):
+                params.update((node.name, a.arg) for fn in node.body
+                              if isinstance(fn, ast.FunctionDef)
+                              and fn.name == "__init__"
+                              for a in fn.args.kwonlyargs)
+    passed = set()
+    for top in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path))
+            passed.update((_callee(node), k.arg) for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          for k in node.keywords)
+    unset = sorted(params - passed)
+    assert not unset, f"keyword-only parameters never passed: {unset}"
