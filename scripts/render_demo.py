@@ -9,7 +9,7 @@ binary digits of k+1 (low-order bit first, '.' marks quiescent cells).
 import argparse
 import sys
 
-from ca_signals import ReadSchedule, builtin_log2, run_probes, w_sites
+from ca_signals import DiagonalLetters, builtin_log2, run_probes, w_site
 from ca_signals.cli import main as cli_main
 
 
@@ -27,13 +27,16 @@ def main() -> int:
 
     width = max(8, (args.k_max + 1).bit_length() + 2)
     ca = builtin_log2()
-    reads = ReadSchedule(w_sites(k, 0, width) for k in range(args.k_max + 1))
-    run_probes(ca, args.k_max + width - 1, [reads])
+    # entry i of digit row k is diagonal (2i, 2i) at t = k + i
+    sites = [[w_site(k, 0, i) for i in range(width)]
+             for k in range(args.k_max + 1)]
+    letters = DiagonalLetters(d for row in sites for d, _ in row)
+    run_probes(ca, args.k_max + width - 1, [letters])
     lam = ca.quiescent
     print(f"\ndigit rows k=0..{args.k_max} (row k spells k+1 in binary, "
           "low bit first):")
-    for k, letters in enumerate(reads.rows):
-        text = "".join("." if s == lam else s for s in letters)
+    for k, row in enumerate(letters.spell(sites)):
+        text = "".join("." if s == lam else s for s in row)
         print(f"  k={k:2d}  {text}  (k+1 = {k + 1:2d} = "
               f"{bin(k + 1)[2:]}b)")
     return 0

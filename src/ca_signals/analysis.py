@@ -27,7 +27,8 @@ from operator import sub
 import numpy as np
 
 from .automaton import ImpulseCA
-from .engine import DEFAULT_SITE_BUDGET, diagonal_start, run_probes
+from .engine import (DEFAULT_SITE_BUDGET, DiagonalLetters, diagonal_start,
+                     run_probes)
 from .errors import CheckFailed, OverflowHorizon
 from .signals import Signal, gap_profile
 
@@ -168,21 +169,17 @@ class _Repeated(Exception):
     """Stops a run whose joint state has repeated."""
 
 
-class _JointStates:
-    """Maps each joint state of the window's diagonals ``points`` to its
-    time, in time order, up to the first repeat, where it stops the run."""
+class _JointStates(DiagonalLetters):
+    """Stops the run at the first repeat of a held row (``seen``: row -> t)."""
 
     def __init__(self, points):
-        self.points, self.index, self.seen, self.mu = points, None, {}, None
+        super().__init__(points)
+        self.seen = {}
 
     def observe(self, view):
-        if self.index is None:
-            self.index = view.box_index(self.points)
-        key = view.diagonals(self.index).tobytes()
-        self.mu = self.seen.get(key)
-        if self.mu is not None:
+        super().observe(view)
+        if self.seen.setdefault(self.rows[-1], view.t) != view.t:
             raise _Repeated
-        self.seen[key] = view.t
 
 
 def check_cap(n_points: int, cap: int, budget: int, name: str) -> None:
@@ -202,18 +199,17 @@ def exact_periods(ca: ImpulseCA, points, cap: int, *,
     does not depend on t, so the window [0, max coordinate]^dim is stepped
     only to the first repeat of their joint state: it settles every word for
     all time.  From row mu on, the rows repeat with period len(held) - mu."""
-    points = tuple(points)
     states = _JointStates(points)
     with contextlib.suppress(_Repeated):
         run_probes(ca, cap, [states], budget=budget,
-                   reach=max(map(max, points)))
-    if states.mu is None:
+                   reach=max(map(max, states.points)))
+    if len(states.rows) == len(states.seen):
         return None
-    held = np.frombuffer(b"".join(states.seen), dtype=np.uint8).reshape(
-        len(states.seen), len(points))
+    mu = states.seen[states.rows.pop()]
+    held = states.held
     lens = [(max(0, p - diagonal_start(i)), q)
-            for i, (p, q) in zip(points, cycle_lens(held, states.mu))]
-    return lens, held, states.mu
+            for i, (p, q) in zip(states.points, cycle_lens(held, mu))]
+    return lens, held, mu
 
 
 def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,

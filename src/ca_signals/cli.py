@@ -30,9 +30,9 @@ from .analysis import (GapReport, check_cap, exact_periods,
                        exhaustive_two_state_search, gap_probe)
 from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
-from .engine import (DEFAULT_SITE_BUDGET, ReadSchedule, dense_run,
-                     diagonal_sites, diagonal_start, diagram_from_json_obj,
-                     run, run_probes, w_sites)
+from .engine import (DEFAULT_SITE_BUDGET, DiagonalLetters, dense_run,
+                     diagonal_start, diagram_from_json_obj, run, run_probes,
+                     w_site)
 from .errors import BeyondHorizon, CheckFailed, OverflowHorizon
 from .signals import (DetectProbe, Follower, FollowProbe, Signal,
                       follower_for_xy, log2_partition, parse_move_partition)
@@ -265,20 +265,19 @@ def cmd_render(args) -> int:
         if width is None:
             width = max(8, (args.k + 1).bit_length() + 2)
         needed = args.k + (width - 1) + (args.rows - 1)
-        ca, horizon, feed = _render_source(args, needed)
+        ca, _, feed = _render_source(args, needed)
         if ca.dim != 2:
             raise ValueError("the sheared plane is defined for 2-D trellis runs")
-        reads = ReadSchedule(w_sites(args.k, l, width)
-                             for l in range(args.rows))
-        feed(reads)
-        if needed > horizon:
-            raise BeyondHorizon(
-                f"t={horizon + 1} outside simulated range 0..{horizon}")
-        wide = max(len(s) for row in reads.rows for s in row)
+        sites = [[w_site(args.k, l, i) for i in range(width)]
+                 for l in range(args.rows)]
+        letters = DiagonalLetters(d for row in sites for d, _ in row)
+        feed(letters)
+        rows = letters.spell(sites)
+        wide = max(len(s) for row in rows for s in row)
         sep = " " if wide > 1 else ""
         _emit(("".join(sep.join(
             (DISPLAY_QUIESCENT if s == ca.quiescent else s).rjust(wide)
-            for s in row) + "\n" for row in reads.rows),), args.out)
+            for s in row) + "\n" for row in rows),), args.out)
         return EXIT_OK
     raise ValueError(f"unknown render mode {args.mode!r}")
 
@@ -353,15 +352,17 @@ def _ca_and_point(args) -> tuple[ImpulseCA, tuple[int, ...]]:
 
 def cmd_analyze_diagonal(args) -> int:
     ca, i = _ca_and_point(args)
-    reads = ReadSchedule([diagonal_sites(i, args.length)])
+    if args.length < 1:
+        raise ValueError(f"length must be >= 1, got {args.length}")
     start = diagonal_start(i)
     if min(i) < 0:
         # every cell t*1bar - i lies off the light cone: nothing to step
         word = [ca.quiescent] * args.length
     else:
-        run_probes(ca, start + args.length - 1, [reads],
+        letters = DiagonalLetters([i])
+        run_probes(ca, start + args.length - 1, [letters],
                    budget=_site_budget(args))
-        word = reads.rows[0]
+        word = [ca.states[c] for c in letters.held[start:, 0].tolist()]
     _emit((_dump({"i": list(i), "start": start, "letters": word}, args),),
           args.out)
     return EXIT_OK

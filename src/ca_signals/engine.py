@@ -33,13 +33,13 @@ The sparse and window engines map flat neighbor codes through one evaluator
 that applies the rule table the first time a run meets a code and caches the
 result, so no table is enumerated before the first step.
 
-Probes are the only way to read a diagram: walkers, ``ReadSchedule``, the
-one reader of sites fixed before stepping, and ``CellScan``, the one reader
-of whole slices, each observe one ``SliceView`` per time step.  A schedule's
-rows are the sheared digit and carry rows (``w_sites``) and diagonal words
-(``diagonal_sites``).  A scan tests every live cell with one vectorised
-predicate and keeps the hits: the counter's wedge, the two-track planes,
-the product's marks and ``run(..., check=True)``.  Claims stream:
+Probes are the only way to read a diagram: walkers, ``DiagonalLetters``,
+the one reader of sites fixed before stepping (each is a letter of a
+diagonal: digit and carry rows, ``w_site``, and diagonal words), and
+``CellScan``, the one reader of whole slices, each observe one ``SliceView``
+per time step.  A scan tests every live cell with one vectorised predicate
+and keeps the hits: the counter's wedge, the two-track planes, the
+product's marks and ``run(..., check=True)``.  Claims stream:
 ``run_probes`` feeds probes the live slice (or window) as it steps and
 retains nothing else.  Only dumps retain: ``run`` keeps every slice the
 same stepper yields, for ``simulate`` and loaded diagrams, and
@@ -56,9 +56,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -266,31 +265,54 @@ class SliceView:
                     self._window[tuple(idx.T)])
         return unpack_cells(self._sl[0], self.ca.dim), self._sl[1]
 
-    def box_index(self, points):
-        """For ``diagonals``, fixed for a run: the flat positions of the
-        diagonals ``points`` in the box of their extent padded with one
-        quiescent entry per axis (a diagonal off the stride lies in the pad),
-        the slices of that extent and the padded shape."""
-        cap = [max(c) // g + 1 for c, g in zip(zip(*points), self._stride)]
-        pad = 0
-        for n in cap:
-            pad = pad * (n + 1) + n
+    def diagonal_index(self, points):
+        """For ``diagonals``, fixed for a run.  A point with a negative
+        coordinate reads quiescent; a window refuses one past its reach."""
+        dim, reach, stride = self.ca.dim, self._reach, self._stride
+        for i in points:
+            if len(i) != dim:
+                raise ValueError(
+                    f"diagonal {i} has {len(i)} coordinates, CA has {dim}")
+        if self._window is None:
+            # cell t*1bar - i packs to (t + half)*unit - shift(i) in the cone;
+            # a point never in it (it could alias a live cell) reads ``off``
+            top = 2 * max_horizon(dim)
+            off = (top + 1,) + (0,) * (dim - 1)
+            shifts = [_offset_shift(i if 0 <= min(i) and max(i) <= top
+                                    else off, dim) for i in points]
+            return (np.array(shifts, dtype=np.int64),
+                    int(_offset_shift((1,) * dim, dim)), 1 << (_bits(dim) - 1))
+        # the box of the points' extent, padded with one quiescent entry per
+        # axis: a diagonal off the stride or off the cone reads the last one
+        padded = [max(0, *c) // g + 2 for c, g in zip(zip(*points), stride)]
         flat = []
         for i in points:
+            if max(i) > reach and min(i) >= 0:
+                raise BeyondWindow(f"diagonal {i} lies past the window "
+                                   f"[0, {reach}]^{dim}")
             k = 0
-            for a, g, n in zip(i, self._stride, cap):
+            for a, g, n in zip(i, stride, padded):
                 q, r = divmod(a, g)
-                if r:
-                    k = pad
+                if r or q < 0:
+                    k = math.prod(padded) - 1
                     break
-                k = k * (n + 1) + q
+                k = k * n + q
             flat.append(k)
-        return (np.array(flat), tuple(map(slice, cap)),
-                tuple(n + 1 for n in cap))
+        return (np.array(flat, dtype=np.int64),
+                tuple(slice(n - 1) for n in padded), tuple(padded))
 
     def diagonals(self, index) -> np.ndarray:
-        """A window view's state codes on the diagonals of a ``box_index``,
-        each within the reach; one the box does not hold reads quiescent."""
+        """The state codes on the diagonals of a ``diagonal_index``: one
+        gather from a window's box, one binary search of a sparse slice."""
+        if self._window is None:
+            shifts, unit, half = index
+            packed, codes = self._sl
+            if not len(packed):
+                return np.zeros(len(shifts), dtype=np.uint8)
+            keys = (self.t + half) * unit - shifts
+            pos = packed.searchsorted(keys)
+            found = packed.take(pos, mode="clip") == keys
+            return np.where(found, codes.take(pos, mode="clip"), 0)
         flat, extent, padded = index
         box = np.zeros(padded, dtype=np.uint8)
         part = self._window[extent]
@@ -627,7 +649,8 @@ def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:
     """
     truncated = False
     if isinstance(obj, dict):
-        truncated = bool(obj.get("truncated", False))
+        truncated = json_object({"truncated": False, **obj}, "a dump wrapper",
+                                truncated=bool)["truncated"]
         obj = obj.get("slices")
     rows = sorted((json_object(r, "a slice", t=int, cells=list)
                    for r in json_list(obj, "diagram slices")),
@@ -681,23 +704,9 @@ def diagonal_start(i: tuple[int, ...]) -> int:
     return max(0, (m + 1) // 2)
 
 
-def diagonal_sites(i: tuple[int, ...], length: int):
-    """Cell and time of the first ``length`` letters of diagonal i, the cell
-    t*1bar - i at t = diagonal_start(i), diagonal_start(i) + 1, ..."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    start = diagonal_start(i)
-    return ((tuple(t - a for a in i), t) for t in range(start, start + length))
-
-
 def w_site(k: int, l: int, i: int) -> tuple[tuple[int, int], int]:
-    """Cell and time of entry (k, l, i) of the sheared two-index family."""
-    return (k - i + l, k - i - l), k + i + l
-
-
-def w_sites(k: int, l: int, n: int):
-    """Sites of entries (k, l, 0..n-1), in time order."""
-    return map(w_site, repeat(k, n), repeat(l, n), range(n))
+    """Diagonal and time of entry (k, l, i): cell (k - i + l, k - i - l)."""
+    return (2 * i, 2 * i + 2 * l), k + i + l
 
 
 class CellScan:
@@ -721,48 +730,36 @@ class CellScan:
                        zip(coords[hits].tolist(), codes[hits].tolist())]
 
 
-class ReadSchedule:
-    """Reads sites fixed before stepping: ``rows[j]`` collects the states at
-    the (cell, t) sites of row j of ``sites``.  Rows come in order of their
-    first site and each row's sites in time order, drawn lazily: a row when
-    its first read is due, each later site once the one before it is read.
-    A site out of time order raises ValueError."""
+class DiagonalLetters:
+    """Holds the letters of the diagonals ``points`` (repeats dropped) at each
+    step: row t of ``held`` is their codes at time t, column j those of
+    ``points[j]``; a step is one gather through its first view's index."""
 
-    def __init__(self, sites):
-        self._rows, self._read, self.last = iter(sites), [], -1
-        self._due = defaultdict(list)   # t -> [(row, its sites, cell, first)]
-        self._open(0)
-
-    def _open(self, now: int):
-        """Draw the next row that has a site and schedule its first read."""
-        for row_sites in self._rows:
-            self._read.append([])
-            it = iter(row_sites)
-            first = next(it, None)
-            if first is not None:
-                return self._put(self._read[-1], it, *first, now, True)
-
-    def _put(self, row, it, cell, when: int, now: int, first=False):
-        if when < now:
-            raise ValueError(f"site at t={when} is out of time order: the "
-                             f"schedule is at t={now}")
-        self._due[when].append((row, it, cell, first))
+    def __init__(self, points):
+        self.column = {i: j for j, i in enumerate(dict.fromkeys(points))}
+        self.points, self.index, self.rows = tuple(self.column), None, []
 
     def observe(self, view):
-        t = self.last = view.t
-        while t in self._due:   # a row opened at t may be read at t too
-            for row, it, cell, first in self._due.pop(t):
-                row.append(view.state_at(cell))
-                later = next(it, None)
-                if later is not None:
-                    self._put(row, it, *later, t + 1)
-                if first:
-                    self._open(t)
+        if self.index is None:
+            self.index = view.diagonal_index(self.points)
+            self.states = view.ca.states
+        self.rows.append(view.diagonals(self.index).tobytes())
 
     @property
-    def rows(self) -> list[list[str]]:
-        """The states read, row by row; BeyondHorizon while a read is due."""
-        if self._due:
-            raise BeyondHorizon(f"t={min(self._due)} outside simulated range "
-                                f"0..{self.last}")
-        return self._read
+    def held(self) -> np.ndarray:
+        return np.frombuffer(b"".join(self.rows), dtype=np.uint8).reshape(
+            len(self.rows), len(self.points))
+
+    def spell(self, rows) -> list[list[str]]:
+        """The state symbols at each list of (diagonal, t) sites in ``rows``,
+        one fancy index into ``held`` per row; BeyondHorizon for a t unheld."""
+        held, last, out = self.held, len(self.rows) - 1, []
+        for row in rows:
+            times = [t for _, t in row]
+            bad = [t for t in times if not 0 <= t <= last]
+            if bad:
+                raise BeyondHorizon(f"t={min(bad)} outside simulated range "
+                                    f"0..{last}")
+            codes = held[times, [self.column[i] for i, _ in row]]
+            out.append([self.states[c] for c in codes.tolist()])
+        return out

@@ -184,6 +184,13 @@ class Follower:
     def inputs(self) -> frozenset[str]:
         return frozenset(s for (_q, s) in self.delta)
 
+    def check_moves(self, neigh) -> None:
+        """AlphabetMismatch unless every move is a neighborhood offset."""
+        for key, (_q2, x) in self.delta.items():
+            if x not in offsets(neigh):
+                raise AlphabetMismatch(
+                    f"move {list(x)} of {key!r} is not a neighborhood offset")
+
     def orbit(self, symbol: str) -> tuple[list[Offset], int]:
         """Moves of a walk reading ``symbol`` at every step, up to the first
         repeat of its state q -> delta(q, symbol), and the step mu from which
@@ -270,11 +277,7 @@ class FollowProbe:
     def __init__(self, ca: ImpulseCA, follower: Follower, steps: int):
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        allowed = set(offsets(ca.neighborhood))
-        for key, (_q2, x) in follower.delta.items():
-            if x not in allowed:
-                raise AlphabetMismatch(
-                    f"move {list(x)} of {key!r} is not a neighborhood offset")
+        follower.check_moves(ca.neighborhood)
         self.follower = follower
         self.steps = steps
         self.sites = [(0,) * ca.dim]
@@ -392,6 +395,7 @@ def product_construct(base: ImpulseCA, follower: Follower) -> ProductCA:
         raise AlphabetMismatch(
             f"follower reads {sorted(follower.inputs)}, "
             f"automaton alphabet is {sorted(base.states)}")
+    follower.check_moves(base.neighborhood)
     marks = (UNMARKED,) + follower.states
     states = tuple(_pair_symbol(s, m) for s in base.states for m in marks)
     table = ProductTable(base, follower)

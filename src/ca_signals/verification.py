@@ -20,15 +20,14 @@ reads.  ``verify_xy``'s two-track and product runs stay sparse: their
 slices hold a handful of cells, so the cost of a step is its overhead.
 ``verify_basic``'s random followers are not stepped.
 
-Each digit, carry or two-track row is a row of one ``ReadSchedule`` per
-claim, read as its digits and their quiescent end: a row that does not read
+Each digit, carry or two-track row is spelled by one ``DiagonalLetters`` per
+claim, as its digits and their quiescent end: a row that does not read
 back is a FAIL mismatch showing what it read, never an error.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from . import analysis
 from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, cycle_lens, gap_probe,
                        is_basic, verify_period_bounds)
 from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
-from .engine import DEFAULT_SITE_BUDGET, CellScan, ReadSchedule, w_sites
+from .engine import DEFAULT_SITE_BUDGET, CellScan, DiagonalLetters, w_site
 from .errors import BeyondWindow, NotCoprime, XNotSmallest
 from .lattice import Neighborhood, offsets
 from .signals import (DetectProbe, Follower, FollowProbe, Signal,
@@ -150,20 +149,19 @@ def verify_log2(steps: int, *, seed: int = 7,
         if k + l + length <= horizon:
             picked.append((k, l, length))
 
-    # digit rows (k, 0) and carry rows (k, l), read as their n digits and
-    # quiescent end, in order of their first read at t = k + l
-    def rows():
-        return heapq.merge(
-            ((k, 0, (k + 1).bit_length()) for k in range(steps + 1)),
-            sorted(picked, key=lambda r: r[0] + r[1]),
-            key=lambda r: r[0] + r[1])
+    # digit rows (k, 0) and carry rows (k, l): n digits and a quiescent end
+    rows = [(k, 0, (k + 1).bit_length()) for k in range(steps + 1)] + picked
+
+    def sites():
+        return ([w_site(k, l, i) for i in range(n + 1)] for k, l, n in rows)
 
     walk = DetectProbe(ca, log2_partition(), steps)
-    reads = ReadSchedule(w_sites(k, l, n + 1) for k, l, n in rows())
+    letters = DiagonalLetters(d for row in sites() for d, _ in row)
     region = CellScan(_off_wedge, cap=MISMATCH_CAP)
-    analysis.run_probes(ca, horizon, [walk, reads, region], budget=budget,
+    analysis.run_probes(ca, horizon, [walk, letters, region], budget=budget,
                         reach=2 * horizon)
-    read = {(k, l): "".join(row) for (k, l, _), row in zip(rows(), reads.rows)}
+    read = {(k, l): "".join(row)
+            for (k, l, _), row in zip(rows, letters.spell(sites()))}
 
     checks = []
 
@@ -266,10 +264,13 @@ def verify_xy(x: int, y: int, steps: int, *,
     walk = FollowProbe(ca, fol, steps)
     # row k's mod-x (π) track l = 0 and mod-y (κ) track l = 1, each read as
     # the digits of k+1 and their quiescent end
-    reads = ReadSchedule(w_sites(k, l, len(_digits(k + 1, base)) + 1)
-                         for k in rows for l in (0, 1))
+    def sites():
+        return ([w_site(k, l, i) for i in range(len(_digits(k + 1, base)) + 1)]
+                for k in rows for l in (0, 1))
+
+    letters = DiagonalLetters(d for row in sites() for d, _ in row)
     planes = _plane_scan(ca)
-    analysis.run_probes(ca, steps, [walk, reads, planes], budget=budget)
+    analysis.run_probes(ca, steps, [walk, letters, planes], budget=budget)
 
     checks = []
 
@@ -285,7 +286,7 @@ def verify_xy(x: int, y: int, steps: int, *,
              for a in range(x + 1) for b in range(y + 1)}
     end = (ca.quiescent,) * 2
     bad = []
-    tracks = iter(reads.rows)
+    tracks = iter(letters.spell(sites()))
     for k, pi, kappa in zip(rows, tracks, tracks):
         want = list(_digits(k + 1, base))
         # the digits up to the tracks' common quiescent end; a pair that is

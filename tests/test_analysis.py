@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (BeyondHorizon, DetectProbe, NotCoprime,
-                        NotPeriodicWithin, PeriodDecomposition, ReadSchedule,
+from ca_signals import (BeyondHorizon, DetectProbe, DiagonalLetters,
+                        NotCoprime, NotPeriodicWithin, PeriodDecomposition,
                         Signal, analysis, builtin_log2, builtin_xy, crt_digit,
-                        diagonal_sites, diagram_from_json_obj,
-                        exhaustive_two_state_search, gap_probe, gap_profile,
-                        log2_partition, merged_xy, run, run_probes,
-                        verification, verify_period_bounds, verify_xy,
-                        w_sites)
+                        diagram_from_json_obj, exhaustive_two_state_search,
+                        gap_probe, gap_profile, log2_partition, merged_xy, run,
+                        run_probes, verification, verify_period_bounds,
+                        verify_xy, w_site)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
                                  SEARCH_TARGETS, _decompose, cycle_lens)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
@@ -124,11 +123,14 @@ def _windowed_lens(ca, r_max, window):
     points = sorted((i for i in itertools.product(range(r_max + 1),
                                                   repeat=ca.dim)
                      if sum(i) <= r_max), key=diagonal_start)
-    reads = ReadSchedule(diagonal_sites(i, window) for i in points)
+    letters = DiagonalLetters(points)
     horizon = diagonal_start(points[-1]) + window - 1
-    run_probes(ca, horizon, [reads], reach=r_max)
+    run_probes(ca, horizon, [letters], reach=r_max)
     out = {}
-    for i, word in zip(points, reads.rows):
+    words = letters.spell([[(i, t) for t in range(diagonal_start(i),
+                                                   diagonal_start(i) + window)]
+                           for i in points])
+    for i, word in zip(points, words):
         dec = ultimate_period(word, window)
         if isinstance(dec, PeriodDecomposition):
             out[i] = (len(dec.alpha), len(dec.beta))
@@ -244,8 +246,8 @@ def test_stabilized_walks_keep_a_constant_gap():
         assert len(set(profile[t0:])) == 1, (ca.name, t0)
         c = t0 - sig.sites[t0][0]
         start = diagonal_start((c, c))
-        reads = ReadSchedule([diagonal_sites((c, c), horizon - start)])
-        [word] = diag.replay(reads, horizon).rows
+        letters = diag.replay(DiagonalLetters([(c, c)]), horizon)
+        [word] = letters.spell([[((c, c), t) for t in range(start, horizon)]])
         dec = ultimate_period(word)
         assert not isinstance(dec, NotPeriodicWithin), (ca.name, c)
         if start + len(dec.alpha) >= t0:
@@ -341,9 +343,11 @@ def test_gap_probe_needs_sites():
 
 
 def _digit_rows(rows, n_digits):
-    """A schedule of sheared rows (k, l), each read as its digits and their
-    quiescent end."""
-    return ReadSchedule(w_sites(k, l, n_digits(k) + 1) for k, l in rows)
+    """The sites of sheared rows (k, l), each read as its digits and their
+    quiescent end, and a probe holding their diagonals."""
+    sites = [[w_site(k, l, i) for i in range(n_digits(k) + 1)]
+             for k, l in rows]
+    return sites, DiagonalLetters(d for row in sites for d, _ in row)
 
 
 def _bits(k):
@@ -351,36 +355,26 @@ def _bits(k):
 
 
 def test_binary_readout_against_python_bin(log2_diag):
-    reads = _digit_rows(((k, 0) for k in range(65)), _bits)
-    rows = log2_diag.replay(reads, log2_diag.horizon + 1).rows
+    sites, letters = _digit_rows(((k, 0) for k in range(65)), _bits)
+    rows = log2_diag.replay(letters, log2_diag.horizon + 1).spell(sites)
     for k, row in enumerate(rows):
         assert "".join(row) == bin(k + 1)[2:][::-1] + L, k
 
 
 def test_binary_readout_probe_streams_every_row():
-    drawn, seen = [], []
-
-    class Drawn:
-        def observe(self, view):
-            seen.append(len(drawn))
-
-    def rows():
-        for k in range(65):
-            drawn.append(k)
-            yield k, 0
-
-    reads = _digit_rows(rows(), _bits)
-    run_probes(builtin_log2(), 80, [reads, Drawn()])
-    assert ["".join(row) for row in reads.rows] == \
+    sites, letters = _digit_rows(((k, 0) for k in range(65)), _bits)
+    run_probes(builtin_log2(), 80, [letters])
+    assert ["".join(row) for row in letters.spell(sites)] == \
         [bin(k + 1)[2:][::-1] + L for k in range(65)]
-    # by slice t the schedule has drawn rows 0..t and one row ahead
-    assert seen[:64] == [t + 2 for t in range(64)]
+    # the 65 rows read 8 diagonals (2i, 2i), one letter each per slice
+    assert letters.points == tuple((2 * i, 2 * i) for i in range(8))
+    assert letters.held.shape == (81, 8)
 
 
 def test_readout_rows_that_do_not_end_are_beyond_the_horizon(log2_diag):
     def read(*ks):
-        reads = _digit_rows(((k, 0) for k in ks), _bits)
-        return log2_diag.replay(reads, log2_diag.horizon + 1).rows
+        sites, letters = _digit_rows(((k, 0) for k in ks), _bits)
+        return log2_diag.replay(letters, log2_diag.horizon + 1).spell(sites)
 
     # row 200 spells 201 = 10010011b: eight bits, then its quiescent end
     assert read(200) == [list("10010011") + [L]]
@@ -389,11 +383,11 @@ def test_readout_rows_that_do_not_end_are_beyond_the_horizon(log2_diag):
         read(200, 255, 300)
     with pytest.raises(BeyondHorizon, match="t=300 outside"):
         read(300)
-    reads = _digit_rows([(3, 0)], _bits)
-    run_probes(builtin_log2(), 4, [reads])
+    sites, letters = _digit_rows([(3, 0)], _bits)
+    run_probes(builtin_log2(), 4, [letters])
     with pytest.raises(BeyondHorizon, match="t=5 outside simulated range "
                                             "0..4"):
-        reads.rows
+        letters.spell(sites)
 
 
 def test_readout_errors_surface_for_their_row(monkeypatch):
@@ -433,9 +427,9 @@ def _base6_rows(rows):
 
 
 def test_base_xy_readout_against_int_division(xy23_diag):
-    reads = _digit_rows(((k, l) for k in range(41) for l in (0, 1)),
-                        lambda k: len(base6_digits(k + 1)))
-    rows = xy23_diag.replay(reads, xy23_diag.horizon + 1).rows
+    sites, letters = _digit_rows(((k, l) for k in range(41) for l in (0, 1)),
+                                 lambda k: len(base6_digits(k + 1)))
+    rows = xy23_diag.replay(letters, xy23_diag.horizon + 1).spell(sites)
     assert _base6_rows(rows) == [base6_digits(k + 1) for k in range(41)]
 
 
@@ -460,10 +454,10 @@ def test_crt_digit_is_a_bijection_for_3_4():
 
 
 def test_base_xy_readout_probe_streams_every_row():
-    reads = _digit_rows(((k, l) for k in range(41) for l in (0, 1)),
-                        lambda k: len(base6_digits(k + 1)))
-    run_probes(builtin_xy(2, 3), 50, [reads])
-    assert _base6_rows(reads.rows) == [base6_digits(k + 1) for k in range(41)]
+    sites, letters = _digit_rows(((k, l) for k in range(41) for l in (0, 1)),
+                                 lambda k: len(base6_digits(k + 1)))
+    run_probes(builtin_xy(2, 3), 50, [letters])
+    assert _base6_rows(letters.spell(sites)) == [base6_digits(k + 1) for k in range(41)]
 
 
 def _planes(diag, stop=None):

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ca_signals import (OverflowHorizon, ReadSchedule, analysis,
-                        builtin_log2, cli, diagonal_sites, engine,
-                        follower_for_xy, run, serialize_rules, verify_bounds)
+from ca_signals import (DiagonalLetters, OverflowHorizon, analysis,
+                        builtin_log2, cli, engine, follower_for_xy, run,
+                        serialize_rules, verify_bounds)
 from ca_signals.engine import diagonal_start
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main, parse_ca_spec)
@@ -372,6 +372,24 @@ def test_render_ppm_frames(capsys, tmp_path):
     assert palette["λ"] == [255, 255, 255]
 
 
+@pytest.mark.parametrize("flag", ["no", 0.0, 1, None, [True]])
+def test_render_in_takes_truncated_only_as_a_bool(capsys, tmp_path, flag):
+    saved = tmp_path / "diag.json"
+    run_cli(capsys, "simulate", "--ca", "log2", "--steps", "3",
+            "--out", str(saved))
+    slices = json.loads(saved.read_text())
+    render = ("render", "--ca", "log2", "--mode", "slice", "--t", "3",
+              "--in", str(saved))
+    _, want, _ = run_cli(capsys, *render)
+    for ok in (True, False):
+        saved.write_text(json.dumps({"truncated": ok, "slices": slices}))
+        assert run_cli(capsys, *render) == (EXIT_OK, want, "")
+    saved.write_text(json.dumps({"truncated": flag, "slices": slices}))
+    code, out, err = run_cli(capsys, *render)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith('error: a dump wrapper must be {"truncated": bool}')
+
+
 def test_render_from_saved_diagram(capsys, tmp_path):
     saved = tmp_path / "diag.json"
     run_cli(capsys, "simulate", "--ca", "log2", "--steps", "3",
@@ -605,8 +623,17 @@ def test_analyze_diagonal_start_matches_library(capsys):
         _, out, _ = run_cli(capsys, "analyze", "diagonal",
                             "--i", ",".join(map(str, i)), "--length", "4")
         assert json.loads(out)["start"] == start == diagonal_start(i)
-        reads = diag.replay(ReadSchedule([diagonal_sites(i, 4)]), 8)
-        assert json.loads(out)["letters"] == reads.rows[0]
+        letters = diag.replay(DiagonalLetters([i]), 8)
+        [word] = letters.spell([[(i, t) for t in range(start, start + 4)]])
+        assert json.loads(out)["letters"] == word
+
+
+@pytest.mark.parametrize("i", ["0,0", "-1,0"])
+def test_analyze_diagonal_refuses_a_length_below_one(capsys, i):
+    code, out, err = run_cli(capsys, "analyze", "diagonal", "--i", i,
+                             "--length", "0")
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: length must be >= 1, got 0\n"
 
 
 def test_streamed_budget_overflow_exits_3(capsys):

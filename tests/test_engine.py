@@ -12,11 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (BeyondHorizon, BeyondWindow, CoordinateOverflow,
-                        OverflowHorizon, ReadSchedule, builtin_log2,
+                        DiagonalLetters, OverflowHorizon, builtin_log2,
                         builtin_quiescent, builtin_xy, dense_run,
-                        diagonal_sites, diagram_from_json_obj, max_horizon,
-                        merged_xy, run, run_probes, same_run, verify_xy,
-                        w_site, w_sites)
+                        diagram_from_json_obj, max_horizon, merged_xy, run,
+                        run_probes, same_run, verify_xy, w_site)
 from ca_signals import engine
 from ca_signals.engine import (FLAT_ENUM_LIMIT, diagonal_start, pack_cells,
                                unpack_cells)
@@ -109,22 +108,44 @@ CROSS_CHECK = [
 CROSS_CHECK_TABLES = 12
 
 
+def _far_points(points, dim):
+    """Points off the light cone at every t whose keys, were they packed,
+    would equal those of ``points``: one coordinate moves 2**b up, where b
+    is the packed field width, and the one before it 1 down (or the other
+    way round, making it negative)."""
+    if dim == 1:
+        return []
+    b = engine._bits(dim)
+    return [(*i[:-2], i[-2] + s, i[-1] - s * 2**b)
+            for i in points for s in (1, -1) if i[-2] + s >= 0]
+
+
 def _assert_window_matches(ca, diag, steps):
-    """The diagonal window [0, R]^dim, R = steps // 2, against a full run:
-    every diagonal word it holds and every live cell on its diagonals.  With
-    R = 2 * steps, the whole light cone, its box holds every live cell."""
+    """The diagonal window [0, R]^dim, R = steps // 2, against the sparse run
+    and the replay of ``diag``, a full run: the letters each holds of every
+    diagonal in the window, and every live cell on its diagonals.  Each
+    reader also holds the window's points shifted below 0, and the sparse
+    ones points off the cone that pack to the window's keys; all of them
+    must read quiescent.  With R = 2 * steps, the whole light cone, the
+    window's box holds every live cell."""
     reach = steps // 2
     lam = ca.quiescent
-    points = sorted(product(range(reach + 1), repeat=ca.dim),
-                    key=diagonal_start)
-
-    def words():
-        return ReadSchedule(diagonal_sites(i, steps + 1 - diagonal_start(i))
-                            for i in points)
-
-    reads, rec = words(), _Recorder()
-    run_probes(ca, steps, [reads, rec], reach=reach)
-    assert reads.rows == diag.replay(words(), steps + 1).rows, ca.name
+    inside = list(product(range(reach + 1), repeat=ca.dim))
+    points = inside + [tuple(a - 2 * reach - 2 for a in i) for i in inside]
+    far = _far_points(inside, ca.dim)
+    window, rec = DiagonalLetters(points), _Recorder()
+    run_probes(ca, steps, [window, rec], reach=reach)
+    sparse = DiagonalLetters(points + far)
+    run_probes(ca, steps, [sparse])
+    replayed = diag.replay(DiagonalLetters(points + far), steps + 1)
+    want = np.zeros((steps + 1, len(points) + len(far)), dtype=np.uint8)
+    for t in range(steps + 1):
+        cells = dict(diag.view(t).cells())
+        want[t, :len(inside)] = [ca.state_code(cells.get(
+            tuple(t - a for a in i), lam)) for i in inside]
+    assert np.array_equal(window.held, want[:, :len(points)]), ca.name
+    assert np.array_equal(sparse.held, want), ca.name
+    assert np.array_equal(replayed.held, want), ca.name
     for t in range(steps + 1):
         want = [(u, s) for u, s in diag.view(t).cells()
                 if max(t - a for a in u) <= reach]
@@ -153,7 +174,8 @@ def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
         diag = run(ca, steps)
         varied.append(len({s for t in range(steps + 1)
                            for _, s in diag.view(t).cells()}) >= 2)
-        assert same_run(diag, dense_run(ca, steps)), ca.name
+        dense = dense_run(ca, steps)
+        assert same_run(diag, dense), ca.name
         rec = _Recorder()
         run_probes(ca, steps, [rec])
         lam = ca.quiescent
@@ -163,12 +185,12 @@ def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
             assert rec.far[t] == (lam, lam)
             assert view.state_at(lam_cell[t]) == lam
             assert view.state_at(far_cell) == lam
-        _assert_window_matches(ca, diag, steps)
+        _assert_window_matches(ca, dense, steps)
         # the same table through the memo evaluator
         with monkeypatch.context() as m:
             m.setattr(engine, "FLAT_ENUM_LIMIT", 0)
             assert same_run(run(ca, steps), diag), ca.name
-            _assert_window_matches(ca, diag, steps)
+            _assert_window_matches(ca, dense, steps)
     # a uniform diagram cannot tell one argument order from another
     assert any(varied), "no table shows two distinct live states"
 
@@ -191,9 +213,17 @@ def test_window_reads(log2_diag):
 
     run_probes(builtin_log2(), 6, [Reader()], reach=2)
     assert seen == [4]
-    with pytest.raises(BeyondWindow):
-        run_probes(builtin_log2(), 8,
-                   [ReadSchedule([diagonal_sites((3, 3), 4)])], reach=2)
+    # a diagonal past the reach is refused when the index is built, at t=0
+    with pytest.raises(BeyondWindow, match=r"diagonal \(3, 3\) lies past "
+                                           r"the window \[0, 2\]\^2"):
+        run_probes(builtin_log2(), 8, [DiagonalLetters([(0, 0), (3, 3)])],
+                   reach=2)
+    # one with a negative coordinate never enters the cone: it reads λ
+    letters = DiagonalLetters([(-1, 2), (2, 2)])
+    run_probes(builtin_log2(), 6, [letters], reach=2)
+    assert not letters.held[:, 0].any()
+    retained = log2_diag.replay(DiagonalLetters([(2, 2)]), 7)
+    assert np.array_equal(letters.held[:, 1], retained.held[:, 0])
     # log2 is a trellis automaton, so its box keeps even diagonals only: at
     # reach 9 it grows from 1x1 through 2x2, 2x3 and 3x4 to 3x5 at t = 4,
     # 15 sites, which a budget of 12 refuses before stepping slice 4
@@ -285,8 +315,6 @@ def test_negative_sizes_are_rejected():
     for reach in (None, 4):
         with pytest.raises(ValueError, match="steps must be >= 0"):
             run_probes(ca, -1, [], reach=reach)
-    with pytest.raises(ValueError, match="length must be >= 1"):
-        diagonal_sites((0, 0), 0)
 
 
 class _CountingTable:
@@ -403,10 +431,10 @@ def test_budget_overflow_keeps_partial():
 
 
 def test_run_probes_matches_retained(log2_diag):
-    reads = ReadSchedule([diagonal_sites((0, 0), 32)])
-    run_probes(builtin_log2(), 40, [reads])
-    retained = log2_diag.replay(ReadSchedule([diagonal_sites((0, 0), 32)]), 32)
-    assert reads.rows == retained.rows
+    letters = DiagonalLetters([(0, 0), (2, 4)])
+    run_probes(builtin_log2(), 40, [letters])
+    retained = log2_diag.replay(DiagonalLetters([(0, 0), (2, 4)]), 32)
+    assert np.array_equal(letters.held[:32], retained.held)
 
 
 def test_json_round_trip(xy23_diag):
@@ -467,17 +495,21 @@ def test_diagonal_start():
 def _replayed_word(diag, i, length):
     """Diagonal i's first ``length`` letters, fed the diagram's slices up to
     the last of them."""
-    reads = ReadSchedule([diagonal_sites(i, length)])
-    [word] = diag.replay(reads, diagonal_start(i) + length).rows
+    start = diagonal_start(i)
+    letters = diag.replay(DiagonalLetters([i]), start + length)
+    [word] = letters.spell([[(i, t) for t in range(start, start + length)]])
     return "".join(word)
 
 
 def test_diagonal_words(log2_diag):
     assert _replayed_word(log2_diag, (0, 0), 12) == "101010101010"
     assert _replayed_word(log2_diag, (2, 2), 12) == "λ11001100110"
-    assert list(diagonal_sites((2, 2), 2)) == [((-1, -1), 1), ((0, 0), 2)]
     # a point off the cone reads quiescent at every t
     assert _replayed_word(log2_diag, (-1, 0), 5) == L * 5
+    # so do the points whose packed keys would wrap onto diagonal (2, 2)
+    letters = log2_diag.replay(
+        DiagonalLetters([(2, 2), (1, 2 + 2**31), (3, 2 - 2**31)]), 8)
+    assert letters.held[:, 0].any() and not letters.held[:, 1:].any()
 
 
 def test_diagonal_beyond_horizon(log2_diag):
@@ -485,57 +517,30 @@ def test_diagonal_beyond_horizon(log2_diag):
         _replayed_word(log2_diag, (0, 0), log2_diag.horizon + 2)
     with pytest.raises(ValueError):
         _replayed_word(log2_diag, (0, 0, 0), 4)
-    reads = ReadSchedule([diagonal_sites((0, 0), 12)])
-    log2_diag.replay(reads, 10)
+    letters = log2_diag.replay(DiagonalLetters([(0, 0)]), 10)
     with pytest.raises(BeyondHorizon, match="t=10 outside simulated range "
                                             "0..9"):
-        reads.rows
-
-
-def test_read_schedule_draws_rows_and_sites_lazily():
-    drawn = []
-
-    def row(k):
-        for site in w_sites(k, 0, 3):
-            drawn.append(site[1])
-            yield site
-
-    class Drawn:
-        def observe(self, view):
-            seen.append((view.t, max(drawn)))
-
-    seen = []
-    reads = ReadSchedule(row(k) for k in (0, 0, 2, 5))
-    run_probes(builtin_log2(), 8, [reads, Drawn()])
-    # a site is drawn once the one before it is read, and the next row's
-    # first site once the row before it opens: rows 0, 0 and 2 open at
-    # t = 0, 0 and 2, each drawing the next row's first site
-    assert seen[:6] == [(0, 2), (1, 2), (2, 5), (3, 5), (4, 5), (5, 6)]
-    assert ["".join(r) for r in reads.rows] == ["1λλ", "1λλ", "11λ", "011"]
-
-
-@pytest.mark.parametrize("rows,when", [
-    ([[((0, 0), 0), ((1, 1), 1), ((0, 0), 1)]], 1),     # a row steps back
-    ([w_sites(3, 0, 2), w_sites(1, 0, 2)], 1),          # rows out of order
-    ([[((0, 0), -1)]], -1),                             # before t = 0
-])
-def test_read_schedule_rejects_sites_out_of_time_order(rows, when):
-    with pytest.raises(ValueError, match=f"site at t={when} is out of time "
-                                         "order"):
-        run_probes(builtin_log2(), 6, [ReadSchedule(rows)])
+        letters.spell([[((0, 0), t) for t in range(12)]])
+    with pytest.raises(BeyondHorizon, match="t=-1 outside"):
+        letters.spell([[((0, 0), -1)]])
 
 
 # --- sheared rows -----------------------------------------------------------
 
 
 def test_w_site_geometry():
+    # entry (k, l, i) is diagonal (2i, 2i + 2l) at t = k + i + l, the cell
+    # (k - i + l, k - i - l)
     assert w_site(0, 0, 0) == ((0, 0), 0)
-    assert w_site(5, 0, 0) == ((5, 5), 5)
-    assert w_site(5, 1, 0) == ((6, 4), 6)
+    assert w_site(5, 0, 0) == ((0, 0), 5)
+    assert w_site(5, 1, 0) == ((0, 2), 6)
+    for k, l, i in product(range(4), repeat=3):
+        (d0, d1), t = w_site(k, l, i)
+        assert (t - d0, t - d1) == (k - i + l, k - i - l)
     # stepping i moves one diagonal step back in the cell, one forward in t
-    (c0, t0) = w_site(3, 2, 0)
-    (c1, t1) = w_site(3, 2, 1)
-    assert t1 == t0 + 1 and c1 == (c0[0] - 1, c0[1] - 1)
+    (d0, t0) = w_site(3, 2, 0)
+    (d1, t1) = w_site(3, 2, 1)
+    assert t1 == t0 + 1 and d1 == (d0[0] + 2, d0[1] + 2)
 
 
 def trailing_ones(n: int) -> int:
@@ -550,9 +555,9 @@ def test_w_rows_spell_the_counter(log2_diag, k):
     n = k + 1
     digits = bin(n)[2:][::-1]
     width = len(digits) + 2
-    reads = ReadSchedule([[w_site(k, l, i) for i in range(width)]
-                          for l in range(3)])
-    row0, *carries = log2_diag.replay(reads, k + width + 2).rows
+    sites = [[w_site(k, l, i) for i in range(width)] for l in range(3)]
+    letters = DiagonalLetters(d for row in sites for d, _ in row)
+    row0, *carries = log2_diag.replay(letters, k + width + 2).spell(sites)
     assert "".join(row0) == digits + L * 2
     ones = trailing_ones(n)
     carry = "1" * ones + "0" * (len(digits) - ones)

@@ -295,6 +295,17 @@ def test_product_rejects_alphabet_mismatch():
         product_construct(builtin_log2(), f)
 
 
+def test_product_rejects_moves_off_the_neighborhood():
+    # the FollowProbe check: a (5, 5) move would drop the mark after t = 0
+    delta = {("a", s): ("a", (5, 5)) for s in builtin_log2().states}
+    f = Follower(states=("a",), initial="a", delta=delta)
+    for build in (lambda: product_construct(builtin_log2(), f),
+                  lambda: FollowProbe(builtin_log2(), f, 4)):
+        with pytest.raises(AlphabetMismatch, match=r"move \[5, 5\] of .* is "
+                                                   "not a neighborhood offset"):
+            build()
+
+
 def test_product_of_a_moore_3_base_runs():
     # 27 arguments: neither the base nor the product table is tabulated
     base = random_impulse_ca(random.Random(3), n_states=2,

@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from ca_signals import (LAMBDA, BeyondWindow, CellScan, Follower, FollowProbe,
-                        ImpulseCA, ReadSchedule, Rule, RuleTable, analysis,
-                        builtin_log2, builtin_quiescent, builtin_xy,
+from ca_signals import (LAMBDA, BeyondWindow, CellScan, DiagonalLetters,
+                        Follower, FollowProbe, ImpulseCA, Rule, RuleTable,
+                        analysis, builtin_log2, builtin_quiescent, builtin_xy,
                         dense_run, diagram_from_json_obj, merged_xy, run,
                         run_probes, same_run, verification, verify_basic,
                         verify_bounds, verify_log2, verify_xy)
@@ -237,18 +237,21 @@ def test_failing_counter_report_bytes_are_pinned(monkeypatch):
     assert _digest(rep) == BROKEN_COUNTER_64
 
 
-def _claim_sites(monkeypatch, claim):
-    """The site rows of the one ReadSchedule a passing claim builds."""
+def _claim_letters(monkeypatch, claim):
+    """The one DiagonalLetters probe a passing claim builds, and the rows of
+    sites it spells."""
     made = []
 
-    def recording(sites):
-        made.append([list(row) for row in sites])
-        return ReadSchedule(made[-1])
+    class Recording(DiagonalLetters):
+        def spell(self, rows):
+            rows = [list(row) for row in rows]
+            made.append((self, rows))
+            return super().spell(rows)
 
-    monkeypatch.setattr(verification, "ReadSchedule", recording)
+    monkeypatch.setattr(verification, "DiagonalLetters", Recording)
     assert claim().ok
-    [rows] = made
-    return rows
+    [(letters, rows)] = made
+    return letters, rows
 
 
 @pytest.mark.parametrize("ca,claim,n_rows", [
@@ -259,16 +262,19 @@ def test_claim_readouts_read_the_same_on_the_window(monkeypatch, ca, claim,
                                                     n_rows):
     # log2: digit rows k <= 64 and the carry rows; xy:2,3: both tracks of
     # rows k <= 40.  Entry (k, l, i) lies on diagonal (2i, 2i + 2l).
-    rows = _claim_sites(monkeypatch, claim)
+    letters, rows = _claim_letters(monkeypatch, claim)
     assert len(rows) == n_rows
+    points = letters.points
+    assert set(points) == {d for row in rows for d, _ in row}
     steps = max(t for row in rows for _, t in row)
-    reach = max(t - a for row in rows for cell, t in row for a in cell)
-    sparse, window = ReadSchedule(rows), ReadSchedule(rows)
+    reach = max(map(max, points))
+    sparse, window = DiagonalLetters(points), DiagonalLetters(points)
     run_probes(ca, steps, [sparse])
     run_probes(ca, steps, [window], reach=reach)
-    assert window.rows == sparse.rows
+    assert window.held.tolist() == sparse.held.tolist()
+    assert window.spell(rows) == sparse.spell(rows) == letters.spell(rows)
     with pytest.raises(BeyondWindow):
-        run_probes(ca, steps, [ReadSchedule(rows)], reach=reach - 1)
+        run_probes(ca, steps, [DiagonalLetters(points)], reach=reach - 1)
 
 
 def test_region_probe_reports_cells_off_the_wedge():
