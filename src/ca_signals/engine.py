@@ -37,9 +37,10 @@ Probes are the only way to read a diagram: walkers, ``DiagonalLetters``,
 the one reader of sites fixed before stepping (each is a letter of a
 diagonal: digit and carry rows, ``w_site``, and diagonal words), and
 ``CellScan``, the one reader of whole slices, each observe one ``SliceView``
-per time step.  A scan tests every live cell with one vectorised predicate
-and keeps the hits: the counter's wedge, the two-track planes, the
-product's marks and ``run(..., check=True)``.  Claims stream:
+per time step.  A scan evaluates one predicate per slice over per-axis
+coordinates (on a window, an open grid over its box) and builds cells only
+for its hits: the counter's wedge, the two-track planes, the product's
+marks and ``run(..., check=True)``.  Claims stream:
 ``run_probes`` feeds probes the live slice (or window) as it steps and
 retains nothing else.  Only dumps retain: ``run`` keeps every slice the
 same stepper yields, for ``simulate`` and loaded diagrams, and
@@ -255,14 +256,19 @@ class SliceView:
             return int(np.count_nonzero(self._window))
         return len(self._sl[0])
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, dim) int64 non-quiescent cells in lexicographic order and their
-        uint8 state codes; a window view holds only its diagonals' cells."""
+    def grid(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Per-axis int64 cell coordinates and the uint8 codes they broadcast
+        against, in cell order; on a window, the open grid t - stride*j over
+        the box flipped on every axis, quiescent entries included."""
         if self._window is not None:
-            # cell = t*1bar - stride*j, so descending j is ascending cell order
-            idx = np.argwhere(self._window)[::-1]
-            return (self.t - idx * np.array(self._stride),
-                    self._window[tuple(idx.T)])
+            box = self._window[(slice(None, None, -1),) * self.ca.dim]
+            return np.ix_(*[np.arange(self.t - g * (n - 1), self.t + 1, g)
+                            for g, n in zip(self._stride, box.shape)]), box
+        return tuple(unpack_cells(self._sl[0], self.ca.dim).T), self._sl[1]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, dim) int64 live cells of a sparse slice in lexicographic order
+        and their uint8 state codes."""
         return unpack_cells(self._sl[0], self.ca.dim), self._sl[1]
 
     def diagonal_index(self, points):
@@ -320,11 +326,10 @@ class SliceView:
         return box.take(flat)
 
     def cells(self):
-        """Yield (cell, symbol) for non-quiescent cells in lexicographic order."""
-        coords, codes = self.arrays()
-        states = self.ca.states
-        for u, c in zip(coords.tolist(), codes.tolist()):
-            yield tuple(u), states[c]
+        """(cell, symbol) of the non-quiescent cells in lexicographic order."""
+        scan = CellScan(lambda *_: True)
+        scan.observe(self)
+        return ((u, s) for u, _, s in scan.found)
 
 
 @dataclass
@@ -464,13 +469,15 @@ def _misplaced(cell: tuple[int, ...], t: int, ca: ImpulseCA) -> str | None:
 
 
 def _misplaced_select(ca: ImpulseCA):
-    """``_misplaced`` over a slice's arrays: a ``CellScan`` select marking
+    """``_misplaced`` over a slice's grid: a ``CellScan`` select marking
     the cells off the light cone or, for trellis, off t's parity."""
     def select(coords, _codes, t):
-        off = np.abs(coords) > t
-        if ca.neighborhood.kind == "trellis":
-            off |= ((coords + t) & 1).astype(bool)
-        return off.any(axis=1)
+        off = False
+        for c in coords:
+            off = off | (np.abs(c) > t)
+            if ca.neighborhood.kind == "trellis":
+                off = off | ((c + t) & 1).astype(bool)
+        return off
     return select
 
 
@@ -711,23 +718,30 @@ def w_site(k: int, l: int, i: int) -> tuple[tuple[int, int], int]:
 
 class CellScan:
     """Reads every live cell of each slice: ``total`` counts them, and
-    ``found`` keeps (cell, t, symbol) for each cell that the vectorised
-    ``select(coords, codes, t)`` marks, over the arrays of
-    ``SliceView.arrays()``, in time and then lexicographic order.  It keeps
-    no more than ``cap`` of them; all with ``cap=None``."""
+    ``found`` keeps (cell, t, symbol) for each live cell that the vectorised
+    ``select(coords, codes, t)`` marks over ``SliceView.grid()``, in time
+    and then lexicographic order.  It keeps no more than ``cap`` of them,
+    all with ``cap=None``, and builds the cells of only those."""
 
     def __init__(self, select, cap: int | None = None):
         self.select, self.cap = select, cap
         self.total, self.found = 0, []
 
     def observe(self, view):
-        coords, codes = view.arrays()
-        self.total += len(codes)
+        coords, codes = view.grid()
+        self.total += view.n_sites
         room = None if self.cap is None else self.cap - len(self.found)
-        hits = np.flatnonzero(self.select(coords, codes, view.t))[:room]
+        live = np.logical_and(self.select(coords, codes, view.t), codes)
+        hits = tuple(i[:room] for i in np.nonzero(live))
+        if not hits[0].size:
+            return
+        # an array of a window's open grid is 1 long on all but its own axis
+        cells = zip(*[(c if c.shape == codes.shape else
+                       np.broadcast_to(c, codes.shape))[hits].tolist()
+                      for c in coords])
         states = view.ca.states
-        self.found += [(tuple(u), view.t, states[c]) for u, c in
-                       zip(coords[hits].tolist(), codes[hits].tolist())]
+        self.found += [(u, view.t, states[s])
+                       for u, s in zip(cells, codes[hits].tolist())]
 
 
 class DiagonalLetters:

@@ -9,7 +9,8 @@ Claims stream: every check is a probe, so each automaton is stepped once
 by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
 slice, or its box of diagonals, is held.  The checks over every live cell
 (the counter's wedge, the two-track planes, the product's marks) are each
-one ``CellScan`` with a numpy predicate.  The diagonal window
+one ``CellScan`` with a numpy predicate over per-axis coordinates, which
+reads the counter's window box whole.  The diagonal window
 ``run_probes(..., reach=R)`` steps: the binary counter, with R = 2T, the
 whole light cone, whose live cells fill a thin box of diagonals (at
 T = 1,037, 9,327 live cells in a box of 12 by 1,038 strided entries); the
@@ -118,9 +119,9 @@ def _digits(n: int, base: int) -> tuple[int, ...]:
 
 def _off_wedge(coords, _codes, t):
     """Marks the cells off the wedge -t <= b <= a <= t or off t's parity."""
-    a, b = coords.T
-    return (b > a) | (a > t) | (b < -t) \
-        | (((a ^ t) | (b ^ t)) & 1).astype(bool)    # a+t or b+t odd
+    a, b = coords
+    return (b > a) | (a > t) | (b < -t) | ((a ^ t) & 1).astype(bool) \
+        | ((b ^ t) & 1).astype(bool)    # a+t or b+t odd
 
 
 def verify_log2(steps: int, *, seed: int = 7,
@@ -229,7 +230,7 @@ def _plane_scan(ca: ImpulseCA) -> CellScan:
     plane = np.array([0 if s.startswith("π_") else
                       2 if s.startswith("κ_") else -1 for s in ca.states])
     return CellScan(lambda coords, codes, _t:
-                    coords[:, 0] - coords[:, 1] != plane[codes], cap=1)
+                    coords[0] - coords[1] != plane[codes], cap=1)
 
 
 def _plane_check(scan: CellScan) -> Check:

@@ -11,16 +11,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (BeyondHorizon, BeyondWindow, CoordinateOverflow,
-                        DiagonalLetters, OverflowHorizon, builtin_log2,
-                        builtin_quiescent, builtin_xy, dense_run,
+from ca_signals import (BeyondHorizon, BeyondWindow, CellScan,
+                        CoordinateOverflow, DiagonalLetters, OverflowHorizon,
+                        builtin_log2, builtin_quiescent, builtin_xy, dense_run,
                         diagram_from_json_obj, max_horizon, merged_xy, run,
-                        run_probes, same_run, verify_xy, w_site)
+                        run_probes, same_run, verify_log2, verify_xy, w_site)
 from ca_signals import engine
 from ca_signals.engine import (FLAT_ENUM_LIMIT, diagonal_start, pack_cells,
                                unpack_cells)
 from ca_signals.lattice import KINDS, Neighborhood
 
+from coordscan import CoordScan
 from tables import random_impulse_ca
 
 L = "λ"
@@ -246,32 +247,125 @@ def test_live_region_and_parity(log2_diag):
 @given(st.sampled_from(KINDS), st.integers(1, 3), st.integers(0, 6),
        st.data())
 def test_check_select_agrees_with_misplaced(kind, dim, t, data):
-    # both read only the neighborhood of the CA
-    ca = SimpleNamespace(neighborhood=Neighborhood(kind, dim))
+    # the selects read only the CA's neighborhood, its views its dimension
+    ca = SimpleNamespace(neighborhood=Neighborhood(kind, dim), dim=dim)
+    select = engine._misplaced_select(ca)
     cells = data.draw(st.lists(st.tuples(*[st.integers(-t - 2, t + 2)] * dim),
                                min_size=1, max_size=30))
-    mask = engine._misplaced_select(ca)(np.array(cells, dtype=np.int64),
-                                        None, t)
+    # a sparse view of the cells in the order drawn
+    packed = pack_cells(np.array(cells, dtype=np.int64), dim)
+    view = engine.SliceView(ca, t, (packed, np.ones(len(cells), np.uint8)))
+    mask = select(*view.grid(), t)
     assert mask.tolist() == [engine._misplaced(c, t, ca) is not None
                              for c in cells]
+    # a window view: entry j of its box is cell t*1bar - stride*j, and a box
+    # this long reaches past the cone
+    stride = tuple(data.draw(st.sampled_from([1, 2])) for _ in range(dim))
+    shape = tuple(data.draw(st.integers(1, t + 3)) for _ in range(dim))
+    view = engine.SliceView(ca, t, window=np.ones(shape, dtype=np.uint8),
+                            stride=stride, reach=max(shape) * 2)
+    coords, codes = view.grid()
+    mask = np.broadcast_to(select(coords, codes, t), codes.shape)
+    for k in np.ndindex(shape):
+        cell = tuple(t - g * (n - 1 - i) for g, n, i in zip(stride, shape, k))
+        assert tuple(int(c[tuple(min(i, m - 1) for i, m in zip(k, c.shape))])
+                     for c in coords) == cell
+        assert mask[k] == (engine._misplaced(cell, t, ca) is not None)
 
 
 def test_run_check_reads_each_slice_once(monkeypatch):
     seen = []
-    arrays = engine.SliceView.arrays
+    grid = engine.SliceView.grid
 
     def counted(view):
         seen.append(view.t)
-        return arrays(view)
+        return grid(view)
 
     def per_cell(view):
         raise AssertionError("the check read a slice cell by cell")
 
-    monkeypatch.setattr(engine.SliceView, "arrays", counted)
+    monkeypatch.setattr(engine.SliceView, "grid", counted)
     monkeypatch.setattr(engine.SliceView, "cells", per_cell)
     assert same_run(run(builtin_log2(), 20, check=True),
                     run(builtin_log2(), 20))
     assert seen == list(range(21))
+    # the same check over the boxes of a window run
+    seen.clear()
+    scan = CellScan(engine._misplaced_select(builtin_log2()), cap=1)
+    run_probes(builtin_log2(), 20, [scan], reach=40)
+    assert seen == list(range(21))
+    assert not scan.found
+    assert scan.total == run(builtin_log2(), 20).total_sites
+
+
+# The selects of the scan cross-check: every live cell, one that reads a
+# coordinate, the codes and t, and the light-cone check, which marks none.
+SCAN_SELECTS = [
+    lambda _coords, _codes, _t: True,
+    lambda coords, codes, t: (coords[-1] + codes + t) % 3 == 0,
+]
+SCAN_CAPS = (1, 7, None)
+SCAN_TABLES = 4
+
+
+def _scans(ca, scan):
+    """One ``scan`` (``CellScan`` or the coordinate oracle) per select and
+    cap, the light-cone check of ``ca`` among the selects."""
+    selects = SCAN_SELECTS + [engine._misplaced_select(ca)]
+    return [scan(sel, cap) for sel in selects for cap in SCAN_CAPS]
+
+
+def _counts(scans):
+    return [(s.total, s.found) for s in scans]
+
+
+@pytest.mark.parametrize("kind,dim,steps,max_states", CROSS_CHECK,
+                         ids=[f"{k}-{d}" for k, d, *_ in CROSS_CHECK])
+def test_box_scan_equals_the_coordinate_scan(kind, dim, steps, max_states,
+                                             monkeypatch):
+    """The window's box scan, the sparse scan and the ``dense_run`` replay
+    keep the same total and the same hits in the same order as the scan
+    over every live cell's coordinates, under both evaluators; a window of
+    half the steps as reach, whose box is capped, agrees with the
+    coordinate scan of that window."""
+    rng = random.Random(20261020)
+    neigh = Neighborhood(kind, dim)
+    kept = []
+    for _ in range(SCAN_TABLES):
+        ca = random_impulse_ca(rng, max_states=max_states, neigh=neigh)
+        dense = dense_run(ca, steps)
+        want = _counts(dense.replay(s, steps + 1)
+                       for s in _scans(ca, CoordScan))
+        kept.append(len(want[1][1]))
+        assert want[2][0] == dense.total_sites
+        assert want[2][1] == [(u, t, s) for t in range(steps + 1)
+                              for u, s in dense.view(t).cells()]
+        assert _counts(dense.replay(s, steps + 1)
+                       for s in _scans(ca, CellScan)) == want, ca.name
+        for limit in (FLAT_ENUM_LIMIT, 0):
+            monkeypatch.setattr(engine, "FLAT_ENUM_LIMIT", limit)
+            sparse, window = _scans(ca, CellScan), _scans(ca, CellScan)
+            run_probes(ca, steps, sparse)
+            run_probes(ca, steps, window, reach=2 * steps)
+            assert _counts(sparse) == want, ca.name
+            assert _counts(window) == want, ca.name
+            part, oracle = _scans(ca, CellScan), _scans(ca, CoordScan)
+            run_probes(ca, steps, part + oracle, reach=steps // 2)
+            assert _counts(part) == _counts(oracle), ca.name
+    # some table has more live cells than a cap of 7 keeps
+    assert 7 in kept
+
+
+def test_verify_log2_builds_no_cell_coordinates_on_the_window(monkeypatch):
+    """The counter's wedge scan reads the window's box without building a
+    coordinate for each live cell."""
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a window slice was read cell by cell")
+
+    monkeypatch.setattr(np, "argwhere", refused)
+    monkeypatch.setattr(engine.SliceView, "arrays", refused)
+    monkeypatch.setattr(engine.SliceView, "cells", refused)
+    assert verify_log2(256).ok
 
 
 def test_pack_unpack_round_trip():

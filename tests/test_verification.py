@@ -9,11 +9,11 @@ import random
 import pytest
 
 from ca_signals import (LAMBDA, BeyondWindow, CellScan, DiagonalLetters,
-                        Follower, FollowProbe, ImpulseCA, Rule, RuleTable,
-                        analysis, builtin_log2, builtin_quiescent, builtin_xy,
-                        dense_run, diagram_from_json_obj, merged_xy, run,
-                        run_probes, same_run, verification, verify_basic,
-                        verify_bounds, verify_log2, verify_xy)
+                        Follower, FollowProbe, ImpulseCA, Literal, Rule,
+                        RuleTable, analysis, builtin_log2, builtin_quiescent,
+                        builtin_xy, dense_run, diagram_from_json_obj,
+                        merged_xy, run, run_probes, same_run, verification,
+                        verify_basic, verify_bounds, verify_log2, verify_xy)
 from ca_signals.engine import SpaceTimeDiagram
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.verification import (MISMATCH_CAP, Check, VerifyReport,
@@ -235,6 +235,32 @@ def test_failing_counter_report_bytes_are_pinned(monkeypatch):
     assert [c.name for c in rep.checks if not c.ok] == [
         "anchor-walk", "binary-readout", "carry-rows", "gap-classification"]
     assert _digest(rep) == BROKEN_COUNTER_64
+
+
+def test_live_region_fails_on_the_window_as_on_a_sparse_replay(monkeypatch):
+    """The counter with the one entry (λ, λ, λ, 1) sent to 1 instead of λ:
+    cell (-1, 1) at t = 1, whose only live argument is d = (0, 0), lights
+    on diagonal (2, 0), i₁ < i₀, and more follow.  The window's box scan
+    must report the first of them as a scan of the retained sparse slices
+    does."""
+    base = builtin_log2()
+    lit = dict(zip(base.states, (Literal(s) for s in base.states)))
+    entry = Rule((lit[LAMBDA], lit[LAMBDA], lit[LAMBDA], lit["1"]), "1")
+    broken = dataclasses.replace(
+        base, table=RuleTable((entry,) + base.table.rules))
+    monkeypatch.setattr(verification, "builtin_log2", lambda: broken)
+    steps = 16
+    rep = verify_log2(steps)
+    [region] = [c for c in rep.checks if c.name == "live-region"]
+    assert not region.ok
+    # verify_log2's run goes slightly past steps, to end every digit row
+    horizon = steps + (steps + 2).bit_length() + 2
+    scan = run(broken, horizon).replay(CellScan(_off_wedge, cap=MISMATCH_CAP),
+                                       horizon + 1)
+    assert len(scan.found) == MISMATCH_CAP
+    assert scan.found[0] == ((-1, 1), 1, "1")
+    assert region.mismatches == tuple((*u, t) for u, t, _ in scan.found)
+    assert region.detail == f"{scan.total} stored sites inside the wedge"
 
 
 def _claim_letters(monkeypatch, claim):
