@@ -25,10 +25,10 @@ from .errors import (AlphabetMismatch, ArityMismatch, BeyondHorizon,
                      RuleFileError, RuleSyntaxError, UnknownState,
                      XNotSmallest)
 from .lattice import Neighborhood, offsets
-from .signals import (DetectProbe, Follower, FollowProbe, FollowTrace,
-                      MovePartition, ProductCA, Signal, follower_for_xy,
-                      gap_profile, ilog, log2_partition, log_anchor_signal,
-                      parse_move_partition, product_construct)
+from .signals import (Follower, FollowProbe, FollowTrace, MovePartition,
+                      ProductCA, Signal, follower_for_xy, gap_profile, ilog,
+                      log2_partition, log_anchor_signal, parse_move_partition,
+                      product_construct)
 from .verification import (VerifyReport, crt_digit, verify_basic,
                            verify_bounds, verify_log2, verify_xy)
 
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphabetMismatch", "AnyOf", "ArityMismatch", "BeyondHorizon",
     "BeyondWindow", "CellScan", "CheckFailed", "CoordinateOverflow",
-    "DetectProbe", "DiagonalLetters", "FollowProbe", "FollowTrace", "Follower",
+    "DiagonalLetters", "FollowProbe", "FollowTrace", "Follower",
     "GapReport", "ImpulseCA", "LAMBDA", "Literal", "MovePartition",
     "Neighborhood", "NoMatch", "NotCoprime", "NotPeriodicWithin", "NotTotal",
     "OverflowHorizon", "PeriodDecomposition", "ProductCA",

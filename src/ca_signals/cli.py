@@ -34,8 +34,8 @@ from .engine import (DEFAULT_SITE_BUDGET, DiagonalLetters, dense_run,
                      diagonal_start, diagram_from_json_obj, run, run_probes,
                      w_site)
 from .errors import BeyondHorizon, CheckFailed, OverflowHorizon
-from .signals import (DetectProbe, Follower, FollowProbe, Signal,
-                      follower_for_xy, log2_partition, parse_move_partition)
+from .signals import (Follower, FollowProbe, Signal, follower_for_xy,
+                      log2_partition, parse_move_partition)
 from .verification import (VerifyReport, verify_basic, verify_bounds,
                            verify_log2, verify_xy)
 
@@ -295,9 +295,9 @@ def _detected_walk(args) -> Signal:
         part = log2_partition()
     else:
         raise ValueError("--partition is required for this CA")
-    probe = DetectProbe(ca, part, args.steps)
+    probe = FollowProbe(ca, part.follower(ca), args.steps)
     run_probes(ca, args.steps, [probe], budget=_site_budget(args))
-    return probe.signal()
+    return probe.trace().signal
 
 
 def cmd_detect(args) -> int:

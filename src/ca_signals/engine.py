@@ -9,14 +9,12 @@ Three engines, one per job:
   neighbor codes with one ``reduceat``, and maps the sums to new states.
   The merge's n*v-sized scratch arrays live in one grow-only workspace per
   run, reused by every step; the slices a step returns never view it.
-  A point read (``SliceView.state_at``) is one binary search for a key
-  packed with Python ints; cells outside the light cone read quiescent
-  without being packed.
-* ``run_probes(..., reach=R)``: the diagonal window, for claims that read
-  known diagonals or whose live cells fill a thin box of them: ``verify
-  log2`` (R = 2T, the whole light cone), exact periods (``verify bounds``,
-  ``analyze period``), ``verify basic``'s counter walk and ``verify xy``'s
-  merged walk.  Write a site as i = t*1bar - u; cell u at time t+1 reads
+* ``run_probes(..., reach=R)``: the diagonal window, for every claim:
+  ``verify log2`` and ``verify xy``'s two-track and product runs (R = 2T,
+  the whole light cone, whose live cells fill a thin box of diagonals),
+  exact periods (``verify bounds``, ``analyze period``), ``verify basic``'s
+  counter walk and ``verify xy``'s merged walk.  Write a site as
+  i = t*1bar - u; cell u at time t+1 reads
   u + x at time t, which is diagonal i - (x + 1bar), and every coordinate
   of x + 1bar is >= 0 for all three neighborhood kinds.  So the diagonals
   [0, R]^dim are closed under the update.  Only a strided box of them is
@@ -33,18 +31,23 @@ The sparse and window engines map flat neighbor codes through one evaluator
 that applies the rule table the first time a run meets a code and caches the
 result, so no table is enumerated before the first step.
 
-Probes are the only way to read a diagram: walkers, ``DiagonalLetters``,
-the one reader of sites fixed before stepping (each is a letter of a
-diagonal: digit and carry rows, ``w_site``, and diagonal words), and
-``CellScan``, the one reader of whole slices, each observe one ``SliceView``
-per time step.  A scan evaluates one predicate per slice over per-axis
+Probes are the only way to read a diagram, and each observes one
+``SliceView`` per time step.  A site u at time t is the letter of diagonal
+t*1bar - u, read through ``SliceView.diagonal_index`` and ``diagonals``:
+one gather from a window's box, one binary search of a sparse slice; a
+diagonal with a negative coordinate never enters the light cone and reads
+quiescent.  Sites fixed before stepping (digit and carry rows, ``w_site``,
+and diagonal words) are the columns of one ``DiagonalLetters``; a walker
+(``signals.FollowProbe``) reads one site per step and keeps its index
+while its diagonal stays the same.  ``CellScan`` is the one reader of
+whole slices: it evaluates one predicate per slice over per-axis
 coordinates (on a window, an open grid over its box) and builds cells only
 for its hits: the counter's wedge, the two-track planes, the product's
-marks and ``run(..., check=True)``.  Claims stream:
-``run_probes`` feeds probes the live slice (or window) as it steps and
-retains nothing else.  Only dumps retain: ``run`` keeps every slice the
-same stepper yields, for ``simulate`` and loaded diagrams, and
-``SpaceTimeDiagram.replay`` feeds probes its stored slices.
+marks and ``run(..., check=True)``.  Claims stream: ``run_probes`` feeds
+probes the live slice (or window) as it steps and retains nothing else.
+Only dumps retain: ``run`` keeps every slice the same stepper yields, for
+``simulate`` and loaded diagrams, and ``SpaceTimeDiagram.replay`` feeds
+probes its stored slices.
 
 A retained diagram's JSON dump is formatted slice by slice straight from the
 packed arrays (``json_chunks``), with no object per cell.
@@ -176,51 +179,6 @@ def _empty_slice() -> Slice:
     return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
 
 
-def _read_cell(ca: ImpulseCA, sl: Slice, cell: tuple[int, ...], t: int) -> str:
-    """State symbol of one cell of the slice at time t.
-
-    No live cell lies outside the light cone, so such a cell reads quiescent
-    before its key is packed; inside the cone every coordinate fits its
-    packed field, so far-out coordinates cannot alias a stored cell.
-    """
-    b = _bits(ca.dim)
-    half = 1 << (b - 1)
-    key = 0
-    for a in cell:
-        if not -t <= a <= t:
-            return ca.quiescent
-        key = (key << b) | (a + half)
-    packed, codes = sl
-    i = packed.searchsorted(key)
-    if i < len(packed) and packed[i] == key:
-        return ca.states[codes[i]]
-    return ca.quiescent
-
-
-def _read_window(view: SliceView, cell: tuple[int, ...]) -> str:
-    """State symbol of one cell of a diagonal window at time t.
-
-    A cell outside the light cone reads quiescent; a cell inside it whose
-    diagonal t*1bar - cell lies past the reach raises BeyondWindow.  Within
-    the reach, a diagonal off the stride or past the stepped box reads
-    quiescent, since nothing live lies there.
-    """
-    ca, t, window = view.ca, view.t, view._window
-    i = tuple(t - a for a in cell)
-    if min(i) < 0 or max(i) > 2 * t:
-        return ca.quiescent
-    if max(i) > view._reach:
-        raise BeyondWindow(f"cell {cell} at t={t} is on diagonal {i}, past "
-                           f"the window [0, {view._reach}]^{ca.dim}")
-    j = []
-    for a, g, n in zip(i, view._stride, window.shape):
-        q, r = divmod(a, g)
-        if r or q >= n:
-            return ca.quiescent
-        j.append(q)
-    return ca.states[window[tuple(j)]]
-
-
 class SliceView:
     """Read-only view of one time slice, the input of every probe.
 
@@ -242,14 +200,6 @@ class SliceView:
         self._stride = stride
         self._reach = reach
 
-    def state_at(self, cell: tuple[int, ...]) -> str:
-        if len(cell) != self.ca.dim:
-            raise ValueError(
-                f"cell has {len(cell)} coordinates, CA has {self.ca.dim}")
-        if self._window is not None:
-            return _read_window(self, cell)
-        return _read_cell(self.ca, self._sl, cell, self.t)
-
     @property
     def n_sites(self) -> int:
         if self._window is not None:
@@ -265,11 +215,6 @@ class SliceView:
             return np.ix_(*[np.arange(self.t - g * (n - 1), self.t + 1, g)
                             for g, n in zip(self._stride, box.shape)]), box
         return tuple(unpack_cells(self._sl[0], self.ca.dim).T), self._sl[1]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, dim) int64 live cells of a sparse slice in lexicographic order
-        and their uint8 state codes."""
-        return unpack_cells(self._sl[0], self.ca.dim), self._sl[1]
 
     def diagonal_index(self, points):
         """For ``diagonals``, fixed for a run.  A point with a negative
@@ -374,10 +319,11 @@ class SpaceTimeDiagram:
                         for s in self.ca.states], dtype=object)
         yield "["
         for t in range(self.horizon + 1):
-            coords, codes = self.view(t).arrays()
+            coords, codes = self.view(t).grid()
             # one %-format per slice, fed each cell's coordinates and symbol
             fields = np.empty((len(codes), dim + 1), dtype=object)
-            fields[:, :dim] = coords
+            for a, c in enumerate(coords):
+                fields[:, a] = c
             fields[:, dim] = sym[codes]
             body = (cell * len(codes))[:-1] % tuple(fields.ravel().tolist())
             yield '%s{"t":%d,"cells":[%s]}' % ("," if t else "", t, body)

@@ -62,8 +62,8 @@ class AlphabetMismatch(ValueError):
 class CheckFailed(RuntimeError):
     """A computed result broke a property the construction guarantees.
 
-    Raised by explicit checks (``run(..., check=True)``, the move check in
-    ``DetectProbe.signal``); unlike ``assert`` they survive ``python -O``.
+    Raised by explicit checks such as ``run(..., check=True)``; unlike
+    ``assert`` they survive ``python -O``.
     """
 
 

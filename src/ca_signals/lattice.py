@@ -65,10 +65,6 @@ def all_ones(k: int) -> Offset:
     return (1,) * k
 
 
-def neg(x: Offset) -> Offset:
-    return tuple(-a for a in x)
-
-
 def parse_offset(text: str, dim: int | None = None) -> Offset:
     """Parse coordinate text like ``(-1,1)`` into an offset tuple."""
     s = text.strip()

@@ -9,11 +9,13 @@ walk by u(t) + x is the same walk with every offset negated.
 
 Detection uses a total map from state symbols to offsets (a move partition);
 following uses a finite automaton that additionally carries its own state.
-A detection walk is a one-state follower.  Both walk as probes
-(``DetectProbe``, ``FollowProbe``), fed the slices ``engine.run_probes``
-steps or a retained diagram's ``replay``.  ``product_construct`` compiles CA
-and follower into one product automaton whose marked sites reproduce the
-follower's path; an ``engine.CellScan`` over ``marked_states`` collects them.
+A move partition is a one-state follower (``MovePartition.follower``), so
+``FollowProbe`` is the one walker, fed the slices ``engine.run_probes``
+steps or a retained diagram's ``replay``.  It reads its site u at time t as
+the letter of diagonal t*1bar - u, as ``engine.DiagonalLetters`` reads its
+columns.  ``product_construct`` compiles CA and follower into one product
+automaton whose marked sites reproduce the follower's path; an
+``engine.CellScan`` over ``marked_states`` collects them.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .automaton import LAMBDA, ImpulseCA
-from .errors import (AlphabetMismatch, CheckFailed, NotCoprime, json_list,
-                     json_object)
-from .lattice import (Offset, all_ones, in_light_cone, neg, offsets,
-                      parse_offset)
+from .errors import AlphabetMismatch, NotCoprime, json_list, json_object
+from .lattice import Offset, all_ones, in_light_cone, offsets, parse_offset
 
 
 def _ints(values: list, what: str) -> tuple[int, ...]:
@@ -89,12 +89,6 @@ class Signal:
         return cls(sites)
 
 
-def valid_moves(signal: Signal, neigh) -> bool:
-    """True when every step of the signal is a neighborhood move."""
-    allowed = set(offsets(neigh))
-    return all(neg(mv) in allowed for mv in signal.moves())
-
-
 # ---------------------------------------------------------------------------
 # detection by move partition
 
@@ -105,13 +99,18 @@ class MovePartition:
 
     classes: dict[str, Offset]
 
-    def validate_for(self, ca: ImpulseCA):
+    def follower(self, ca: ImpulseCA) -> Follower:
+        """The one-state follower that moves by the class of each symbol it
+        reads; AlphabetMismatch unless the classes name exactly ``ca``'s
+        states."""
         missing = set(ca.states) - set(self.classes)
         if missing:
             raise AlphabetMismatch(f"partition misses states: {sorted(missing)}")
         extra = set(self.classes) - set(ca.states)
         if extra:
             raise AlphabetMismatch(f"partition names unknown states: {sorted(extra)}")
+        return Follower(("q",), "q", {("q", s): ("q", x)
+                                      for s, x in self.classes.items()})
 
 
 def parse_move_partition(text: str, dim: int) -> MovePartition:
@@ -272,7 +271,14 @@ class FollowTrace:
 
 
 class FollowProbe:
-    """Run a follower from the origin, one slice view at a time."""
+    """Run a follower from the origin, one slice view at a time.
+
+    Site u at time t is read as the letter of diagonal t*1bar - u through
+    the view's ``diagonal_index``, built again only when the diagonal
+    changes: offset -1bar, a site step of +1bar, keeps it.  The walk never
+    leaves the light cone, so its diagonals are >= 0, and on a window a
+    read past the reach raises BeyondWindow.
+    """
 
     def __init__(self, ca: ImpulseCA, follower: Follower, steps: int):
         if steps < 0:
@@ -283,13 +289,17 @@ class FollowProbe:
         self.sites = [(0,) * ca.dim]
         self.qs = [follower.initial]
         self.defaulted_hits: list[tuple[str, str]] = []
+        self.diagonal = self.index = None
 
     def observe(self, view):
         t = view.t
         if t >= self.steps or t != len(self.sites) - 1:
             return
         u = self.sites[-1]
-        key = (self.qs[-1], view.state_at(u))
+        i = tuple(t - a for a in u)
+        if i != self.diagonal:
+            self.diagonal, self.index = i, view.diagonal_index((i,))
+        key = (self.qs[-1], view.ca.states[view.diagonals(self.index)[0]])
         if key not in self.follower.delta:
             raise AlphabetMismatch(f"follower has no transition for {key!r}")
         if key in self.follower.defaulted:
@@ -301,24 +311,6 @@ class FollowProbe:
     def trace(self) -> FollowTrace:
         return FollowTrace(Signal(tuple(self.sites)), tuple(self.qs),
                            tuple(self.defaulted_hits))
-
-
-class DetectProbe(FollowProbe):
-    """Walk under a move partition: a one-state follower that moves by the
-    class of each symbol it reads."""
-
-    def __init__(self, ca: ImpulseCA, partition: MovePartition, steps: int):
-        partition.validate_for(ca)
-        delta = {("q", s): ("q", x) for s, x in partition.classes.items()}
-        super().__init__(ca, Follower(("q",), "q", delta), steps)
-        self.neighborhood = ca.neighborhood
-
-    def signal(self) -> Signal:
-        out = Signal(tuple(self.sites))
-        if not valid_moves(out, self.neighborhood):
-            raise CheckFailed(
-                "detected walk takes a step outside the neighborhood")
-        return out
 
 
 # ---------------------------------------------------------------------------

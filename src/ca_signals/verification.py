@@ -6,20 +6,20 @@ simulated diagrams, reporting per-check pass/fail with the first offending
 sites instead of stopping at the first failure.
 
 Claims stream: every check is a probe, so each automaton is stepped once
-by ``analysis.run_probes`` (one name for a tracer to wrap) and only its live
-slice, or its box of diagonals, is held.  The checks over every live cell
-(the counter's wedge, the two-track planes, the product's marks) are each
-one ``CellScan`` with a numpy predicate over per-axis coordinates, which
-reads the counter's window box whole.  The diagonal window
-``run_probes(..., reach=R)`` steps: the binary counter, with R = 2T, the
-whole light cone, whose live cells fill a thin box of diagonals (at
-T = 1,037, 9,327 live cells in a box of 12 by 1,038 strided entries); the
-period bounds, stopped at the first repeat of their joint state;
-``verify_basic``'s counter walk, up to its highest anchor's diagonal; and
-``verify_xy``'s merged walk, up to the largest diagonal the two-track walk
-reads.  ``verify_xy``'s two-track and product runs stay sparse: their
-slices hold a handful of cells, so the cost of a step is its overhead.
-``verify_basic``'s random followers are not stepped.
+by ``analysis.run_probes`` (one name for a tracer to wrap) and only its box
+of diagonals is held.  Every claim steps the diagonal window
+``run_probes(..., reach=R)``: the binary counter and ``verify_xy``'s
+two-track and product runs with R = 2T, the whole light cone, whose live
+cells fill a thin box of diagonals (at T = 1,037, 9,327 live cells of the
+counter in a box of 12 by 1,038 strided entries); the period bounds,
+stopped at the first repeat of their joint state; ``verify_basic``'s
+counter walk, up to its highest anchor's diagonal; and ``verify_xy``'s
+merged walk, up to the largest diagonal the two-track walk reads.  The
+checks over every live cell (the counter's wedge, the two-track planes,
+the product's marks) are each one ``CellScan`` with a numpy predicate over
+the window box's open grid.  Walks are ``FollowProbe``s, a detection walk
+under its partition's one-state follower.  ``verify_basic``'s random
+followers are not stepped.
 
 Each digit, carry or two-track row is spelled by one ``DiagonalLetters`` per
 claim, as its digits and their quiescent end: a row that does not read
@@ -43,9 +43,9 @@ from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
 from .engine import DEFAULT_SITE_BUDGET, CellScan, DiagonalLetters, w_site
 from .errors import BeyondWindow, NotCoprime, XNotSmallest
 from .lattice import Neighborhood, offsets
-from .signals import (DetectProbe, Follower, FollowProbe, Signal,
-                      follower_for_xy, gap_profile, log2_partition,
-                      log_anchor_signal, product_construct)
+from .signals import (Follower, FollowProbe, Signal, follower_for_xy,
+                      gap_profile, log2_partition, log_anchor_signal,
+                      product_construct)
 
 MISMATCH_CAP = 100
 CARRY_SAMPLES = 50   # carry rows verify_log2 draws and reads
@@ -156,7 +156,7 @@ def verify_log2(steps: int, *, seed: int = 7,
     def sites():
         return ([w_site(k, l, i) for i in range(n + 1)] for k, l, n in rows)
 
-    walk = DetectProbe(ca, log2_partition(), steps)
+    walk = FollowProbe(ca, log2_partition().follower(ca), steps)
     letters = DiagonalLetters(d for row in sites() for d, _ in row)
     region = CellScan(_off_wedge, cap=MISMATCH_CAP)
     analysis.run_probes(ca, horizon, [walk, letters, region], budget=budget,
@@ -166,7 +166,7 @@ def verify_log2(steps: int, *, seed: int = 7,
 
     checks = []
 
-    sig = walk.signal()
+    sig = walk.trace().signal
     anchors = log_anchor_signal(2, steps)
     checks.append(_anchor_check(sig, anchors, "anchor-walk"))
 
@@ -249,7 +249,9 @@ def verify_xy(x: int, y: int, steps: int, *,
               budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Follower anchors, CRT digit readout, plane discipline, the product
     construction, and the merged single-track variant, each automaton in
-    one streamed run."""
+    one streamed run on the diagonal window: the two-track and product runs
+    with the whole light cone as their reach, so the plane and mark scans
+    see every live cell and ``budget`` bounds the box each step holds."""
     if steps < 4:
         raise ValueError("need steps >= 4")
     ca = builtin_xy(x, y)
@@ -271,7 +273,8 @@ def verify_xy(x: int, y: int, steps: int, *,
 
     letters = DiagonalLetters(d for row in sites() for d, _ in row)
     planes = _plane_scan(ca)
-    analysis.run_probes(ca, steps, [walk, letters, planes], budget=budget)
+    analysis.run_probes(ca, steps, [walk, letters, planes], budget=budget,
+                        reach=2 * steps)
 
     checks = []
 
@@ -306,7 +309,8 @@ def verify_xy(x: int, y: int, steps: int, *,
     prod = product_construct(ca, fol)
     marked = np.array([s in prod.marked_states for s in prod.ca.states])
     marks = CellScan(lambda _coords, codes, _t: marked[codes])
-    analysis.run_probes(prod.ca, t_prod, [marks], budget=budget)
+    analysis.run_probes(prod.ca, t_prod, [marks], budget=budget,
+                        reach=2 * t_prod)
     ms = {(u, t) for u, t, _ in marks.found}
     path = {(u, t) for t, u in enumerate(tr.signal.sites[:t_prod + 1])}
     diff = sorted(ms ^ path, key=lambda p: (p[1], p[0]))
@@ -416,14 +420,14 @@ def verify_basic(count: int = 50, *, move_horizon: int = 2000,
         f"{count} random followers, p+q <= |Q|+1 on the empty diagram",
         _capped(bad))]
 
-    probe = DetectProbe(builtin_log2(), log2_partition(), move_horizon)
+    ca = builtin_log2()
+    probe = FollowProbe(ca, log2_partition().follower(ca), move_horizon)
     # the counter's walk reads no diagonal past its highest anchor; a read
     # past it raises BeyondWindow
     reach = max(when - site[0]
                 for site, when in log_anchor_signal(2, move_horizon))
-    analysis.run_probes(builtin_log2(), move_horizon, [probe], budget=budget,
-                        reach=reach)
-    dec = is_basic(probe.signal())
+    analysis.run_probes(ca, move_horizon, [probe], budget=budget, reach=reach)
+    dec = is_basic(probe.trace().signal)
     checks.append(Check(
         "counter-walk-not-basic", isinstance(dec, NotPeriodicWithin),
         f"binary-counter walk undecomposed within {move_horizon} moves"))

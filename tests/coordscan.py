@@ -2,13 +2,15 @@
 tests.
 
 It builds the coordinates of every live cell of a slice first, an (n, dim)
-int64 array (``np.argwhere`` over a window's box, ``SliceView.arrays()`` on
-a sparse slice), and then evaluates the select over that array's columns.
+int64 array (``np.argwhere`` over a window's box, ``unpack_cells`` of a
+sparse slice's packed keys), and then evaluates the select over that array's columns.
 ``CellScan`` evaluates the same select once over the box or the slice and
 builds coordinates only for the cells it keeps.
 """
 
 import numpy as np
+
+from ca_signals.engine import unpack_cells
 
 
 def cell_arrays(view):
@@ -19,7 +21,7 @@ def cell_arrays(view):
         idx = np.argwhere(view._window)[::-1]
         return (view.t - idx * np.array(view._stride),
                 view._window[tuple(idx.T)])
-    return view.arrays()
+    return unpack_cells(view._sl[0], view.ca.dim), view._sl[1]
 
 
 class CoordScan:

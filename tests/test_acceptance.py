@@ -14,13 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from ca_signals import (CellScan, DetectProbe, FollowProbe, Signal,
-                        builtin_log2, builtin_xy, dense_run,
-                        exhaustive_two_state_search, follower_for_xy,
-                        gap_probe, gap_profile, ilog, log2_partition,
-                        log_anchor_signal, product_construct, run, run_probes,
-                        same_run, verify_basic, verify_bounds, verify_log2,
-                        verify_xy)
+from ca_signals import (CellScan, FollowProbe, Signal, builtin_log2,
+                        builtin_xy, dense_run, exhaustive_two_state_search,
+                        follower_for_xy, gap_probe, gap_profile, ilog,
+                        log2_partition, log_anchor_signal, product_construct,
+                        run, run_probes, same_run, verify_basic,
+                        verify_bounds, verify_log2, verify_xy)
 from ca_signals.analysis import BELOW_LOG, CONSTANT, LOG_OR_ABOVE
 
 from tables import random_impulse_ca
@@ -183,9 +182,10 @@ def test_criterion_8_follower_walks_are_basic_counter_is_not():
 
 
 def test_criterion_9_gap_growth_classification():
-    walk = DetectProbe(builtin_log2(), log2_partition(), 512)
-    run_probes(builtin_log2(), 512, [walk])
-    sig = walk.signal()
+    ca = builtin_log2()
+    walk = FollowProbe(ca, log2_partition().follower(ca), 512)
+    run_probes(ca, 512, [walk])
+    sig = walk.trace().signal
     rep = gap_probe(sig)
     assert rep.classification == LOG_OR_ABOVE
     profile = gap_profile(sig)

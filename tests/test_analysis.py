@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ca_signals import (BeyondHorizon, DetectProbe, DiagonalLetters,
+from ca_signals import (BeyondHorizon, DiagonalLetters, FollowProbe,
                         NotCoprime, NotPeriodicWithin, PeriodDecomposition,
                         Signal, analysis, builtin_log2, builtin_xy, crt_digit,
                         diagram_from_json_obj, exhaustive_two_state_search,
@@ -25,6 +25,7 @@ from ca_signals.engine import diagonal_start
 from ca_signals.lattice import Neighborhood
 from ca_signals.signals import MovePartition
 
+from sites import letter_at
 from tables import random_impulse_ca
 from windowed import final_third_accept, ultimate_period
 
@@ -214,7 +215,7 @@ def test_period_bounds_step_only_to_the_first_repeat(monkeypatch):
 
 
 def test_stabilized_walks_keep_a_constant_gap():
-    """Consistency of DetectProbe, gap_profile() and ultimate_period() on
+    """Consistency of detected walks, gap_profile() and ultimate_period() on
     random rule tables.
 
     When a detected walk stops descending it climbs one diagonal forever,
@@ -234,7 +235,8 @@ def test_stabilized_walks_keep_a_constant_gap():
         part = MovePartition({s: (DOWN if s == down_state else UP)
                               for s in ca.states})
         diag = run(ca, horizon)
-        sig = diag.replay(DetectProbe(ca, part, horizon), horizon).signal()
+        sig = diag.replay(FollowProbe(ca, part.follower(ca), horizon),
+                          horizon).trace().signal
         moves = sig.moves()
         last_down = max((j for j, m in enumerate(moves) if m != (1, 1)),
                         default=-1)
@@ -258,8 +260,9 @@ def test_stabilized_walks_keep_a_constant_gap():
 
 
 def test_gap_probe_on_counter_walk(log2_diag):
-    walk = DetectProbe(log2_diag.ca, log2_partition(), 256)
-    sig = log2_diag.replay(walk, 256).signal()
+    ca = log2_diag.ca
+    walk = FollowProbe(ca, log2_partition().follower(ca), 256)
+    sig = log2_diag.replay(walk, 256).trace().signal
     rep = gap_probe(sig)
     assert rep.classification == LOG_OR_ABOVE
     assert rep.fitted_C == Fraction(2)
@@ -531,7 +534,7 @@ def two_state_ca(code: int) -> ImpulseCA:
 def passes_targets(code: int) -> bool:
     diag = run(two_state_ca(code), 3)
     for (cell, t), want in SEARCH_TARGETS:
-        live = diag.view(t).state_at(cell) != L
+        live = letter_at(diag.view(t), cell) != L
         if live != bool(want):
             return False
     return True
@@ -565,7 +568,7 @@ def test_search_agrees_with_the_engine_on_samples():
 def test_search_targets_are_the_counter_prefix(log2_diag):
     # the four forced values equal the binary counter's own first readings
     for (cell, t), want in SEARCH_TARGETS:
-        live = log2_diag.view(t).state_at(cell) == "1"
+        live = letter_at(log2_diag.view(t), cell) == "1"
         assert live == bool(want)
 
 

@@ -794,9 +794,11 @@ def test_verify_honours_the_env_budget(capsys, monkeypatch):
 
 
 def test_verify_xy_budget_bounds_the_merged_window(capsys):
-    # the merged walk steps the (6+1)^2-site window of the diagonals the
-    # two-track walk reads, not the thousands of live cells of its slices;
-    # the two-track and product slices hold fewer than 100
+    # every run steps a box of strided diagonals, not the thousands of live
+    # cells of the merged slices: the merged walk's box of the diagonals
+    # [0, 6]^2 the two-track walk reads holds 16 entries, and the boxes of
+    # the two-track and product runs over the whole light cone at most 30
+    # and 20
     code, out, err = run_cli(capsys, "verify", "xy", "--x", "2", "--y", "3",
                              "--steps", "750", "--budget", "100")
     assert code == EXIT_OK, err

@@ -1,5 +1,6 @@
 """Both engines, the packed storage, diagonal words, and the sheared rows."""
 
+import contextlib
 import copy
 import json
 import random
@@ -12,16 +13,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (BeyondHorizon, BeyondWindow, CellScan,
-                        CoordinateOverflow, DiagonalLetters, OverflowHorizon,
-                        builtin_log2, builtin_quiescent, builtin_xy, dense_run,
+                        CoordinateOverflow, DiagonalLetters, Follower,
+                        FollowProbe, OverflowHorizon, builtin_log2,
+                        builtin_quiescent, builtin_xy, dense_run,
                         diagram_from_json_obj, max_horizon, merged_xy, run,
                         run_probes, same_run, verify_log2, verify_xy, w_site)
 from ca_signals import engine
 from ca_signals.engine import (FLAT_ENUM_LIMIT, diagonal_start, pack_cells,
                                unpack_cells)
-from ca_signals.lattice import KINDS, Neighborhood
+from ca_signals.lattice import KINDS, Neighborhood, offsets
 
 from coordscan import CoordScan
+from sites import letter_at
 from tables import random_impulse_ca
 
 L = "λ"
@@ -36,18 +39,18 @@ def test_seed_slice_and_frozen_early_cells(log2_diag):
     }
 
 
-def test_state_at_defaults_quiescent(log2_diag):
-    assert log2_diag.view(0).state_at((0, 0)) == "1"
-    assert log2_diag.view(2).state_at((100, 100)) == L
+def test_site_reads_default_quiescent(log2_diag):
+    assert letter_at(log2_diag.view(0), (0, 0)) == "1"
+    assert letter_at(log2_diag.view(2), (100, 100)) == L
     with pytest.raises(BeyondHorizon):
         log2_diag.view(log2_diag.horizon + 1)
     with pytest.raises(ValueError):
-        log2_diag.view(0).state_at((0, 0, 0))
+        letter_at(log2_diag.view(0), (0, 0, 0))
     # 1 + 2**31 overflows its packed field; read as a key it would alias
     # the live cell (1, 1)
-    assert log2_diag.view(1).state_at((1, 1)) == "0"
-    assert log2_diag.view(1).state_at((1, 1 + 2**31)) == L
-    assert log2_diag.view(0).state_at((2**31, 0)) == L
+    assert letter_at(log2_diag.view(1), (1, 1)) == "0"
+    assert letter_at(log2_diag.view(1), (1, 1 + 2**31)) == L
+    assert letter_at(log2_diag.view(0), (2**31, 0)) == L
 
 
 def test_view_is_the_stored_slice(log2_diag):
@@ -57,7 +60,7 @@ def test_view_is_the_stored_slice(log2_diag):
     assert list(view.cells()) == [
         (tuple(u), log2_diag.ca.states[c])
         for u, c in zip(unpack_cells(packed, 2).tolist(), codes)]
-    assert view.state_at((3, -3)) == "1"
+    assert letter_at(view, (3, -3)) == "1"
     for t in (-1, log2_diag.horizon + 1):
         with pytest.raises(BeyondHorizon):
             log2_diag.view(t)
@@ -81,16 +84,13 @@ def test_sparse_equals_dense(builder, steps):
 
 
 class _Recorder:
-    """Probe that keeps each streamed slice and two reads off its cone."""
+    """Probe that keeps each streamed slice."""
 
     def __init__(self):
-        self.cells, self.far = [], []
+        self.cells = []
 
     def observe(self, view):
-        t, dim = view.t, view.ca.dim
         self.cells.append(list(view.cells()))
-        self.far.append((view.state_at((t + 1,) + (0,) * (dim - 1)),
-                         view.state_at((2**31,) + (0,) * (dim - 1))))
 
 
 # (kind, dim, horizon, max_states): alphabets stay small so that dense_run,
@@ -121,14 +121,26 @@ def _far_points(points, dim):
             for i in points for s in (1, -1) if i[-2] + s >= 0]
 
 
-def _assert_window_matches(ca, diag, steps):
+def _random_follower(rng, ca):
+    """A random follower of at most three states that reads ``ca``'s
+    alphabet and moves by its neighborhood's offsets."""
+    moves = offsets(ca.neighborhood)
+    qs = tuple(f"q{j}" for j in range(rng.randint(1, 3)))
+    return Follower(qs, qs[0], {(q, s): (rng.choice(qs), rng.choice(moves))
+                                for q in qs for s in ca.states})
+
+
+def _assert_window_matches(ca, diag, steps, follower):
     """The diagonal window [0, R]^dim, R = steps // 2, against the sparse run
     and the replay of ``diag``, a full run: the letters each holds of every
     diagonal in the window, and every live cell on its diagonals.  Each
     reader also holds the window's points shifted below 0, and the sparse
     ones points off the cone that pack to the window's keys; all of them
     must read quiescent.  With R = 2 * steps, the whole light cone, the
-    window's box holds every live cell."""
+    window's box holds every live cell.  ``follower`` walks the same trace
+    on the sparse run, the replay and the whole cone's window; on the
+    window of reach R it walks that trace up to its first read of a
+    diagonal past R, which raises BeyondWindow."""
     reach = steps // 2
     lam = ca.quiescent
     inside = list(product(range(reach + 1), repeat=ca.dim))
@@ -137,8 +149,22 @@ def _assert_window_matches(ca, diag, steps):
     window, rec = DiagonalLetters(points), _Recorder()
     run_probes(ca, steps, [window, rec], reach=reach)
     sparse = DiagonalLetters(points + far)
-    run_probes(ca, steps, [sparse])
+    walk = FollowProbe(ca, follower, steps)
+    run_probes(ca, steps, [sparse, walk])
+    trace = walk.trace()
     replayed = diag.replay(DiagonalLetters(points + far), steps + 1)
+    assert diag.replay(FollowProbe(ca, follower, steps),
+                       steps).trace() == trace, ca.name
+    # the first time the walk reads a diagonal past R, if it does
+    past = next((t for t, u in enumerate(trace.signal.sites[:steps])
+                 if max(t - a for a in u) > reach), None)
+    part = FollowProbe(ca, follower, steps)
+    with (pytest.raises(BeyondWindow) if past is not None
+          else contextlib.nullcontext()):
+        run_probes(ca, steps, [part], reach=reach)
+    n = steps + 1 if past is None else past + 1
+    assert part.sites == list(trace.signal.sites[:n]), ca.name
+    assert part.qs == list(trace.automaton_states[:n]), ca.name
     want = np.zeros((steps + 1, len(points) + len(far)), dtype=np.uint8)
     for t in range(steps + 1):
         cells = dict(diag.view(t).cells())
@@ -151,12 +177,12 @@ def _assert_window_matches(ca, diag, steps):
         want = [(u, s) for u, s in diag.view(t).cells()
                 if max(t - a for a in u) <= reach]
         assert rec.cells[t] == want, (ca.name, t)
-        assert rec.far[t] == (lam, lam)
-    whole = _Recorder()
-    run_probes(ca, steps, [whole], reach=2 * steps)
+    whole, walk = _Recorder(), FollowProbe(ca, follower, steps)
+    run_probes(ca, steps, [whole, walk], reach=2 * steps)
     for t in range(steps + 1):
         assert whole.cells[t] == list(diag.view(t).cells()), (ca.name, t)
-        assert whole.far[t] == (lam, lam)
+    assert walk.trace() == trace, ca.name
+    return trace
 
 
 @pytest.mark.parametrize("kind,dim,steps,max_states", CROSS_CHECK,
@@ -164,10 +190,10 @@ def _assert_window_matches(ca, diag, steps):
 def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
                                               monkeypatch):
     rng = random.Random(20240817)
+    # the followers draw from their own stream, so the tables stay the same
+    walk_rng = random.Random(20261020)
     neigh = Neighborhood(kind, dim)
-    lam_cell = [(t + 1,) + (0,) * (dim - 1) for t in range(steps + 1)]
-    far_cell = (2**31,) + (0,) * (dim - 1)
-    varied = []
+    varied, walked = [], []
     for _ in range(CROSS_CHECK_TABLES):
         ca = random_impulse_ca(rng, max_states=max_states, neigh=neigh)
         memo = len(ca.states) ** ca.table.arity > FLAT_ENUM_LIMIT
@@ -179,36 +205,44 @@ def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
         assert same_run(diag, dense), ca.name
         rec = _Recorder()
         run_probes(ca, steps, [rec])
-        lam = ca.quiescent
         for t in range(steps + 1):
-            view = diag.view(t)
-            assert rec.cells[t] == list(view.cells()), (ca.name, t)
-            assert rec.far[t] == (lam, lam)
-            assert view.state_at(lam_cell[t]) == lam
-            assert view.state_at(far_cell) == lam
-        _assert_window_matches(ca, dense, steps)
+            assert rec.cells[t] == list(diag.view(t).cells()), (ca.name, t)
+        follower = _random_follower(walk_rng, ca)
+        trace = _assert_window_matches(ca, dense, steps, follower)
+        # the walk reads a live cell after its seed
+        walked.append(any(dict(dense.view(t).cells()).get(u, ca.quiescent)
+                          != ca.quiescent
+                          for t, u in enumerate(trace.signal.sites[1:steps],
+                                                start=1)))
         # the same table through the memo evaluator
         with monkeypatch.context() as m:
             m.setattr(engine, "FLAT_ENUM_LIMIT", 0)
             assert same_run(run(ca, steps), diag), ca.name
-            _assert_window_matches(ca, dense, steps)
+            assert _assert_window_matches(ca, dense, steps,
+                                          follower) == trace, ca.name
     # a uniform diagram cannot tell one argument order from another
     assert any(varied), "no table shows two distinct live states"
+    # a walk that reads only quiescent cells reads no table's letters
+    assert any(walked), "no follower reads a live cell after t = 0"
 
 
 def test_window_reads(log2_diag):
-    """Off the light cone a window view reads quiescent; inside it, a cell
-    on a diagonal past the reach raises instead of reading quiescent."""
+    """A window view reads quiescent on a diagonal below 0, off the light
+    cone; a diagonal past the reach raises instead of reading quiescent,
+    inside the cone or off it."""
     seen = []
 
     class Reader:
         def observe(self, view):
             if view.t != 4:
                 return
-            assert view.state_at((4, 2)) == log2_diag.view(4).state_at((4, 2))
-            assert view.state_at((5, 0)) == view.state_at((4, -5)) == L
+            assert letter_at(view, (4, 2)) == letter_at(log2_diag.view(4),
+                                                        (4, 2))
+            assert letter_at(view, (5, 0)) == L      # diagonal (-1, 4)
             with pytest.raises(BeyondWindow):
-                view.state_at((0, 0))           # diagonal (4, 4)
+                letter_at(view, (4, -5))             # diagonal (0, 9)
+            with pytest.raises(BeyondWindow):
+                letter_at(view, (0, 0))              # diagonal (4, 4)
             assert view.n_sites == sum(1 for _ in view.cells())
             seen.append(view.t)
 
@@ -363,7 +397,7 @@ def test_verify_log2_builds_no_cell_coordinates_on_the_window(monkeypatch):
         raise AssertionError("a window slice was read cell by cell")
 
     monkeypatch.setattr(np, "argwhere", refused)
-    monkeypatch.setattr(engine.SliceView, "arrays", refused)
+    monkeypatch.setattr(engine, "unpack_cells", refused)
     monkeypatch.setattr(engine.SliceView, "cells", refused)
     assert verify_log2(256).ok
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals.lattice import (Neighborhood, all_ones, format_offset,
-                                in_light_cone, neg, offsets, parity_valid,
+                                in_light_cone, offsets, parity_valid,
                                 parse_offset)
 
 
@@ -67,7 +67,6 @@ def test_offset_text_round_trip():
 
 def test_vector_helpers():
     assert all_ones(3) == (1, 1, 1)
-    assert neg((1, -1)) == (-1, 1)
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4))

@@ -17,7 +17,8 @@ from ca_signals import (LAMBDA, BeyondWindow, CellScan, DiagonalLetters,
 from ca_signals.engine import SpaceTimeDiagram
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.verification import (MISMATCH_CAP, Check, VerifyReport,
-                                     _off_wedge, random_follower)
+                                     _off_wedge, _plane_check, _plane_scan,
+                                     random_follower)
 
 from tables import random_impulse_ca
 
@@ -167,10 +168,21 @@ def test_verify_basic_steps_only_the_counter_walk(monkeypatch):
 def test_verify_xy_steps_the_merged_walk_on_the_window(monkeypatch):
     stepped = _record_runs(monkeypatch)
     assert verify_xy(2, 3, 60).ok
-    # the two-track walk reads no diagonal past 4 before t = 60
-    assert stepped == [["xy:2,3", 60, None, False],
-                       ["product(xy:2,3)", 60, None, False],
+    # the two-track and product runs over the whole light cone; the
+    # two-track walk reads no diagonal past 4 before t = 60
+    assert stepped == [["xy:2,3", 60, 120, False],
+                       ["product(xy:2,3)", 60, 120, False],
                        ["merged:2,3", 60, 4, False]]
+
+
+def test_every_claim_steps_the_window(monkeypatch):
+    stepped = _record_runs(monkeypatch)
+    for claim in (lambda: verify_log2(64), lambda: verify_xy(2, 3, 60),
+                  lambda: verify_bounds(3, 64), lambda: verify_basic(5)):
+        del stepped[:]
+        assert claim().ok
+        assert stepped and all(reach is not None
+                               for _, _, reach, _ in stepped), stepped
 
 
 def test_merged_walk_that_leaves_the_window_fails(monkeypatch):
@@ -261,6 +273,30 @@ def test_live_region_fails_on_the_window_as_on_a_sparse_replay(monkeypatch):
     assert scan.found[0] == ((-1, 1), 1, "1")
     assert region.mismatches == tuple((*u, t) for u, t, _ in scan.found)
     assert region.detail == f"{scan.total} stored sites inside the wedge"
+
+
+def test_plane_discipline_fails_on_the_window_as_on_a_sparse_replay(
+        monkeypatch):
+    """The two-track counter with the one entry (λ, λ, λ, π_1) sent to π_1
+    instead of λ: cell (-1, 1) at t = 1, whose only live argument is the
+    seed, lights on plane offset -2, off both carrier planes.  The window's
+    box scan must report the first live cell off its plane as a scan of
+    the retained sparse slices does."""
+    base = builtin_xy(2, 3)
+    lit = dict(zip(base.states, (Literal(s) for s in base.states)))
+    entry = Rule((lit[LAMBDA], lit[LAMBDA], lit[LAMBDA], lit["π_1"]), "π_1")
+    broken = dataclasses.replace(
+        base, table=RuleTable((entry,) + base.table.rules))
+    monkeypatch.setattr(verification, "builtin_xy", lambda x, y: broken)
+    steps = 60
+    rep = verify_xy(2, 3, steps)
+    [planes] = [c for c in rep.checks if c.name == "plane-discipline"]
+    scan = run(broken, steps).replay(_plane_scan(broken), steps + 1)
+    assert scan.found[0] == ((-1, 1), 1, "π_1")
+    want = _plane_check(scan)
+    assert not planes.ok and not want.ok
+    assert planes.detail == want.detail == \
+        "cell (-1,1) at t=1 lies on plane offset -2"
 
 
 def _claim_letters(monkeypatch, claim):
