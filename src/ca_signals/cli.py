@@ -154,15 +154,14 @@ def _render_source(args, last: int | None = None):
 def cmd_simulate(args) -> int:
     ca, budget = parse_ca_spec(args.ca), _site_budget(args)
     try:
-        diag = (dense_run(ca, args.steps, budget=budget) if args.dense else
+        diag = (dense_run(ca, args.steps, budget=budget, check=args.check)
+                if args.dense else
                 run(ca, args.steps, budget=budget, check=args.check))
     except OverflowHorizon as exc:
-        partial = getattr(exc, "partial", None)
-        if partial is not None:
-            # _dump writes the wrapper's bytes; the slices replace its null
-            head, tail = _dump({"truncated": True, "budget": exc.budget,
-                                "slices": None}, args).split("null", 1)
-            _emit(chain((head,), partial.json_chunks(), (tail,)), args.out)
+        # _dump writes the wrapper's bytes; the slices replace its null
+        head, tail = _dump({"truncated": True, "budget": exc.budget,
+                            "slices": None}, args).split("null", 1)
+        _emit(chain((head,), exc.partial.json_chunks(), (tail,)), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     _emit(chain(diag.json_chunks(), ("\n",)), args.out)

@@ -49,8 +49,11 @@ Only dumps retain: ``run`` keeps every slice the same stepper yields, for
 ``simulate`` and loaded diagrams, and ``SpaceTimeDiagram.replay`` feeds
 probes its stored slices.
 
-A retained diagram's JSON dump is formatted slice by slice straight from the
-packed arrays (``json_chunks``), with no object per cell.
+A retained diagram's JSON dump (``json_chunks``) is written slice by slice,
+each slice one join of string fields gathered by fancy indexing from tables
+built once per dump: one entry per coordinate value up to the largest live
+|u_a| (doubled when outgrown) and one per state, so no field is formatted
+per cell.
 
 Coordinates are packed most-significant-axis-first with a per-axis bias, so
 numeric order of packed values equals lexicographic order of cells.
@@ -312,25 +315,44 @@ class SpaceTimeDiagram:
     def json_chunks(self):
         """Yield the compact JSON dump: ``[``, then ``{"t":T,"cells":[...]}``
         per slice (``,``-prefixed after the first), then ``]``.  Symbols are
-        written unescaped, as ``json.dumps(..., ensure_ascii=False)`` does."""
-        dim = self.ca.dim
-        cell = '{"u":[' + ",".join(["%d"] * dim) + '],"s":%s},'
-        sym = np.array([json.dumps(s, ensure_ascii=False)
-                        for s in self.ca.states], dtype=object)
+        written unescaped, as ``json.dumps(..., ensure_ascii=False)`` does.
+
+        A slice is one join of its head and its cells' string fields, looked
+        up by fancy indexing in tables over the coordinates -m..m
+        (``_coord_tables``) and over the states; m, the largest live |u_a|
+        so far, doubles when a slice outgrows it."""
+        tail = np.array(['],"s":' + json.dumps(s, ensure_ascii=False) + "}"
+                         for s in self.ca.states], dtype=object)
+        m, (first, mid) = 0, _coord_tables(0)
         yield "["
         for t in range(self.horizon + 1):
             coords, codes = self.view(t).grid()
-            # one %-format per slice, fed each cell's coordinates and symbol
-            fields = np.empty((len(codes), dim + 1), dtype=object)
+            need = max(int(np.abs(c).max(initial=0)) for c in coords)
+            if need > m:
+                m = max(need, 2 * m)
+                first, mid = _coord_tables(m)
+            fields = np.empty((len(codes), len(coords) + 1), dtype=object)
             for a, c in enumerate(coords):
-                fields[:, a] = c
-            fields[:, dim] = sym[codes]
-            body = (cell * len(codes))[:-1] % tuple(fields.ravel().tolist())
-            yield '%s{"t":%d,"cells":[%s]}' % ("," if t else "", t, body)
+                fields[:, a] = (mid if a else first)[c + m]
+            fields[:, -1] = tail[codes]
+            # every cell opens with its separating comma; the slice's head
+            # takes the first one's place, and the slice is one join
+            head = '%s{"t":%d,"cells":[' % ("," if t else "", t)
+            cells = fields.ravel().tolist() or [","]
+            cells[0] = head + cells[0][1:]
+            cells.append("]}")
+            yield "".join(cells)
         yield "]"
 
     def dumps(self) -> str:
         return "".join(self.json_chunks())
+
+
+def _coord_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dump's strings for coordinates a = -m..m at index a + m: a cell's
+    first coordinate opens it, ``,{"u":[a``, and each other one is ``,a``."""
+    text = np.array([str(a) for a in range(-m, m + 1)], dtype=object)
+    return ',{"u":[' + text, "," + text
 
 
 def _seed_slice(ca: ImpulseCA) -> Slice:
@@ -427,6 +449,14 @@ def _misplaced_select(ca: ImpulseCA):
     return select
 
 
+def _check_view(scan: CellScan, view: SliceView) -> None:
+    """Feed a ``_misplaced_select`` scan one view; CheckFailed on a hit."""
+    scan.observe(view)
+    if scan.found:
+        [(cell, t, _)] = scan.found
+        raise CheckFailed(_misplaced(cell, t, view.ca))
+
+
 def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
         check: bool = False) -> SpaceTimeDiagram:
     """Simulate t = 0..steps inclusive, retaining every slice.
@@ -434,6 +464,7 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
     The budget bounds the retained sites, seed included, and is checked
     after each step.  Raises OverflowHorizon when it runs out; the
     exception carries the finished part as its ``partial`` attribute.
+    With ``check``, each retained slice is checked as it is stepped.
     """
     slices, total = [], 0
     scan = CellScan(_misplaced_select(ca), cap=1)
@@ -444,10 +475,7 @@ def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
                 raise OverflowHorizon(view.t - 1, budget)
             slices.append(view._sl)
             if check:
-                scan.observe(view)
-                if scan.found:
-                    [(cell, t, _)] = scan.found
-                    raise CheckFailed(_misplaced(cell, t, ca))
+                _check_view(scan, view)
     except OverflowHorizon as exc:
         exc.partial = SpaceTimeDiagram(ca, slices, truncated=True)
         raise
@@ -552,14 +580,16 @@ def run_probes(ca: ImpulseCA, steps: int, probes, *,
 # dense reference engine
 
 
-def dense_run(ca: ImpulseCA, steps: int, *,
-              budget: int = DEFAULT_SITE_BUDGET) -> SpaceTimeDiagram:
+def dense_run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
+              check: bool = False) -> SpaceTimeDiagram:
     """Reference simulation over the full dense cone.
 
     Recomputes every cell of the region [-t, t]^dim from the rule list via
     first-match apply.  Intentionally shares no stepping, candidate, or
     pruning logic with the sparse engine; only the storage container is
-    common so results compare directly.
+    common so results compare directly.  The budget, its OverflowHorizon
+    with ``partial``, and ``check`` mean what they do for ``run``; the
+    retained slices are checked after the run.
     """
     _check_horizon(ca, steps)
     lam = ca.quiescent
@@ -568,7 +598,7 @@ def dense_run(ca: ImpulseCA, steps: int, *,
     table = ca.table
     dicts: list[dict[tuple[int, ...], str]] = []
     dicts.append({} if ca.seed == lam else {(0,) * dim: ca.seed})
-    total = len(dicts[0])
+    total, overflow = len(dicts[0]), None
     for t in range(1, steps + 1):
         prev = dicts[-1]
         cur: dict[tuple[int, ...], str] = {}
@@ -581,9 +611,8 @@ def dense_run(ca: ImpulseCA, steps: int, *,
                 cur[cell] = s
         total += len(cur)
         if total > budget:
-            exc = OverflowHorizon(t - 1, budget)
-            exc.partial = None
-            raise exc
+            overflow = OverflowHorizon(t - 1, budget)
+            break
         dicts.append(cur)
     slices = []
     for d in dicts:
@@ -591,7 +620,15 @@ def dense_run(ca: ImpulseCA, steps: int, *,
         coords = np.array([c for c, _ in cells], dtype=np.int64)
         codes = np.array([ca.state_code(s) for _, s in cells], dtype=np.uint8)
         slices.append((pack_cells(coords.reshape(-1, dim), dim), codes))
-    return SpaceTimeDiagram(ca, slices)
+    diag = SpaceTimeDiagram(ca, slices, truncated=overflow is not None)
+    if check:
+        scan = CellScan(_misplaced_select(ca), cap=1)
+        for t in range(diag.horizon + 1):
+            _check_view(scan, diag.view(t))
+    if overflow is not None:
+        overflow.partial = diag
+        raise overflow
+    return diag
 
 
 def diagram_from_json_obj(ca: ImpulseCA, obj) -> SpaceTimeDiagram:

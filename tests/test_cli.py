@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from ca_signals import (DiagonalLetters, OverflowHorizon, analysis,
                         builtin_log2, cli, engine, follower_for_xy, run,
                         serialize_rules, verify_bounds)
+from ca_signals.automaton import RuleTable
 from ca_signals.engine import diagonal_start
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main, parse_ca_spec)
@@ -208,10 +209,11 @@ def _encode(obj) -> str:
 
 
 def _random_specs(tmp_path, kind, dim):
-    """Rule-file specs of eight random tables of one neighborhood."""
+    """Rule-file specs of twelve random tables of one neighborhood (a
+    two-argument trellis-1 table first shows two live states at the ninth)."""
     rng = random.Random(20240817)
     specs = []
-    for j in range(8):
+    for j in range(12):
         path = tmp_path / f"{kind}-{dim}-{j}.rules"
         ca = random_impulse_ca(rng, neigh=Neighborhood(kind, dim))
         path.write_text(serialize_rules(ca), encoding="utf-8")
@@ -244,7 +246,8 @@ def test_dump_bytes_match_the_oracle(capsys, tmp_path, spec, steps):
 
 
 @pytest.mark.parametrize("kind,dim,steps", [
-    ("moore", 1, 16), ("von_neumann", 3, 6)])
+    (kind, dim, (16, 8, 6)[dim - 1])
+    for kind in ("moore", "von_neumann", "trellis") for dim in (1, 2, 3)])
 def test_dump_bytes_match_the_oracle_on_random_tables(capsys, tmp_path, kind,
                                                       dim, steps):
     varied = []
@@ -253,6 +256,78 @@ def test_dump_bytes_match_the_oracle_on_random_tables(capsys, tmp_path, kind,
         varied.append(len({s for t in range(steps + 1)
                            for _, s in diag.view(t).cells()}) >= 2)
     assert any(varied), "no table shows two distinct live states"
+
+
+def test_dump_escapes_quotes_and_backslashes(capsys, tmp_path):
+    # rule-file symbols may hold '"' and '\\', which JSON must escape
+    path = tmp_path / "escapes.rules"
+    path.write_text('states: λ a" b\\ "\\\nseed: a"\nneighborhood: moore 1\n'
+                    'rule: λ λ λ -> λ\nrule: * a" * -> b\\\n'
+                    'rule: * b\\ * -> "\\\nrule: * * * -> a"\n',
+                    encoding="utf-8")
+    diag = _assert_dump_matches_oracle(capsys, tmp_path, f"file:{path}", 6)
+    assert {s for t in range(7) for _, s in diag.view(t).cells()} == {
+        'a"', "b\\", '"\\'}
+
+
+def test_dump_tables_are_sized_by_the_live_extent(tmp_path, monkeypatch):
+    # the coordinate tables cover the largest live |u_a|, whatever the horizon
+    sizes = []
+
+    def record(m):
+        sizes.append(m)
+        return coord_tables(m)
+
+    coord_tables = engine._coord_tables
+    monkeypatch.setattr(engine, "_coord_tables", record)
+    still = tmp_path / "still.rules"
+    still.write_text("states: λ a\nseed: a\nneighborhood: moore 1\n"
+                     "rule: λ a λ -> a\nrule: * * * -> λ\n", encoding="utf-8")
+    for spec, steps, extent in (("quiescent", 3000, 0),
+                                (f"file:{still}", 3000, 0), ("log2", 40, 40)):
+        sizes.clear()
+        diag = run(parse_ca_spec(spec), steps)
+        text = diag.dumps()
+        assert extent == max((max(map(abs, u)) for t in range(steps + 1)
+                              for u, _ in diag.view(t).cells()), default=0)
+        assert sizes[0] == 0 and max(sizes) <= 2 * extent, spec
+        assert sum(2 * m + 1 for m in sizes) < len(text)
+
+
+@pytest.mark.parametrize("spec,steps,budget", [
+    ("log2", 3, 2), ("log2", 64, 50), ("xy:2,3", 20, 30), ("log2", 8, 0)])
+def test_dense_truncated_dump_matches_the_sparse_one(capsys, tmp_path, spec,
+                                                     steps, budget):
+    argv = ["simulate", "--ca", spec, "--steps", str(steps),
+            "--budget", str(budget)]
+    sparse = run_cli(capsys, *argv)
+    assert sparse[0] == EXIT_OVERFLOW and json.loads(sparse[1])["truncated"]
+    assert run_cli(capsys, *argv, "--dense") == sparse
+    target = tmp_path / "dense.json"
+    assert run_cli(capsys, *argv, "--dense", "--out", str(target))[0] == \
+        EXIT_OVERFLOW
+    assert target.read_bytes() == sparse[1].encode("utf-8")
+
+
+def test_simulate_dense_check_checks_the_dense_run(capsys, monkeypatch):
+    argv = ("simulate", "--ca", "log2", "--steps", "12", "--dense")
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == EXIT_OK and run_cli(capsys, *argv, "--check") == plain
+    apply = RuleTable.apply
+
+    def waking(self, neighbors):
+        # a fault only the dense engine meets: an all-quiescent neighborhood
+        # wakes, so every parity-invalid cell of the cone goes live
+        return apply(self, neighbors) if set(neighbors) != {"λ"} else "1"
+
+    # the CA is built, and its table checked, before the fault
+    ca = parse_ca_spec("log2")
+    monkeypatch.setattr(cli, "parse_ca_spec", lambda _spec: ca)
+    monkeypatch.setattr(RuleTable, "apply", waking)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    code, out, err = run_cli(capsys, *argv, "--check")
+    assert code == EXIT_FAIL and out == ""
+    assert err == "error: cell (-1, 0) parity-invalid at t=1\n"
 
 
 @pytest.mark.parametrize("stamp", [False, True], ids=["plain", "timestamps"])

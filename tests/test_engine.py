@@ -556,6 +556,12 @@ def test_budget_overflow_keeps_partial():
     assert all(
         np.array_equal(exc.partial.slices[t][0], full.slices[t][0])
         for t in range(exc.last_slice + 1))
+    # the dense engine runs out at the same slice and keeps the same prefix
+    with pytest.raises(OverflowHorizon) as ei:
+        dense_run(ca, 100, budget=50)
+    assert ei.value.last_slice == exc.last_slice
+    assert ei.value.partial.truncated
+    assert same_run(ei.value.partial, exc.partial)
 
 
 def test_run_probes_matches_retained(log2_diag):
