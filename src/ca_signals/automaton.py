@@ -365,9 +365,11 @@ def merged_xy(x: int, y: int) -> ImpulseCA:
     with x = 1 the top first-track symbol π_1 doubles as the seed and the
     shared alphabet collapses too far for the tracks to stay separated.
 
-    The merged diagram grows extra debris on planes away from the main
-    diagonal, but the two carrier tracks evolve exactly as in builtin_xy,
-    so the supported slow-down signal is unchanged.
+    Only the first track is kept: the π plane (a - b = 0) evolves exactly
+    as in builtin_xy, but debris reaches the second track's plane
+    (a - b = 2), which for (2, 3) first differs from the two-track run's
+    (κ_i read as π_i) at t = 77, where cell (71, 69) holds π_1.  So the
+    second-track digits do not read back; ``verify_xy`` compares the walk.
     """
     if x < 1 or y < 1:
         raise ValueError("moduli must be positive")

@@ -7,7 +7,7 @@ report embeds a timestamp unless --timestamps is passed.  Exit codes:
   0  success (for verify/search: the check passed)
   1  a verification or search check failed
   2  configuration problem (bad arguments, bad files, bad indices)
-  3  the site budget ran out (simulate retains partial output with a
+  3  the site budget ran out (simulate writes the finished slices with a
      "truncated" marker)
 
 The environment variable CA_SIGNALS_MEM_BUDGET overrides the default site
@@ -21,8 +21,11 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 from datetime import datetime, timezone
+from functools import partial
 from itertools import chain, product
 from pathlib import Path
 
@@ -30,9 +33,9 @@ from .analysis import (GapReport, check_cap, exact_periods,
                        exhaustive_two_state_search, gap_probe)
 from .automaton import (ImpulseCA, RuleTable, builtin_log2, builtin_quiescent,
                         builtin_xy, merged_xy, parse_rules, serialize_rules)
-from .engine import (DEFAULT_SITE_BUDGET, DiagonalLetters, dense_run,
-                     diagonal_start, diagram_from_json_obj, run, run_probes,
-                     w_site)
+from .engine import (DEFAULT_SITE_BUDGET, DiagonalLetters, diagonal_start,
+                     diagram_from_json_obj, json_chunks, run_probes,
+                     run_views, w_site)
 from .errors import BeyondHorizon, CheckFailed, OverflowHorizon
 from .signals import (Follower, FollowProbe, Signal, follower_for_xy,
                       log2_partition, parse_move_partition)
@@ -151,20 +154,40 @@ def _render_source(args, last: int | None = None):
 # simulate
 
 
+def _check_out(out: str | None) -> None:
+    """Fail now on an ``out`` that opening with "w" would refuse at the end."""
+    if out and not os.path.exists(out):
+        parent = os.path.dirname(os.path.realpath(out))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise OSError(f"cannot create {out}: {parent} is not a writable "
+                          "directory")
+    elif out and not stat.S_ISFIFO(os.stat(out).st_mode):  # a FIFO would wait
+        open(out, "a").close()
+
+
+def _emit_spool(spool, head: str, tail: str, out: str | None) -> None:
+    """Write head, the text spooled so far and tail through ``_emit``."""
+    spool.seek(0)
+    _emit(chain((head,), iter(partial(spool.read, 1 << 16), ""), (tail,)), out)
+
+
 def cmd_simulate(args) -> int:
     ca, budget = parse_ca_spec(args.ca), _site_budget(args)
-    try:
-        diag = (dense_run(ca, args.steps, budget=budget, check=args.check)
-                if args.dense else
-                run(ca, args.steps, budget=budget, check=args.check))
-    except OverflowHorizon as exc:
-        # _dump writes the wrapper's bytes; the slices replace its null
-        head, tail = _dump({"truncated": True, "budget": exc.budget,
-                            "slices": None}, args).split("null", 1)
-        _emit(chain((head,), exc.partial.json_chunks(), (tail,)), args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    _emit(chain(diag.json_chunks(), ("\n",)), args.out)
+    _check_out(args.out)
+    # slices are spooled as they are stepped and written only once the run
+    # has ended, so a failed run writes nothing
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        try:
+            spool.writelines(json_chunks(ca, run_views(
+                ca, args.steps, budget=budget, check=args.check,
+                dense=args.dense)))
+        except OverflowHorizon as exc:
+            # _dump writes the wrapper's bytes; the slices replace its null
+            head, tail = _dump({"truncated": True, "budget": exc.budget,
+                                "slices": None}, args).split("null", 1)
+            _emit_spool(spool, head + "[", "]" + tail, args.out)
+            raise
+        _emit_spool(spool, "[", "]\n", args.out)
     return EXIT_OK
 
 

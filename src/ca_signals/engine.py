@@ -43,17 +43,17 @@ while its diagonal stays the same.  ``CellScan`` is the one reader of
 whole slices: it evaluates one predicate per slice over per-axis
 coordinates (on a window, an open grid over its box) and builds cells only
 for its hits: the counter's wedge, the two-track planes, the product's
-marks and ``run(..., check=True)``.  Claims stream: ``run_probes`` feeds
-probes the live slice (or window) as it steps and retains nothing else.
-Only dumps retain: ``run`` keeps every slice the same stepper yields, for
-``simulate`` and loaded diagrams, and ``SpaceTimeDiagram.replay`` feeds
-probes its stored slices.
+marks and ``run_views(..., check=True)``.  Runs stream: ``run_probes`` feeds
+probes the live slice (or window) as it steps and retains nothing else,
+and ``simulate`` writes each view of ``run_views`` as it is stepped.  Only
+``run`` (the same views, kept for tests) and the dense oracle retain a
+whole diagram, a ``SpaceTimeDiagram``, which also holds a loaded dump; its
+``replay`` feeds probes the stored slices.
 
-A retained diagram's JSON dump (``json_chunks``) is written slice by slice,
-each slice one join of string fields gathered by fancy indexing from tables
-built once per dump: one entry per coordinate value up to the largest live
-|u_a| (doubled when outgrown) and one per state, so no field is formatted
-per cell.
+A dump (``json_chunks``) is written slice by slice, each slice one join of
+string fields gathered by fancy indexing from tables built once per dump:
+one entry per coordinate value up to the largest live |u_a| (doubled when
+outgrown) and one per state, so no field is formatted per cell.
 
 Coordinates are packed most-significant-axis-first with a per-axis bias, so
 numeric order of packed values equals lexicographic order of cells.
@@ -282,10 +282,8 @@ class SliceView:
 
 @dataclass
 class SpaceTimeDiagram:
-    """Fully retained run: one (packed cells, state codes) pair per slice.
-
-    Its JSON dump is written one slice at a time from ``json_chunks``.
-    """
+    """Fully retained run, one (packed cells, state codes) pair per slice:
+    ``run``'s, ``dense_run``'s or a loaded dump's."""
 
     ca: ImpulseCA
     slices: list[Slice]
@@ -312,40 +310,41 @@ class SpaceTimeDiagram:
             probe.observe(self.view(t))
         return probe
 
-    def json_chunks(self):
-        """Yield the compact JSON dump: ``[``, then ``{"t":T,"cells":[...]}``
-        per slice (``,``-prefixed after the first), then ``]``.  Symbols are
-        written unescaped, as ``json.dumps(..., ensure_ascii=False)`` does.
-
-        A slice is one join of its head and its cells' string fields, looked
-        up by fancy indexing in tables over the coordinates -m..m
-        (``_coord_tables``) and over the states; m, the largest live |u_a|
-        so far, doubles when a slice outgrows it."""
-        tail = np.array(['],"s":' + json.dumps(s, ensure_ascii=False) + "}"
-                         for s in self.ca.states], dtype=object)
-        m, (first, mid) = 0, _coord_tables(0)
-        yield "["
-        for t in range(self.horizon + 1):
-            coords, codes = self.view(t).grid()
-            need = max(int(np.abs(c).max(initial=0)) for c in coords)
-            if need > m:
-                m = max(need, 2 * m)
-                first, mid = _coord_tables(m)
-            fields = np.empty((len(codes), len(coords) + 1), dtype=object)
-            for a, c in enumerate(coords):
-                fields[:, a] = (mid if a else first)[c + m]
-            fields[:, -1] = tail[codes]
-            # every cell opens with its separating comma; the slice's head
-            # takes the first one's place, and the slice is one join
-            head = '%s{"t":%d,"cells":[' % ("," if t else "", t)
-            cells = fields.ravel().tolist() or [","]
-            cells[0] = head + cells[0][1:]
-            cells.append("]}")
-            yield "".join(cells)
-        yield "]"
-
     def dumps(self) -> str:
-        return "".join(self.json_chunks())
+        views = map(self.view, range(self.horizon + 1))
+        return "[" + "".join(json_chunks(self.ca, views)) + "]"
+
+
+def json_chunks(ca: ImpulseCA, views):
+    """Yield the compact JSON of each view's slice, ``{"t":T,"cells":[...]}``,
+    ``,``-prefixed after slice 0: the items of a dump's slice array.  Symbols
+    are written unescaped, as ``json.dumps(..., ensure_ascii=False)`` does.
+
+    A slice is one join of its head and its cells' string fields, looked up
+    by fancy indexing in tables over the coordinates -m..m
+    (``_coord_tables``) and over the states; m, the largest live |u_a| so
+    far, doubles when a slice outgrows it.  No view is kept past its
+    slice."""
+    tail = np.array(['],"s":' + json.dumps(s, ensure_ascii=False) + "}"
+                     for s in ca.states], dtype=object)
+    m, (first, mid) = 0, _coord_tables(0)
+    for view in views:
+        coords, codes = view.grid()
+        need = max(int(np.abs(c).max(initial=0)) for c in coords)
+        if need > m:
+            m = max(need, 2 * m)
+            first, mid = _coord_tables(m)
+        fields = np.empty((len(codes), len(coords) + 1), dtype=object)
+        for a, c in enumerate(coords):
+            fields[:, a] = (mid if a else first)[c + m]
+        fields[:, -1] = tail[codes]
+        # every cell opens with its separating comma; the slice's head
+        # takes the first one's place, and the slice is one join
+        head = '%s{"t":%d,"cells":[' % ("," if view.t else "", view.t)
+        cells = fields.ravel().tolist() or [","]
+        cells[0] = head + cells[0][1:]
+        cells.append("]}")
+        yield "".join(cells)
 
 
 def _coord_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,42 +448,57 @@ def _misplaced_select(ca: ImpulseCA):
     return select
 
 
-def _check_view(scan: CellScan, view: SliceView) -> None:
-    """Feed a ``_misplaced_select`` scan one view; CheckFailed on a hit."""
-    scan.observe(view)
-    if scan.found:
-        [(cell, t, _)] = scan.found
-        raise CheckFailed(_misplaced(cell, t, view.ca))
-
-
 def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
         check: bool = False) -> SpaceTimeDiagram:
-    """Simulate t = 0..steps inclusive, retaining every slice.
-
-    The budget bounds the retained sites, seed included, and is checked
-    after each step.  Raises OverflowHorizon when it runs out; the
-    exception carries the finished part as its ``partial`` attribute.
-    With ``check``, each retained slice is checked as it is stepped.
-    """
-    slices, total = [], 0
-    scan = CellScan(_misplaced_select(ca), cap=1)
+    """Simulate t = 0..steps inclusive, retaining every slice of
+    ``run_views``: OverflowHorizon carries the finished part as its
+    ``partial`` attribute."""
+    slices = []
     try:
-        for view in _sparse_views(ca, steps, budget):
-            total += view.n_sites
-            if view.t and total > budget:
-                raise OverflowHorizon(view.t - 1, budget)
+        for view in run_views(ca, steps, budget=budget, check=check):
             slices.append(view._sl)
-            if check:
-                _check_view(scan, view)
     except OverflowHorizon as exc:
         exc.partial = SpaceTimeDiagram(ca, slices, truncated=True)
         raise
     return SpaceTimeDiagram(ca, slices)
 
 
+def run_views(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
+              check: bool = False, dense: bool = False):
+    """The views of slices t = 0..steps that ``run`` retains and
+    ``simulate`` writes: the sparse stepper's or, with ``dense``, those of
+    ``dense_run``'s diagram.  The budget bounds the sites yielded so far,
+    seed included, and is checked before each slice is yielded; an
+    OverflowHorizon names the last slice yielded.  With ``check``, each
+    slice is checked before it is yielded."""
+    overflow = None
+    if dense:
+        try:
+            diag = dense_run(ca, steps, budget=budget)
+        except OverflowHorizon as exc:
+            diag, overflow = exc.partial, exc
+        views = map(diag.view, range(diag.horizon + 1))
+    else:
+        views = _sparse_views(ca, steps, budget)
+    total, scan = 0, CellScan(_misplaced_select(ca), cap=1)
+    for view in views:
+        total += view.n_sites
+        if view.t and total > budget:
+            raise OverflowHorizon(view.t - 1, budget)
+        if check:
+            scan.observe(view)
+            if scan.found:
+                [(cell, t, _)] = scan.found
+                raise CheckFailed(_misplaced(cell, t, ca))
+        yield view
+    if overflow is not None:
+        raise overflow
+
+
 def _sparse_views(ca: ImpulseCA, steps: int, budget: int):
-    """The sparse stepper, the one loop behind ``run`` and ``run_probes``:
-    a view of each slice t = 0..steps; the budget bounds each slice."""
+    """The sparse stepper, the one loop behind ``run_views`` and
+    ``run_probes``: a view of each slice t = 0..steps; the budget bounds
+    each slice."""
     _check_horizon(ca, steps)
     ev, ws = _Evaluator(ca), _Workspace()
     shifts = [_offset_shift(x, ca.dim) for x in ca.arg_order]
@@ -580,16 +594,15 @@ def run_probes(ca: ImpulseCA, steps: int, probes, *,
 # dense reference engine
 
 
-def dense_run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
-              check: bool = False) -> SpaceTimeDiagram:
+def dense_run(ca: ImpulseCA, steps: int, *,
+              budget: int = DEFAULT_SITE_BUDGET) -> SpaceTimeDiagram:
     """Reference simulation over the full dense cone.
 
     Recomputes every cell of the region [-t, t]^dim from the rule list via
     first-match apply.  Intentionally shares no stepping, candidate, or
     pruning logic with the sparse engine; only the storage container is
-    common so results compare directly.  The budget, its OverflowHorizon
-    with ``partial``, and ``check`` mean what they do for ``run``; the
-    retained slices are checked after the run.
+    common so results compare directly.  The budget and its OverflowHorizon
+    with ``partial`` mean what they do for ``run``.
     """
     _check_horizon(ca, steps)
     lam = ca.quiescent
@@ -621,10 +634,6 @@ def dense_run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
         codes = np.array([ca.state_code(s) for _, s in cells], dtype=np.uint8)
         slices.append((pack_cells(coords.reshape(-1, dim), dim), codes))
     diag = SpaceTimeDiagram(ca, slices, truncated=overflow is not None)
-    if check:
-        scan = CellScan(_misplaced_select(ca), cap=1)
-        for t in range(diag.horizon + 1):
-            _check_view(scan, diag.view(t))
     if overflow is not None:
         overflow.partial = diag
         raise overflow

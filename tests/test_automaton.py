@@ -8,7 +8,8 @@ from ca_signals import (LAMBDA, WILDCARD, AnyOf, ArityMismatch, ImpulseCA,
                         Literal, NotCoprime, NotTotal, QuiescentViolation,
                         Rule, RuleTable, RuleSyntaxError, UnknownState,
                         XNotSmallest, builtin_log2, builtin_quiescent,
-                        builtin_xy, merged_xy, parse_rules, serialize_rules)
+                        builtin_xy, merged_xy, parse_rules, run,
+                        serialize_rules)
 from ca_signals.automaton import MAX_STATES
 from ca_signals.lattice import Neighborhood
 
@@ -118,6 +119,24 @@ def test_merged_alphabet_is_shared():
         merged_xy(2, 4)
     with pytest.raises(ValueError):
         merged_xy(1, 2)  # shared alphabet degenerates, see docstring
+
+
+def _plane(diag, d: int) -> list[dict]:
+    """Per slice, the cells u with u_0 - u_1 = d, κ_i read as π_i."""
+    return [{u: s.replace("κ", "π") for u, s in diag.view(t).cells()
+             if u[0] - u[1] == d} for t in range(diag.horizon + 1)]
+
+
+def test_merged_keeps_the_first_track_only():
+    merged, two = run(merged_xy(2, 3), 100), run(builtin_xy(2, 3), 100)
+    pi = _plane(merged, 0)
+    assert pi == _plane(two, 0) and sum(map(len, pi)) > 100
+    kappa, want = _plane(merged, 2), _plane(two, 2)
+    first = next(t for t in range(101) if kappa[t] != want[t])
+    assert first == 77
+    assert {u for u in kappa[77].keys() | want[77].keys()
+            if kappa[77].get(u) != want[77].get(u)} == {(71, 69)}
+    assert kappa[77][(71, 69)] == "π_1" and (71, 69) not in want[77]
 
 
 def test_quiescent_builtin():

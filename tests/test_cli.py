@@ -9,10 +9,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import random
+import stat
 import sys
 import tempfile
+import threading
 import time
+import tracemalloc
 from datetime import datetime
 from pathlib import Path
 
@@ -90,13 +94,13 @@ def test_simulate_check_mode(capsys):
                                   "--steps", "40")[:2]
 
 
-def test_simulate_check_failure_exits_1(capsys, monkeypatch):
-    def bad_step(ca, sl, *_args):
-        # one live cell off the trellis parity class
-        return (engine.pack_cells(np.array([[0, 0]]), 2),
-                np.array([1], np.uint8))
+def _bad_step(ca, sl, *_args):
+    # one live cell off the trellis parity class
+    return (engine.pack_cells(np.array([[0, 0]]), 2), np.array([1], np.uint8))
 
-    monkeypatch.setattr(engine, "_step", bad_step)
+
+def test_simulate_check_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "_step", _bad_step)
     code, _, err = run_cli(capsys, "simulate", "--ca", "log2", "--steps", "2",
                            "--check")
     assert code == EXIT_FAIL
@@ -371,6 +375,113 @@ def test_full_size_dump_matches_the_benchmark_digest(tmp_path, monkeypatch):
             "--out", str(target)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(target.read_bytes()).hexdigest() == dump.digest
+
+
+def test_dump_retains_no_slice(tmp_path):
+    # retaining the whole diagram, as a dump once did, peaks at about 5 MB
+    target = tmp_path / "dump.json"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--ca", "log2", "--steps", "384",
+                     "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak <= 2 * 10**6
+
+
+@pytest.mark.parametrize("fault", ["check", "raise", "overflow"])
+def test_a_failed_dump_leaves_out_as_it_was(capsys, tmp_path, monkeypatch,
+                                            fault):
+    target = tmp_path / "dump.json"
+    target.write_bytes(b"kept\n")
+    argv = ["simulate", "--ca", "log2", "--steps", "64", "--out", str(target)]
+    if fault == "check":
+        monkeypatch.setattr(engine, "_step", _bad_step)
+        code, out, err = run_cli(capsys, *argv, "--check")
+        assert (code, out) == (EXIT_FAIL, "") and "parity-invalid" in err
+    elif fault == "raise":
+        step, seen = engine._step, []
+
+        def fail(*args):
+            seen.append(1)
+            if len(seen) == 5:
+                raise RuntimeError("step failed")
+            return step(*args)
+        monkeypatch.setattr(engine, "_step", fail)
+        with pytest.raises(RuntimeError, match="step failed"):
+            main(argv)
+    else:
+        wrapper = run_cli(capsys, *argv[:-2], "--budget", "50")[1]
+        assert run_cli(capsys, *argv, "--budget", "50")[0] == EXIT_OVERFLOW
+        assert target.read_text(encoding="utf-8") == wrapper
+    if fault != "overflow":
+        assert target.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["dump.json"]
+
+
+def test_a_bad_out_fails_before_the_first_step(
+        capsys, tmp_path, monkeypatch):
+    # a step of either engine would raise
+    monkeypatch.setattr(engine, "_step", None)
+    monkeypatch.setattr(engine, "dense_run", None)
+    for target in (tmp_path / "missing" / "dump.json", tmp_path):
+        for dense in ((), ("--dense",)):
+            code, out, err = run_cli(
+                capsys, "simulate", "--ca", "log2", "--steps", "8", *dense,
+                "--out", str(target))
+            assert (code, out) == (EXIT_CONFIG, "") and "error:" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_dump_out_keeps_what_opening_it_for_writing_keeps(capsys, tmp_path):
+    argv = ("simulate", "--ca", "log2", "--steps", "6")
+    want = run_cli(capsys, *argv)[1].encode("utf-8")
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    kept.chmod(0o640)
+    inode = kept.stat().st_ino
+    link, hard = tmp_path / "link.json", tmp_path / "hard.json"
+    link.symlink_to(kept)
+    os.link(kept, hard)
+    new = tmp_path / "new.json"
+    mask = os.umask(0o027)
+    try:
+        for out in (link, new):
+            assert run_cli(capsys, *argv, "--out", str(out))[:2] == (
+                EXIT_OK, "")
+    finally:
+        os.umask(mask)
+    # written in place: the inode, and with it every hard link, is kept
+    assert link.is_symlink() and kept.stat().st_ino == inode
+    assert kept.read_bytes() == hard.read_bytes() == want
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert new.read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hard.json", "kept.json", "link.json", "new.json"]
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "20"]],
+                         ids=["whole", "truncated"])
+def test_dump_out_copies_into_a_fifo_or_stdout(capfd, tmp_path, budget):
+    argv = ("simulate", "--ca", "log2", "--steps", "6", *budget)
+    code, want, _ = run_cli(capfd, *argv)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        assert run_cli(capfd, *argv, "--out", str(fifo))[0] == code
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive() and got == [want.encode("utf-8")]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+    # under capfd, fd 1 is an unlinked file: /dev/stdout writes into it
+    assert main([*argv, "--out", "/dev/stdout"]) == code
+    assert capfd.readouterr().out == want
 
 
 # --- render -------------------------------------------------------------------

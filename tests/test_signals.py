@@ -1,5 +1,6 @@
 """Signals: detection walks, followers, the product construction, anchors."""
 
+import itertools
 import json
 import random
 
@@ -151,11 +152,15 @@ def test_ilog_guard():
 
 
 def test_log_floor_property_to_1e6():
-    # b**l <= t+1 < b**(l+1), exercised with integer arithmetic only
+    # ilog(b, n) for every n = t + 1 <= 10**6 + 1 against the oracle
+    # b**l <= n < b**(l+1): the count of powers b**k <= n, in exact int64
+    n = np.arange(1, 10 ** 6 + 2)
     for b in (2, 6):
-        for t in range(10 ** 6 + 1):
-            l = ilog(b, t + 1)
-            assert b ** l <= t + 1 < b ** (l + 1)
+        got = np.fromiter(map(ilog, itertools.repeat(b), n.tolist()),
+                          dtype=np.int64, count=len(n))
+        powers = b ** np.arange(21, dtype=np.int64)
+        assert powers[-1] > n[-1]
+        assert np.array_equal(got, np.searchsorted(powers, n, "right") - 1)
 
 
 def test_anchor_inclusion_to_16384_on_the_window():
