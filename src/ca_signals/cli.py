@@ -18,15 +18,16 @@ non-integer CA_SIGNALS_MEM_BUDGET, is a configuration problem (exit 2).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import stat
 import sys
 import tempfile
 from datetime import datetime, timezone
-from functools import partial
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 from .analysis import (GapReport, check_cap, exact_periods,
@@ -122,12 +123,19 @@ def _dump(obj, args) -> str:
 
 
 def _emit(content, out: str | None) -> None:
-    """Write an iterable of text chunks to the file ``out``, or to stdout."""
-    if out:
-        with Path(out).open("w", encoding="utf-8") as fh:
-            fh.writelines(content)
-    else:
-        sys.stdout.writelines(content)
+    """Write an iterable of chunks to the file ``out``, or to stdout: text,
+    or a binary file (a spool) whose UTF-8 bytes from its position on are
+    copied into the stream's binary buffer."""
+    with (Path(out).open("w", encoding="utf-8") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for chunk in content:
+            if isinstance(chunk, str):
+                fh.write(chunk)
+            elif hasattr(fh, "buffer"):
+                fh.flush()
+                shutil.copyfileobj(chunk, fh.buffer)
+            else:   # a stand-in stdout, such as io.StringIO, takes text only
+                fh.write(chunk.read().decode("utf-8"))
 
 
 def _render_source(args, last: int | None = None):
@@ -166,9 +174,9 @@ def _check_out(out: str | None) -> None:
 
 
 def _emit_spool(spool, head: str, tail: str, out: str | None) -> None:
-    """Write head, the text spooled so far and tail through ``_emit``."""
+    """Write head, the bytes spooled so far and tail through ``_emit``."""
     spool.seek(0)
-    _emit(chain((head,), iter(partial(spool.read, 1 << 16), ""), (tail,)), out)
+    _emit((head, spool, tail), out)
 
 
 def cmd_simulate(args) -> int:
@@ -176,11 +184,11 @@ def cmd_simulate(args) -> int:
     _check_out(args.out)
     # slices are spooled as they are stepped and written only once the run
     # has ended, so a failed run writes nothing
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+    with tempfile.TemporaryFile() as spool:
         try:
-            spool.writelines(json_chunks(ca, run_views(
+            spool.writelines(map(str.encode, json_chunks(ca, run_views(
                 ca, args.steps, budget=budget, check=args.check,
-                dense=args.dense)))
+                dense=args.dense))))
         except OverflowHorizon as exc:
             # _dump writes the wrapper's bytes; the slices replace its null
             head, tail = _dump({"truncated": True, "budget": exc.budget,

@@ -21,8 +21,9 @@ Three engines, one per job:
   stepped: on axis a only multiples of g_a, the gcd of the (x + 1bar)_a
   (2 for trellis, 1 otherwise), can be live, and each step an axis grows
   to one step's spread past its highest live entry, capped at R.  The box
-  is one dense uint8 array, stepped with v shifted slice-adds of flat
-  codes and one table lookup.
+  is one dense uint8 array; a step builds its flat codes in Horner form
+  (per argument, codes *= n and one shifted slice-add), in the narrowest
+  unsigned dtype that holds n**v codes, and maps them with one ``take``.
 * ``dense_run``: a plain dict-of-cells reference engine that re-applies the
   rule list with first-match semantics, cell by cell.  It shares no stepping
   or pruning logic with the other two so it can cross-check them.
@@ -34,10 +35,11 @@ result, so no table is enumerated before the first step.
 Probes are the only way to read a diagram, and each observes one
 ``SliceView`` per time step.  A site u at time t is the letter of diagonal
 t*1bar - u, read through ``SliceView.diagonal_index`` and ``diagonals``:
-one gather from a window's box, one binary search of a sparse slice; a
-diagonal with a negative coordinate never enters the light cone and reads
-quiescent.  Sites fixed before stepping (digit and carry rows, ``w_site``,
-and diagonal words) are the columns of one ``DiagonalLetters``; a walker
+one gather from a window's box (a point past it reads quiescent), one
+binary search of a sparse slice; a diagonal with a negative coordinate
+never enters the light cone and reads quiescent.  Sites fixed before
+stepping (digit and carry rows, ``w_site``, and diagonal words) are the
+columns of one ``DiagonalLetters``; a walker
 (``signals.FollowProbe``) reads one site per step and keeps its index
 while its diagonal stays the same.  ``CellScan`` is the one reader of
 whole slices: it evaluates one predicate per slice over per-axis
@@ -125,10 +127,12 @@ def max_horizon(dim: int) -> int:
 class _Evaluator:
     """Maps flat neighbor codes to new state codes.
 
-    A neighbor tuple's flat code is sum codes[pos] * n**(v-1-pos).  The table
-    is applied the first time a code is met and the result cached: in a uint8
-    array over all n**v codes (255 marks a code not yet applied) when that
-    fits FLAT_ENUM_LIMIT, else in a dict.
+    A neighbor tuple's flat code is sum codes[pos] * n**(v-1-pos), held in
+    ``dtype``: the narrowest of uint8, uint16, uint32 and int64 that holds
+    all n**v codes.  The table is applied the first time a code is met and
+    the result cached: in a uint8 array over all n**v codes (255 marks a
+    code not yet applied), read with one ``take``, when that fits
+    FLAT_ENUM_LIMIT, else in a dict.
     """
 
     def __init__(self, ca: ImpulseCA):
@@ -142,6 +146,8 @@ class _Evaluator:
         self.ca = ca
         self.weights = np.array([n ** (v - 1 - pos) for pos in range(v)],
                                 dtype=np.int64)
+        self.dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.int64)
+                          if n ** v <= np.iinfo(d).max + 1)
         self.flat = (np.full(n ** v, 255, dtype=np.uint8)
                      if n ** v <= FLAT_ENUM_LIMIT else None)
         self.memo: dict[int, int] = {}
@@ -156,11 +162,11 @@ class _Evaluator:
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         flat = self.flat
         if flat is not None:
-            out = flat[codes]
+            out = flat.take(codes)
             if out.max(initial=0) == 255:
                 for c in set(codes[out == 255].tolist()):
                     flat[c] = self._apply(c)
-                out = flat[codes]
+                out = flat.take(codes)
             return out
         uniq, inv = np.unique(codes, return_inverse=True)
         res = np.empty(len(uniq), dtype=np.uint8)
@@ -215,8 +221,11 @@ class SliceView:
         the box flipped on every axis, quiescent entries included."""
         if self._window is not None:
             box = self._window[(slice(None, None, -1),) * self.ca.dim]
-            return np.ix_(*[np.arange(self.t - g * (n - 1), self.t + 1, g)
-                            for g, n in zip(self._stride, box.shape)]), box
+            ones = (1,) * box.ndim
+            return tuple(np.arange(self.t - g * (n - 1), self.t + 1, g)
+                         .reshape(ones[:a] + (n,) + ones[a + 1:])
+                         for a, (g, n) in enumerate(zip(self._stride,
+                                                        box.shape))), box
         return tuple(unpack_cells(self._sl[0], self.ca.dim).T), self._sl[1]
 
     def diagonal_index(self, points):
@@ -236,24 +245,28 @@ class SliceView:
                                     else off, dim) for i in points]
             return (np.array(shifts, dtype=np.int64),
                     int(_offset_shift((1,) * dim, dim)), 1 << (_bits(dim) - 1))
-        # the box of the points' extent, padded with one quiescent entry per
-        # axis: a diagonal off the stride or off the cone reads the last one
-        padded = [max(0, *c) // g + 2 for c, g in zip(zip(*points), stride)]
-        flat = []
-        for i in points:
+        # per axis, the box entry of each point, and each axis's largest;
+        # a point off the stride or below 0 reads entry 0, then quiescent
+        entries, off = [], []
+        for j, i in enumerate(points):
             if max(i) > reach and min(i) >= 0:
                 raise BeyondWindow(f"diagonal {i} lies past the window "
                                    f"[0, {reach}]^{dim}")
-            k = 0
-            for a, g, n in zip(i, stride, padded):
-                q, r = divmod(a, g)
-                if r or q < 0:
-                    k = math.prod(padded) - 1
+            q = []
+            for a, g in zip(i, stride):
+                k, r = divmod(a, g)
+                if r or k < 0:
+                    q = [0] * dim
+                    off.append(j)
                     break
-                k = k * n + q
-            flat.append(k)
-        return (np.array(flat, dtype=np.int64),
-                tuple(slice(n - 1) for n in padded), tuple(padded))
+                q.append(k)
+            entries += q
+        # plain lists: a numpy max over the axes here raised the peak RSS
+        # of a short run (verify_bounds) by about 0.1 MB
+        cols = [entries[a::dim] for a in range(dim)]
+        return (tuple(np.array(c, dtype=np.intp) for c in cols),
+                [max(c, default=-1) for c in cols],
+                np.array(off, dtype=np.intp) if off else None)
 
     def diagonals(self, index) -> np.ndarray:
         """The state codes on the diagonals of a ``diagonal_index``: one
@@ -267,11 +280,18 @@ class SliceView:
             pos = packed.searchsorted(keys)
             found = packed.take(pos, mode="clip") == keys
             return np.where(found, codes.take(pos, mode="clip"), 0)
-        flat, extent, padded = index
-        box = np.zeros(padded, dtype=np.uint8)
-        part = self._window[extent]
-        box[tuple(map(slice, part.shape))] = part
-        return box.take(flat)
+        qs, top, off = index
+        box = self._window
+        if all(map(int.__lt__, top, box.shape)):
+            codes = box[qs]
+        else:   # a point past the box is clipped into it, then zeroed
+            codes = box.take(np.ravel_multi_index(qs, box.shape, mode="clip"))
+            for q, t, n in zip(qs, top, box.shape):
+                if t >= n:
+                    codes[q >= n] = 0
+        if off is not None:
+            codes[off] = 0
+        return codes
 
     def cells(self):
         """(cell, symbol) of the non-quiescent cells in lexicographic order."""
@@ -515,24 +535,25 @@ def _window_views(ca: ImpulseCA, steps: int, reach: int, budget: int):
     """The window stepper: a view of the strided box of diagonals at
     t = 0..steps (see the module docstring).  Argument x of diagonal i is
     diagonal i - d with d = x + 1bar >= 0; an index below 0 lies off the
-    light cone and adds 0 (quiescent).  The budget bounds each box before
-    it is allocated."""
+    light cone and adds 0 (quiescent).  Codes are built in Horner form in
+    ``arg_order`` and the evaluator's ``dtype``, then looked up once.  The
+    budget bounds each box before it is allocated."""
     if reach < 0:
         raise ValueError(f"reach must be >= 0, got {reach}")
     if budget < 1:
         raise OverflowHorizon(-1, budget)
-    ev = _Evaluator(ca)
+    ev, n = _Evaluator(ca), len(ca.states)
     ds = [tuple(a + 1 for a in x) for x in ca.arg_order]
     # the seed is on diagonal 0, so only multiples of the gcd are ever live
     stride = tuple(math.gcd(*col) for col in zip(*ds))
     # entry j of the new box reads entry j - k of the old one, padded with
     # quiescent entries to the new box's shape
     adds, spread = [], [0] * ca.dim
-    for d, w in zip(ds, ev.weights):
+    for d in ds:
         k = [a // g for a, g in zip(d, stride)]
         spread = list(map(max, spread, k))
         adds.append((tuple(slice(a, None) for a in k),
-                     tuple(slice(None, -a or None) for a in k), w))
+                     tuple(slice(None, -a or None) for a in k)))
     cap = [reach // g + 1 for g in stride]
     growing = [a for a in range(ca.dim) if cap[a] > 1]
     window = np.zeros((1,) * ca.dim, dtype=np.uint8)
@@ -554,17 +575,17 @@ def _window_views(ca: ImpulseCA, steps: int, reach: int, budget: int):
                         grown[a] = min(cap[a], hi + spread[a] + 1)
                         break
             grown = tuple(grown)
-        if grown == shape:
-            wide = window.astype(np.int64)
-        else:
+        if grown != shape:
             if math.prod(grown) > budget:
                 raise OverflowHorizon(t, budget)
             growing = [a for a in growing if grown[a] < cap[a]]
-            wide = np.zeros(grown, dtype=np.int64)
+            wide = np.zeros(grown, dtype=np.uint8)
             wide[tuple(map(slice, shape))] = window
-        codes = np.zeros(grown, dtype=np.int64)
-        for dst, src, w in adds:
-            codes[dst] += wide[src] * w
+            window = wide
+        codes = np.zeros(grown, dtype=ev.dtype)
+        for dst, src in adds:
+            codes *= n
+            codes[dst] += window[src]
         window = ev.lookup(codes.ravel()).reshape(grown)
 
 
@@ -724,9 +745,11 @@ class CellScan:
         self.total += view.n_sites
         room = None if self.cap is None else self.cap - len(self.found)
         live = np.logical_and(self.select(coords, codes, view.t), codes)
-        hits = tuple(i[:room] for i in np.nonzero(live))
-        if not hits[0].size:
+        # count_nonzero, not any(): that reduction over a window's flipped
+        # box raised the counter's peak RSS by about 0.1 MB
+        if room == 0 or not np.count_nonzero(live):
             return
+        hits = tuple(i[:room] for i in np.nonzero(live))
         # an array of a window's open grid is 1 long on all but its own axis
         cells = zip(*[(c if c.shape == codes.shape else
                        np.broadcast_to(c, codes.shape))[hits].tolist()

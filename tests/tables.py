@@ -22,7 +22,7 @@ def random_impulse_ca(rng: random.Random, n_states: int | None = None,
         else TRELLIS2_ORDER
     v = len(order)
     n = n_states if n_states is not None else rng.randint(2, max_states)
-    states = (LAMBDA,) + tuple("ABCDEFGH"[:n - 1])
+    states = (LAMBDA,) + tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n - 1])
     rules = [Rule((Literal(LAMBDA),) * v, LAMBDA)]
     for _ in range(rng.randint(0, 8)):
         pat = [WILDCARD] * v

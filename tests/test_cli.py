@@ -136,6 +136,25 @@ def test_simulate_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())[-1]["t"] == 4
 
 
+def test_simulate_writes_the_same_text_to_any_stdout(capsys, tmp_path):
+    """The spooled bytes reach stdout's binary buffer, a stand-in stdout
+    with no buffer (``io.StringIO``) and ``--out`` as the same text, with
+    its two-byte symbols, for a whole dump of more than one 64 KiB read and
+    a truncated one."""
+    for budget, rc in ((), EXIT_OK), (("--budget", "2500"), EXIT_OVERFLOW):
+        argv = ("simulate", "--ca", "xy:2,3", "--steps", "600", *budget)
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == rc and len(want.encode()) > 1 << 16 and "π" in want
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(list(argv)) == rc
+        assert text.getvalue() == want
+        target = tmp_path / "dump.json"
+        assert run_cli(capsys, *argv, "--out", str(target))[:2] == (rc, "")
+        assert target.read_bytes() == want.encode()
+
+
 def test_simulate_budget_overflow_keeps_prefix(capsys):
     code, out, err = run_cli(capsys, "simulate", "--ca", "log2",
                              "--steps", "64", "--budget", "50")

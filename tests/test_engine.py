@@ -4,6 +4,7 @@ import contextlib
 import copy
 import json
 import random
+from collections import Counter
 from itertools import product
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from ca_signals.engine import (FLAT_ENUM_LIMIT, diagonal_start, pack_cells,
                                unpack_cells)
 from ca_signals.lattice import KINDS, Neighborhood, offsets
 
+from boxreads import ix_grid, padded_diagonals
 from coordscan import CoordScan
 from sites import letter_at
 from tables import random_impulse_ca
@@ -224,6 +226,126 @@ def test_sparse_equals_dense_on_random_tables(kind, dim, steps, max_states,
     assert any(varied), "no table shows two distinct live states"
     # a walk that reads only quiescent cells reads no table's letters
     assert any(walked), "no follower reads a live cell after t = 0"
+
+
+# (states, code dtype, need) of a 2-D trellis table, v = 4 arguments, at
+# each boundary of the window's code widths: 4**4 = 256 and 16**4 = 65,536
+# codes fill uint8 and uint16, 5 and 17 states need the next width.  The
+# largest code the run meets must reach ``need``: past the signed range of
+# the width at its top, past the narrower width above it.
+CODE_WIDTHS = [(4, np.uint8, 128), (5, np.uint16, 256),
+               (16, np.uint16, 32768), (17, np.uint32, 65536)]
+
+
+@pytest.mark.parametrize("n_states,dtype,need", CODE_WIDTHS,
+                         ids=[str(n) for n, *_ in CODE_WIDTHS])
+def test_window_code_widths_match_dense_run(n_states, dtype, need,
+                                            monkeypatch):
+    """The window builds its flat codes in the narrowest unsigned dtype
+    that holds n**v codes, whichever evaluator maps them, and its run
+    agrees with ``dense_run`` letter for letter, cell for cell."""
+    steps = 10
+    ca = random_impulse_ca(random.Random(4), n_states=n_states,
+                           neigh=Neighborhood("trellis", 2))
+    follower = _random_follower(random.Random(20261020), ca)
+    dense = dense_run(ca, steps)
+    lookup, met = engine._Evaluator.lookup, []
+
+    def recorded(self, codes):
+        met.append((codes.dtype, int(codes.max(initial=0))))
+        return lookup(self, codes)
+
+    for limit in (FLAT_ENUM_LIMIT, 0):
+        monkeypatch.setattr(engine, "FLAT_ENUM_LIMIT", limit)
+        with monkeypatch.context() as m:
+            m.setattr(engine._Evaluator, "lookup", recorded)
+            met.clear()
+            run_probes(ca, steps, [], reach=2 * steps)
+        assert {d for d, _ in met} == {np.dtype(dtype)}, limit
+        assert max(c for _, c in met) >= need, limit
+        _assert_window_matches(ca, dense, steps, follower)
+
+
+# (kind, dim, steps, reach): trellis boxes are strided (stride 2 on every
+# axis); a reach below 2 * steps caps the box before the run ends
+WINDOW_READS = [("trellis", 1, 12, 9), ("trellis", 2, 10, 7),
+                ("trellis", 3, 6, 5), ("von_neumann", 2, 8, 5),
+                ("moore", 3, 4, 3)]
+
+
+def _window_read_cases():
+    """Per WINDOW_READS row, four random tables and the reaches 2 * steps
+    (the whole light cone) and ``reach``."""
+    rng = random.Random(20261021)
+    for kind, dim, steps, reach in WINDOW_READS:
+        for _ in range(4):
+            ca = random_impulse_ca(rng, max_states=3,
+                                   neigh=Neighborhood(kind, dim))
+            for r in (2 * steps, reach):
+                yield ca, steps, r
+
+
+class _ViewCheck:
+    """Probe that runs ``check(view)`` on each window view and keeps which
+    views had a strided box and which a box capped on some axis."""
+
+    def __init__(self, check):
+        self.check, self.strided, self.capped = check, False, False
+
+    def observe(self, view):
+        self.check(view)
+        self.strided |= max(view._stride) > 1
+        self.capped |= any(n == view._reach // g + 1 for g, n
+                           in zip(view._stride, view._window.shape))
+
+
+def test_window_grid_equals_the_ix_grid():
+    """``SliceView.grid()`` on a window is the ``np.ix_`` open grid, axis
+    by axis in value, dtype and shape, over the same flipped box, in dims
+    1-3, on strided and capped boxes."""
+    def check(view):
+        coords, box = view.grid()
+        want, want_box = ix_grid(view)
+        assert len(coords) == len(want) == view.ca.dim
+        for c, w in zip(coords, want):
+            assert c.dtype == w.dtype == np.int64
+            assert c.shape == w.shape and np.array_equal(c, w)
+        assert np.array_equal(box, want_box)
+
+    probes = []
+    for ca, steps, reach in _window_read_cases():
+        probes.append(_ViewCheck(check))
+        run_probes(ca, steps, probes[-1:], reach=reach)
+    assert any(p.strided and p.capped for p in probes)
+    assert {p.strided for p in probes} == {p.capped for p in probes} == {
+        True, False}
+
+
+def test_window_gather_equals_the_padded_copy():
+    """The window's gather, which clips each point into the current box,
+    reads what the padded-copy gather reads: every diagonal of [-2, R]^dim
+    at once (points off the stride, below 0 and past the current box among
+    them) and, on its own, each fourth of them from a step-dependent
+    start."""
+    kinds = Counter()
+
+    def check(view):
+        points = list(product(range(-2, view._reach + 1), repeat=view.ca.dim))
+        got = view.diagonals(view.diagonal_index(points))
+        assert np.array_equal(got, padded_diagonals(view, points))
+        for i in points[view.t % 4::4]:     # a quarter of them, in turn
+            one = view.diagonals(view.diagonal_index([i]))
+            assert np.array_equal(one, padded_diagonals(view, [i]))
+            off = min(i) < 0 or any(a % g for a, g in zip(i, view._stride))
+            past = not off and any(a // g >= n for a, g, n in zip(
+                i, view._stride, view._window.shape))
+            kinds["below 0" if min(i) < 0 else "off the stride" if off
+                  else "past the box" if past else "in the box"] += 1
+        assert view.diagonals(view.diagonal_index([])).shape == (0,)
+
+    for ca, steps, reach in _window_read_cases():
+        run_probes(ca, steps, [_ViewCheck(check)], reach=reach)
+    assert len(kinds) == 4
 
 
 def test_window_reads(log2_diag):
