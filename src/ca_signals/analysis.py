@@ -10,8 +10,10 @@ generates: a length-H observation confirms an eventual period only under an
 evidence policy (``_decompose``), and returns NotPeriodicWithin(H) rather
 than guess.
 
-Scans over every live cell of a slice (the two-track planes among them)
-are ``engine.CellScan`` probes, built where each claim is checked.
+Scans over every live cell of a slice are ``engine.CellScan`` probes,
+built where each claim is checked; the two-track planes are proven from
+the rule table and scanned only when that proof fails
+(``engine.scan_never_fires``).
 """
 
 from __future__ import annotations

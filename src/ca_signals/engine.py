@@ -35,17 +35,23 @@ result, so no table is enumerated before the first step.
 Probes are the only way to read a diagram, and each observes one
 ``SliceView`` per time step.  A site u at time t is the letter of diagonal
 t*1bar - u, read through ``SliceView.diagonal_index`` and ``diagonals``:
-one gather from a window's box (a point past it reads quiescent), one
-binary search of a sparse slice; a diagonal with a negative coordinate
-never enters the light cone and reads quiescent.  Sites fixed before
-stepping (digit and carry rows, ``w_site``, and diagonal words) are the
-columns of one ``DiagonalLetters``; a walker
-(``signals.FollowProbe``) reads one site per step and keeps its index
-while its diagonal stays the same.  ``CellScan`` is the one reader of
-whole slices: it evaluates one predicate per slice over per-axis
-coordinates (on a window, an open grid over its box) and builds cells only
-for its hits: the counter's wedge, the two-track planes, the product's
-marks and ``run_views(..., check=True)``.  Runs stream: ``run_probes`` feeds
+one gather from a window's box, one binary search of a sparse slice.  A
+window index keeps one gather per box shape clipped to its points' extent,
+so a run builds one for each of the few shapes it meets; a point past the
+box, like a diagonal with a negative coordinate (never in the light cone),
+reads quiescent.  Sites fixed before stepping (digit and carry rows,
+``w_site``, and diagonal words) are the columns of one
+``DiagonalLetters``; a walker (``signals.FollowProbe``) reads one site per
+step and keeps its index while its diagonal stays the same.  ``CellScan``
+is the one reader of whole slices: it evaluates one predicate per slice
+over per-axis coordinates (on a window, an open grid over its box) and
+builds cells only for its hits: the product's marks and
+``run_views(..., check=True)``, and the counter's wedge and the two-track
+planes only where the rule table does not prove them.  Beside it,
+``scan_never_fires`` proves from the rule table, by induction over t, that
+a scan's predicate never marks a live cell, in one batched predicate call
+and a few hundred table lookups; a proven check steps a ``SiteCount``,
+which only counts the live cells.  Runs stream: ``run_probes`` feeds
 probes the live slice (or window) as it steps and retains nothing else,
 and ``simulate`` writes each view of ``run_views`` as it is stepped.  Only
 ``run`` (the same views, kept for tests) and the dense oracle retain a
@@ -245,8 +251,9 @@ class SliceView:
                                     else off, dim) for i in points]
             return (np.array(shifts, dtype=np.int64),
                     int(_offset_shift((1,) * dim, dim)), 1 << (_bits(dim) - 1))
-        # per axis, the box entry of each point, and each axis's largest;
-        # a point off the stride or below 0 reads entry 0, then quiescent
+        # per axis, the box entry of each point and the axis's end, one past
+        # the largest; a point off the stride or below 0 reads entry 0, then
+        # quiescent
         entries, off = [], []
         for j, i in enumerate(points):
             if max(i) > reach and min(i) >= 0:
@@ -265,8 +272,8 @@ class SliceView:
         # of a short run (verify_bounds) by about 0.1 MB
         cols = [entries[a::dim] for a in range(dim)]
         return (tuple(np.array(c, dtype=np.intp) for c in cols),
-                [max(c, default=-1) for c in cols],
-                np.array(off, dtype=np.intp) if off else None)
+                [max(c, default=-1) + 1 for c in cols],
+                np.array(off, dtype=np.intp) if off else None, {})
 
     def diagonals(self, index) -> np.ndarray:
         """The state codes on the diagonals of a ``diagonal_index``: one
@@ -280,17 +287,18 @@ class SliceView:
             pos = packed.searchsorted(keys)
             found = packed.take(pos, mode="clip") == keys
             return np.where(found, codes.take(pos, mode="clip"), 0)
-        qs, top, off = index
+        qs, ends, off, gathers = index
         box = self._window
-        if all(map(int.__lt__, top, box.shape)):
-            codes = box[qs]
-        else:   # a point past the box is clipped into it, then zeroed
-            codes = box.take(np.ravel_multi_index(qs, box.shape, mode="clip"))
-            for q, t, n in zip(qs, top, box.shape):
-                if t >= n:
-                    codes[q >= n] = 0
-        if off is not None:
-            codes[off] = 0
+        # the gather depends on the box only through its shape clipped to
+        # the points' ends, which changes on a few steps of a run
+        clipped = tuple(map(min, ends, box.shape))
+        gather = gathers.get(clipped)
+        if gather is None:
+            gather = gathers[clipped] = _box_gather(qs, ends, off, clipped)
+        qs, zero = gather
+        codes = box[qs]
+        if zero is not None:
+            codes[zero] = 0
         return codes
 
     def cells(self):
@@ -298,6 +306,27 @@ class SliceView:
         scan = CellScan(lambda *_: True)
         scan.observe(self)
         return ((u, s) for u, _, s in scan.found)
+
+
+def _box_gather(qs, ends, off, shape):
+    """A window gather of the points with per-axis box entries ``qs`` and
+    ends ``ends`` from a box clipped to ``shape``: the entries clipped into
+    the box, and the points that read quiescent, those ``off`` the stride
+    or below 0 and those past the box (None if there are none)."""
+    if shape == tuple(ends):
+        return qs, off
+    zero = np.zeros(len(qs[0]), dtype=bool)
+    if off is not None:
+        zero[off] = True
+    clipped = []
+    for q, e, n in zip(qs, ends, shape):
+        if n < e:
+            past = q >= n
+            zero[past] = True
+            q = q.copy()
+            q[past] = n - 1
+        clipped.append(q)
+    return tuple(clipped), zero
 
 
 @dataclass
@@ -757,6 +786,94 @@ class CellScan:
         states = view.ca.states
         self.found += [(u, view.t, states[s])
                        for u, s in zip(cells, codes[hits].tolist())]
+
+
+class SiteCount:
+    """``total`` and ``found`` of a ``CellScan`` whose select is proven
+    never to fire (``scan_never_fires``): it only counts the live cells."""
+
+    found = ()
+
+    def __init__(self):
+        self.total = 0
+
+    def observe(self, view):
+        self.total += view.n_sites
+
+
+PROOF_STEPS = 6     # the classes scan_never_fires collects, t = 1..6
+
+
+def scan_never_fires(ca: ImpulseCA, select) -> bool:
+    """True when the rule table proves that ``CellScan(select)`` finds no
+    cell on any run of ``ca``, at every t; False when the proof fails.
+
+    Cell u may hold λ at t, and a live code c only where ``select(u, c, t)``
+    is false: its allowed set.  That holds for the seed slice if the seed
+    is allowed at the origin.  It holds at t if it held at t - 1 and the
+    table sends every assignment of allowed states to a cell's arguments
+    into the cell's own allowed set; so the proof applies the table to each
+    assignment of each class of a cell, the allowed sets of the cell at t
+    and of its arguments at t - 1 (``_scan_classes``).  Cells off the light
+    cone hold λ, so the classes of [-t-1, t+1]^dim for t = 1..PROOF_STEPS
+    stand for every t when each class of a later t is among them.  They are
+    for the selects the claims pass (``verification``): the counter's wedge
+    and the two-track planes mark a cell by its parity and by which side of
+    a constant each of a few linear forms in (u, t) lies on (b - a, a - t
+    and b + t; a - b), and an argument moves each form by at most 2, so
+    once t is past those constants every class recurs (from t = 3 for the
+    wedge and t = 1 for the planes).  A test checks that the classes of
+    t <= 4*PROOF_STEPS are among them."""
+    dim, n = ca.dim, len(ca.states)
+    seed = ca.state_code(ca.seed)
+    origin = (np.zeros(1, dtype=np.int64),) * dim
+    if seed and np.count_nonzero(select(origin, np.array([seed]), 0)):
+        return False
+    full = (1 << (n - 1)) - 1
+    need = {}
+    for own, *args in _scan_classes(ca, select, range(1, PROOF_STEPS + 1)):
+        if own == full:
+            continue
+        for tup in product(*[[0] + [c for c in range(1, n) if a >> (c - 1) & 1]
+                             for a in args]):
+            need[tup] = need.get(tup, full) & own
+    states = ca.states
+    for tup, own in need.items():
+        c = ca.state_code(ca.table.apply(tuple(states[c] for c in tup)))
+        if c and not own >> (c - 1) & 1:
+            return False
+    return True
+
+
+def _scan_classes(ca: ImpulseCA, select, times: range) -> set[tuple]:
+    """The classes of the cells of [-t-1, t+1]^dim at each t in ``times``:
+    the allowed set of the cell at t and those of its arguments (in
+    ``arg_order``) at t - 1, each the mask of its allowed live codes, bit
+    c - 1 for code c.  One batched ``select`` over t, codes and the box
+    [-m, m]^dim that holds every argument gives them all."""
+    dim, n = ca.dim, len(ca.states)
+    lo, m = times.start - 1, times.stop + 1
+    span = np.arange(-m, m + 1)
+    shape = (len(times) + 1, n - 1) + (2 * m + 1,) * dim
+    coords = tuple(span.reshape((1,) * (2 + a) + (-1,) + (1,) * (dim - a - 1))
+                   for a in range(dim))
+    codes = np.arange(1, n).reshape((1, -1) + (1,) * dim)
+    ts = np.arange(lo, times.stop).reshape((-1,) + (1,) * (dim + 1))
+    allowed = ~np.broadcast_to(select(coords, codes, ts), shape)
+    # per t and cell, the nb bytes of its mask, little end first
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    nb = packed.shape[1]
+    raw = set()
+    for t in times:
+        # the cell at t, then each argument x at t - 1, over [-t-1, t+1]^dim
+        e, at = t + 1, [(t, (0,) * dim)] + [(t - 1, x) for x in ca.arg_order]
+        parts = [packed[s - lo][(slice(None),) + tuple(
+            slice(m - e + x, m + e + 1 + x) for x in xs)] for s, xs in at]
+        raw.update(zip(*[row for p in parts
+                         for row in p.reshape(nb, -1).tolist()]))
+    return {tuple(int.from_bytes(bytes(cls[k:k + nb]), "little")
+                  for k in range(0, len(cls), nb)) for cls in raw}
+
 
 
 class DiagonalLetters:

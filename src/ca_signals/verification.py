@@ -15,11 +15,14 @@ counter in a box of 12 by 1,038 strided entries); the period bounds,
 stopped at the first repeat of their joint state; ``verify_basic``'s
 counter walk, up to its highest anchor's diagonal; and ``verify_xy``'s
 merged walk, up to the largest diagonal the two-track walk reads.  The
-checks over every live cell (the counter's wedge, the two-track planes,
-the product's marks) are each one ``CellScan`` with a numpy predicate over
-the window box's open grid.  Walks are ``FollowProbe``s, a detection walk
-under its partition's one-state follower.  ``verify_basic``'s random
-followers are not stepped.
+counter's wedge and the two-track planes are proven for every t from the
+rule table before stepping (``engine.scan_never_fires``), and the run then
+only counts live cells; where the proof fails, each is one ``CellScan``
+with a numpy predicate over the window box's open grid, which names the
+cells off the wedge or plane, as the product's marks always are.  Either
+way the reach stays the whole light cone and the report is the same.
+Walks are ``FollowProbe``s, a detection walk under its partition's
+one-state follower.  ``verify_basic``'s random followers are not stepped.
 
 Each digit, carry or two-track row is spelled by one ``DiagonalLetters`` per
 claim, as its digits and their quiescent end: a row that does not read
@@ -40,7 +43,8 @@ from . import analysis
 from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, cycle_lens, gap_probe,
                        is_basic, verify_period_bounds)
 from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
-from .engine import DEFAULT_SITE_BUDGET, CellScan, DiagonalLetters, w_site
+from .engine import (DEFAULT_SITE_BUDGET, CellScan, DiagonalLetters, SiteCount,
+                     scan_never_fires, w_site)
 from .errors import BeyondWindow, NotCoprime, XNotSmallest
 from .lattice import Neighborhood, offsets
 from .signals import (Follower, FollowProbe, Signal, follower_for_xy,
@@ -114,6 +118,17 @@ def _digits(n: int, base: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the scans over every live cell, proven from the rule table
+
+
+def _proven_scan(ca: ImpulseCA, scan: CellScan) -> CellScan | SiteCount:
+    """The probe of a claim's check over every live cell: a ``SiteCount``
+    when the rule table proves that ``scan``'s select never fires, else
+    ``scan``, which names the cells it marks.  Both report alike."""
+    return SiteCount() if scan_never_fires(ca, scan.select) else scan
+
+
+# ---------------------------------------------------------------------------
 # binary counter
 
 
@@ -132,7 +147,8 @@ def verify_log2(steps: int, *, seed: int = 7,
     ``steps`` so that every digit row k <= steps ends inside it.  The run
     steps the diagonal window with the whole light cone as its reach, so
     ``budget`` bounds the box of diagonals each step holds, and the
-    live-region scan still sees every live cell.  The sampled carry rows
+    live-region check counts every live cell, and scans them where the rule
+    table does not prove the wedge.  The sampled carry rows
     depend only on ``seed`` and ``steps``, so they are drawn before
     stepping.
     """
@@ -158,7 +174,7 @@ def verify_log2(steps: int, *, seed: int = 7,
 
     walk = FollowProbe(ca, log2_partition().follower(ca), steps)
     letters = DiagonalLetters(d for row in sites() for d, _ in row)
-    region = CellScan(_off_wedge, cap=MISMATCH_CAP)
+    region = _proven_scan(ca, CellScan(_off_wedge, cap=MISMATCH_CAP))
     analysis.run_probes(ca, horizon, [walk, letters, region], budget=budget,
                         reach=2 * horizon)
     read = {(k, l): "".join(row)
@@ -233,7 +249,7 @@ def _plane_scan(ca: ImpulseCA) -> CellScan:
                     coords[0] - coords[1] != plane[codes], cap=1)
 
 
-def _plane_check(scan: CellScan) -> Check:
+def _plane_check(scan: CellScan | SiteCount) -> Check:
     """The plane-discipline line of a finished ``_plane_scan``."""
     if not scan.found:
         return Check("plane-discipline", True,
@@ -250,7 +266,8 @@ def verify_xy(x: int, y: int, steps: int, *,
     """Follower anchors, CRT digit readout, plane discipline, the product
     construction, and the merged single-track variant, each automaton in
     one streamed run on the diagonal window: the two-track and product runs
-    with the whole light cone as their reach, so the plane and mark scans
+    with the whole light cone as their reach, so the plane check (a scan
+    only where the rule table does not prove the planes) and the mark scan
     see every live cell and ``budget`` bounds the box each step holds."""
     if steps < 4:
         raise ValueError("need steps >= 4")
@@ -272,7 +289,7 @@ def verify_xy(x: int, y: int, steps: int, *,
                 for k in rows for l in (0, 1))
 
     letters = DiagonalLetters(d for row in sites() for d, _ in row)
-    planes = _plane_scan(ca)
+    planes = _proven_scan(ca, _plane_scan(ca))
     analysis.run_probes(ca, steps, [walk, letters, planes], budget=budget,
                         reach=2 * steps)
 

@@ -348,6 +348,28 @@ def test_window_gather_equals_the_padded_copy():
     assert len(kinds) == 4
 
 
+def test_window_gather_keeps_one_index_across_box_shapes():
+    """One index, built on the first view and kept for the whole run as
+    ``DiagonalLetters`` keeps it, gathers what the padded copy reads at
+    every step, while the box grows past the points on some steps and not
+    on others."""
+    runs = []
+
+    def check(view):
+        if view.t == 0:
+            check.index = view.diagonal_index(points)
+        assert np.array_equal(view.diagonals(check.index),
+                              padded_diagonals(view, points))
+
+    for ca, steps, reach in _window_read_cases():
+        points = list(product(range(-1, reach // 2 + 2), repeat=ca.dim))
+        run_probes(ca, steps, [_ViewCheck(check)], reach=reach)
+        # the gathers the run built, one per box shape clipped to the points
+        runs.append((len(check.index[-1]), steps + 1))
+    assert all(1 < built <= views for built, views in runs)
+    assert any(built < views for built, views in runs)
+
+
 def test_window_reads(log2_diag):
     """A window view reads quiescent on a diagonal below 0, off the light
     cone; a diagonal past the reach raises instead of reading quiescent,

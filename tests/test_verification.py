@@ -14,12 +14,14 @@ from ca_signals import (LAMBDA, BeyondWindow, CellScan, DiagonalLetters,
                         builtin_xy, dense_run, diagram_from_json_obj,
                         merged_xy, run, run_probes, same_run, verification,
                         verify_basic, verify_bounds, verify_log2, verify_xy)
+from ca_signals import engine
 from ca_signals.engine import SpaceTimeDiagram
 from ca_signals.lattice import Neighborhood, offsets
 from ca_signals.verification import (MISMATCH_CAP, Check, VerifyReport,
                                      _off_wedge, _plane_check, _plane_scan,
                                      random_follower)
 
+import mutants
 from tables import random_impulse_ca
 
 # canonical report digests, the same as the benchmark's pinned outputs
@@ -362,3 +364,90 @@ def test_region_probe_keeps_no_more_than_a_report_shows():
     assert scan.total > 10 * MISMATCH_CAP
     assert len(scan.found) == MISMATCH_CAP
     assert scan.found[0] == ((-1, 1), 1, "1")
+
+
+# --- the rule-table proof that a claim's scan finds nothing ------------------
+
+PROVEN = [builtin_log2(), builtin_xy(2, 3), builtin_xy(3, 4), builtin_xy(2, 5),
+          builtin_xy(5, 7)]
+
+
+def _select(ca):
+    """The select of the claim's scan over every live cell of ``ca``."""
+    return _off_wedge if ca.name == "log2" else _plane_scan(ca).select
+
+
+def _report_text(rep) -> tuple[str, list[str]]:
+    return (json.dumps(rep.to_json_obj(), sort_keys=True, ensure_ascii=False),
+            list(rep.lines()))
+
+
+@pytest.mark.parametrize("ca", PROVEN, ids=lambda ca: ca.name)
+def test_proof_classes_recur(ca):
+    """The classes the proof checks, t <= PROOF_STEPS, hold every class of
+    a later t up to 4 * PROOF_STEPS, and the proof holds."""
+    k, select = engine.PROOF_STEPS, _select(ca)
+    early = engine._scan_classes(ca, select, range(1, k + 1))
+    later = engine._scan_classes(ca, select, range(k + 1, 4 * k + 1))
+    assert later <= early
+    assert engine.scan_never_fires(ca, select)
+
+
+def test_proof_fails_on_the_hand_picked_entries():
+    """The entries (λ, λ, λ, 1) -> 1 of the counter and (λ, λ, λ, π_1) -> π_1
+    of the two-track counter, which the live-region and plane-discipline
+    scans catch, break the proof."""
+    for base, live in [(builtin_log2(), "1"), (builtin_xy(2, 3), "π_1")]:
+        lit = dict(zip(base.states, (Literal(s) for s in base.states)))
+        entry = Rule((lit[LAMBDA],) * 3 + (lit[live],), live)
+        broken = dataclasses.replace(
+            base, table=RuleTable((entry,) + base.table.rules))
+        assert engine.scan_never_fires(base, _select(base))
+        assert not engine.scan_never_fires(broken, _select(broken))
+
+
+def _gate_keeps_reports(monkeypatch, make, claim, cas) -> int:
+    """Each automaton's report is the same with the proof as with the scan
+    alone; returns how many were proven."""
+    proven = 0
+    for ca in cas:
+        monkeypatch.setattr(verification, make, lambda *_: ca)
+        gated = _report_text(claim())
+        if engine.scan_never_fires(ca, _select(ca)):
+            proven += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(verification, "scan_never_fires", lambda *_: False)
+                assert _report_text(claim()) == gated, ca.table.tup
+    return proven
+
+
+def test_proof_never_changes_a_counter_report(monkeypatch):
+    claim = lambda: verify_log2(128)
+    tups = mutants.applied(monkeypatch, builtin_log2(), claim)
+    assert len(tups) == 28
+    cas = list(mutants.mutants(builtin_log2(), tups))
+    assert len(cas) == 54
+    assert 0 < _gate_keeps_reports(monkeypatch, "builtin_log2", claim,
+                                   cas) < len(cas)
+
+
+def test_proof_never_changes_a_two_track_report(monkeypatch):
+    claim = lambda: verify_xy(2, 3, 60)
+    tups = mutants.applied(monkeypatch, builtin_xy(2, 3), claim)
+    assert len(tups) == 71
+    cas = list(mutants.mutants(builtin_xy(2, 3), tups))
+    assert len(cas) == 490
+    sample = random.Random(24).sample(cas, 40)
+    assert 0 < _gate_keeps_reports(monkeypatch, "builtin_xy", claim,
+                                   sample) < len(sample)
+
+
+def test_scans_find_nothing_where_the_proof_holds():
+    """The wedge and plane scans, run as oracles at the shipped sizes on the
+    window, find nothing and count what a ``SiteCount`` counts."""
+    for ca, steps in zip(PROVEN, (2048, 1500)):
+        assert engine.scan_never_fires(ca, _select(ca))
+        scan, count = CellScan(_select(ca)), engine.SiteCount()
+        run_probes(ca, steps, [scan, count], reach=2 * steps)
+        assert not scan.found
+        assert scan.total == count.total > steps
