@@ -12,7 +12,7 @@ checks, and ``cli`` exposes everything as a command line.
 
 from .analysis import (GapReport, NotPeriodicWithin, PeriodDecomposition,
                        SearchReport, exact_periods, exhaustive_two_state_search,
-                       gap_probe, is_basic, verify_period_bounds)
+                       gap_probe, is_basic)
 from .automaton import (LAMBDA, WILDCARD, AnyOf, ImpulseCA, Literal, Rule,
                         RuleTable, builtin_log2, builtin_quiescent, builtin_xy,
                         merged_xy, parse_rules, serialize_rules)
@@ -50,6 +50,5 @@ __all__ = [
     "log2_partition", "log_anchor_signal", "max_horizon", "merged_xy",
     "offsets", "parse_move_partition", "parse_rules", "product_construct",
     "run", "run_probes", "same_run", "serialize_rules", "verify_basic",
-    "verify_bounds", "verify_log2", "verify_period_bounds", "verify_xy",
-    "w_site",
+    "verify_bounds", "verify_log2", "verify_xy", "w_site",
 ]

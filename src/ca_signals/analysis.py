@@ -9,11 +9,6 @@ The window is for ``is_basic`` only, whose move word no automaton state
 generates: a length-H observation confirms an eventual period only under an
 evidence policy (``_decompose``), and returns NotPeriodicWithin(H) rather
 than guess.
-
-Scans over every live cell of a slice are ``engine.CellScan`` probes,
-built where each claim is checked; the two-track planes are proven from
-the rule table and scanned only when that proof fails
-(``engine.scan_never_fires``).
 """
 
 from __future__ import annotations
@@ -23,8 +18,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import sub
 
 import numpy as np
 
@@ -122,27 +115,7 @@ def is_basic(signal: Signal):
 
 
 # ---------------------------------------------------------------------------
-# exact periods and the recursive period bounds over diagonal words
-
-
-@dataclass(frozen=True)
-class DiagonalPeriod:
-    i: tuple[int, ...]
-    alpha_len: int
-    beta_len: int
-    decomposed: bool
-    recursive_ok: bool
-    closed_form_ok: bool
-
-
-@dataclass(frozen=True)
-class PeriodBoundsReport:
-    rows: tuple[DiagonalPeriod, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.decomposed and r.recursive_ok and r.closed_form_ok
-                   for r in self.rows)
+# exact periods of diagonal words
 
 
 def cycle_lens(rows: np.ndarray, mu: int) -> list[tuple[int, int]]:
@@ -212,48 +185,6 @@ def exact_periods(ca: ImpulseCA, points, cap: int, *,
     lens = [(max(0, p - diagonal_start(i)), q)
             for i, (p, q) in zip(states.points, cycle_lens(held, mu))]
     return lens, held, mu
-
-
-def verify_period_bounds(ca: ImpulseCA, r_max: int, window: int, *,
-                         budget: int = DEFAULT_SITE_BUDGET,
-                         ) -> PeriodBoundsReport:
-    """Decompose every diagonal word with coordinate sum <= r_max exactly and
-    check that each (preperiod, period) obeys the bounds implied by the
-    diagonals it depends on, plus the closed-form bound in terms of the
-    state count.  The simplex sum(i) <= r_max is closed under the update;
-    with no repeat by t = ``window``, no row decomposes.
-    """
-    if r_max < 0:
-        raise ValueError(f"r_max must be >= 0, got {r_max}")
-    dim = ca.dim
-    check_cap(math.comb(r_max + dim, dim), window, budget, "window")
-    n = len(ca.states)
-    big_l = math.lcm(*range(1, n + 1))
-    points = sorted((i for i in product(range(r_max + 1), repeat=dim)
-                     if sum(i) <= r_max), key=lambda i: (sum(i), i))
-
-    found = exact_periods(ca, points, window, budget=budget)
-    if found is None:
-        return PeriodBoundsReport(tuple(
-            DiagonalPeriod(i, -1, -1, False, False, False) for i in points))
-
-    lens = dict(zip(points, found[0]))
-    # diagonal i reads diagonal i - x - 1bar through argument x (x = -1bar
-    # reads i itself); one with a negative coordinate is quiescent
-    ds = [tuple(a + 1 for a in x) for x in ca.arg_order if x != (-1,) * dim]
-    rows = []
-    for i, (a_len, b_len) in lens.items():
-        lowers = [lens.get(tuple(map(sub, i, d)), (0, 1)) for d in ds]
-        m_bound = max(a for a, _ in lowers)
-        p_lcm = math.lcm(*(b for _, b in lowers))
-        rec_ok = (a_len <= m_bound + n * p_lcm) and any(
-            (v * p_lcm) % b_len == 0 for v in range(1, n + 1))
-
-        r = sum(i)
-        cor_ok = (a_len < n * big_l ** r) and (big_l ** (r + 1)) % b_len == 0
-        rows.append(DiagonalPeriod(i, a_len, b_len, True, rec_ok, cor_ok))
-
-    return PeriodBoundsReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +295,7 @@ SEARCH_TARGETS = (
 )
 
 
-def exhaustive_two_state_search(limit: int | None = None) -> SearchReport:
+def exhaustive_two_state_search() -> SearchReport:
     """Try every two-state trellis rule against four forced site values.
 
     A candidate n encodes f(code) = bit code-1 of n for neighbor codes
@@ -375,10 +306,7 @@ def exhaustive_two_state_search(limit: int | None = None) -> SearchReport:
     digit 0 read as the quiescent state.  The returned digest commits to
     the full enumeration and its outcome.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    total = 1 << 15
-    n_c = total if limit is None else min(limit, total)
+    n_c = 1 << 15
     cands = np.arange(n_c, dtype=np.int64)
     zeros = np.zeros(n_c, dtype=np.int64)
 

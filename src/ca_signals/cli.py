@@ -480,7 +480,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    rep = exhaustive_two_state_search(limit=args.limit)
+    rep = exhaustive_two_state_search()
     obj = {"total": rep.total_candidates, "passing": rep.passing,
            "witnesses": list(rep.witnesses),
            "checked_sites": rep.checked_sites, "digest": rep.digest}
@@ -626,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="exhaust the two-state trellis rule space")
-    p.add_argument("--limit", type=int, help="debug subset size")
     _add_out(p)
     p.set_defaults(fn=cmd_search)
 

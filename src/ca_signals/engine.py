@@ -497,14 +497,14 @@ def _misplaced_select(ca: ImpulseCA):
     return select
 
 
-def run(ca: ImpulseCA, steps: int, *, budget: int = DEFAULT_SITE_BUDGET,
-        check: bool = False) -> SpaceTimeDiagram:
+def run(ca: ImpulseCA, steps: int, *,
+        budget: int = DEFAULT_SITE_BUDGET) -> SpaceTimeDiagram:
     """Simulate t = 0..steps inclusive, retaining every slice of
     ``run_views``: OverflowHorizon carries the finished part as its
     ``partial`` attribute."""
     slices = []
     try:
-        for view in run_views(ca, steps, budget=budget, check=check):
+        for view in run_views(ca, steps, budget=budget):
             slices.append(view._sl)
     except OverflowHorizon as exc:
         exc.partial = SpaceTimeDiagram(ca, slices, truncated=True)

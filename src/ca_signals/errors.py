@@ -62,7 +62,7 @@ class AlphabetMismatch(ValueError):
 class CheckFailed(RuntimeError):
     """A computed result broke a property the construction guarantees.
 
-    Raised by explicit checks such as ``run(..., check=True)``; unlike
+    Raised by explicit checks such as ``run_views(..., check=True)``; unlike
     ``assert`` they survive ``python -O``.
     """
 

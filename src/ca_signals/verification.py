@@ -35,13 +35,14 @@ import contextlib
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice, takewhile
+from itertools import islice, product, takewhile
+from operator import sub
 
 import numpy as np
 
 from . import analysis
 from .analysis import (LOG_OR_ABOVE, NotPeriodicWithin, cycle_lens, gap_probe,
-                       is_basic, verify_period_bounds)
+                       is_basic)
 from .automaton import LAMBDA, ImpulseCA, builtin_log2, builtin_xy, merged_xy
 from .engine import (DEFAULT_SITE_BUDGET, CellScan, DiagonalLetters, SiteCount,
                      scan_never_fires, w_site)
@@ -53,6 +54,7 @@ from .signals import (Follower, FollowProbe, Signal, follower_for_xy,
 
 MISMATCH_CAP = 100
 CARRY_SAMPLES = 50   # carry rows verify_log2 draws and reads
+MOVE_HORIZON = 2000  # moves of the counter's walk verify_basic decomposes
 
 
 @dataclass(frozen=True)
@@ -273,6 +275,8 @@ def verify_xy(x: int, y: int, steps: int, *,
         raise ValueError("need steps >= 4")
     ca = builtin_xy(x, y)
     base = x * y
+    # refuses x*y < 2 before the row count below, which needs a base >= 2
+    anchors = log_anchor_signal(base, steps)
     fol = follower_for_xy(x, y)
 
     # row k reads back inside the run when its last read, track 1 at
@@ -296,7 +300,6 @@ def verify_xy(x: int, y: int, steps: int, *,
     checks = []
 
     tr = walk.trace()
-    anchors = log_anchor_signal(base, steps)
     checks.append(_anchor_check(tr.signal, anchors, "anchor-walk"))
     checks.append(Check(
         "no-defaulted-reads", not tr.defaulted_hits,
@@ -373,16 +376,39 @@ def verify_xy(x: int, y: int, steps: int, *,
 def verify_bounds(r_max: int = 6, window: int = 4096,
                   ca: ImpulseCA | None = None, *,
                   budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
+    """Decompose every diagonal word with coordinate sum <= r_max exactly and
+    check that each (preperiod, period) obeys the bounds implied by the
+    diagonals it depends on, plus the closed-form bound in terms of the
+    state count.  The simplex sum(i) <= r_max is closed under the update;
+    with no repeat by t = ``window``, no diagonal decomposes."""
     if ca is None:
         ca = builtin_log2()
-    rep = verify_period_bounds(ca, r_max, window, budget=budget)
-    undec = [r.i for r in rep.rows if not r.decomposed]
-    rec = [r.i for r in rep.rows if r.decomposed and not r.recursive_ok]
-    cor = [r.i for r in rep.rows if r.decomposed and not r.closed_form_ok]
-    lens = {r.i: (r.alpha_len, r.beta_len) for r in rep.rows if r.decomposed}
+    if r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
+    dim, n = ca.dim, len(ca.states)
+    analysis.check_cap(math.comb(r_max + dim, dim), window, budget, "window")
+    points = sorted((i for i in product(range(r_max + 1), repeat=dim)
+                     if sum(i) <= r_max), key=lambda i: (sum(i), i))
+    found = analysis.exact_periods(ca, points, window, budget=budget)
+    undec = points if found is None else []
+    lens = {} if found is None else dict(zip(points, found[0]))
+    big_l = math.lcm(*range(1, n + 1))
+    # diagonal i reads diagonal i - x - 1bar through argument x (x = -1bar
+    # reads i itself); one with a negative coordinate is quiescent
+    ds = [tuple(a + 1 for a in x) for x in ca.arg_order if x != (-1,) * dim]
+    rec, cor = [], []
+    for i, (p, q) in lens.items():
+        lowers = [lens.get(tuple(map(sub, i, d)), (0, 1)) for d in ds]
+        p_lcm = math.lcm(*(b for _, b in lowers))
+        if not (p <= max(a for a, _ in lowers) + n * p_lcm and any(
+                v * p_lcm % q == 0 for v in range(1, n + 1))):
+            rec.append(i)
+        if not (p < n * big_l ** sum(i) and big_l ** (sum(i) + 1) % q == 0):
+            cor.append(i)
+
     checks = (
         Check("diagonal-decomposition", not undec,
-              f"{len(rep.rows) - len(undec)}/{len(rep.rows)} diagonals "
+              f"{len(points) - len(undec)}/{len(points)} diagonals "
               f"confirmed ultimately periodic within {window}",
               _capped(undec)),
         Check("recursive-bounds", not rec,
@@ -410,11 +436,11 @@ def random_follower(rng: random.Random) -> Follower:
     return Follower(qs, qs[0], delta)
 
 
-def verify_basic(count: int = 50, *, move_horizon: int = 2000,
+def verify_basic(count: int = 50, *,
                  budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Random followers on the empty diagram walk ultimately periodically
     with preperiod + period <= |Q| + 1; the binary counter's detected walk
-    shows no such decomposition within ``move_horizon``.  A follower reads
+    shows no such decomposition within MOVE_HORIZON moves.  A follower reads
     only λ on the empty diagram, so its walk is the orbit of q -> delta(q, λ),
     decomposed exactly at the orbit's first repeat.  The counter is stepped
     on the diagonal window up to the diagonal of its highest anchor, so
@@ -438,16 +464,16 @@ def verify_basic(count: int = 50, *, move_horizon: int = 2000,
         _capped(bad))]
 
     ca = builtin_log2()
-    probe = FollowProbe(ca, log2_partition().follower(ca), move_horizon)
+    probe = FollowProbe(ca, log2_partition().follower(ca), MOVE_HORIZON)
     # the counter's walk reads no diagonal past its highest anchor; a read
     # past it raises BeyondWindow
     reach = max(when - site[0]
-                for site, when in log_anchor_signal(2, move_horizon))
-    analysis.run_probes(ca, move_horizon, [probe], budget=budget, reach=reach)
+                for site, when in log_anchor_signal(2, MOVE_HORIZON))
+    analysis.run_probes(ca, MOVE_HORIZON, [probe], budget=budget, reach=reach)
     dec = is_basic(probe.trace().signal)
     checks.append(Check(
         "counter-walk-not-basic", isinstance(dec, NotPeriodicWithin),
-        f"binary-counter walk undecomposed within {move_horizon} moves"))
+        f"binary-counter walk undecomposed within {MOVE_HORIZON} moves"))
 
     return VerifyReport("basic", tuple(checks),
-                        {"count": count, "move_horizon": move_horizon})
+                        {"count": count, "move_horizon": MOVE_HORIZON})

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+from ast import literal_eval
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,8 @@ from ca_signals import (BeyondHorizon, DiagonalLetters, FollowProbe,
                         Signal, analysis, builtin_log2, builtin_xy, crt_digit,
                         diagram_from_json_obj, exhaustive_two_state_search,
                         gap_probe, gap_profile, log2_partition, merged_xy, run,
-                        run_probes, verification, verify_period_bounds,
-                        verify_xy, w_site)
+                        run_probes, verification, verify_bounds, verify_xy,
+                        w_site)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
                                  SEARCH_TARGETS, _decompose, cycle_lens)
 from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
@@ -27,6 +28,7 @@ from ca_signals.signals import MovePartition
 
 from sites import letter_at
 from tables import random_impulse_ca
+from test_acceptance import FULL_SEARCH_DIGEST
 from windowed import final_third_accept, ultimate_period
 
 L = LAMBDA
@@ -108,14 +110,11 @@ def test_decompose_matches_brute_force_three_letters(h, data):
 
 
 def test_period_bounds_small_window():
-    rep = verify_period_bounds(builtin_log2(), 2, 256)
+    rep = verify_bounds(2, 256, builtin_log2())
     assert rep.ok
-    assert len(rep.rows) == 6           # lattice points with coordinate sum <= 2
-    by_i = {r.i: r for r in rep.rows}
-    assert by_i[(0, 0)].alpha_len == 0
-    assert by_i[(0, 0)].beta_len == 2
-    assert all(r.decomposed and r.recursive_ok and r.closed_form_ok
-               for r in rep.rows)
+    lens = rep.params["lens"]
+    assert len(lens) == 6               # lattice points with coordinate sum <= 2
+    assert lens[str((0, 0))] == (0, 2)
 
 
 def _windowed_lens(ca, r_max, window):
@@ -139,9 +138,10 @@ def _windowed_lens(ca, r_max, window):
 
 
 def _exact_lens(ca, r_max, window):
-    rep = verify_period_bounds(ca, r_max, window)
-    assert all(r.decomposed for r in rep.rows)
-    return {r.i: (r.alpha_len, r.beta_len) for r in rep.rows}
+    """Each diagonal's exact lens, read off a passing ``verify_bounds``."""
+    rep = verify_bounds(r_max, window, ca)
+    assert rep.ok, (ca.name, list(rep.lines()))
+    return {literal_eval(i): v for i, v in rep.params["lens"].items()}
 
 
 @pytest.mark.parametrize("ca", [builtin_log2(), builtin_xy(2, 3),
@@ -190,12 +190,15 @@ def test_cycle_lens_reads_each_column():
 
 def test_a_cap_below_the_first_repeat_decomposes_no_row():
     # log2's joint state on r <= 6 first repeats at t = 3 + 4
-    short = verify_period_bounds(builtin_log2(), 6, 6)
-    assert not short.ok and len(short.rows) == 28
-    assert not any(r.decomposed for r in short.rows)
-    assert short.rows[0] == analysis.DiagonalPeriod((0, 0), -1, -1, False,
-                                                    False, False)
-    assert verify_period_bounds(builtin_log2(), 6, 7).ok
+    short = verify_bounds(6, 6, builtin_log2())
+    dec, rec, cor = short.checks
+    assert not short.ok and short.params["lens"] == {}
+    assert not dec.ok and dec.detail.startswith("0/28 diagonals")
+    points = sorted((i for i in itertools.product(range(7), repeat=2)
+                     if sum(i) <= 6), key=lambda i: (sum(i), i))
+    assert dec.mismatches == tuple(points)
+    assert rec.ok and cor.ok
+    assert verify_bounds(6, 7, builtin_log2()).ok
 
 
 def test_period_bounds_step_only_to_the_first_repeat(monkeypatch):
@@ -209,7 +212,7 @@ def test_period_bounds_step_only_to_the_first_repeat(monkeypatch):
         return run_probes(ca, steps, [Times(), *probes], **kwargs)
 
     monkeypatch.setattr(analysis, "run_probes", counted)
-    assert verify_period_bounds(builtin_log2(), 6, 1024).ok
+    assert verify_bounds(6, 1024, builtin_log2()).ok
     # (mu, lam) = (3, 4): slices 0..7, where the old path stepped 1,030
     assert seen == list(range(8))
 
@@ -541,17 +544,16 @@ def passes_targets(code: int) -> bool:
 
 
 def test_search_limited_run_is_frozen():
-    rep = exhaustive_two_state_search(limit=16)
-    assert rep.total_candidates == 16
+    rep = exhaustive_two_state_search()
+    assert rep.total_candidates == 2**15
     assert rep.passing == 0
-    assert rep.digest == ("f48e8a4f3308c23a365995d859adbf05"
-                          "fc51459db77db7a100ce923a9cfebc85")
+    assert rep.digest == FULL_SEARCH_DIGEST
     assert rep.checked_sites == SEARCH_TARGETS
 
 
 def test_search_digest_is_stable():
-    a = exhaustive_two_state_search(limit=512)
-    b = exhaustive_two_state_search(limit=512)
+    a = exhaustive_two_state_search()
+    b = exhaustive_two_state_search()
     assert a.digest == b.digest
     assert a.passing == b.passing == 0
 

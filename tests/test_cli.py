@@ -35,6 +35,7 @@ from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
 from ca_signals.lattice import Neighborhood, format_offset, offsets
 
 from tables import random_impulse_ca
+from test_acceptance import FULL_SEARCH_DIGEST
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -182,8 +183,8 @@ def test_bad_ca_spec_is_config_error(capsys):
 
 
 def test_timestamps_only_touch_object_reports(capsys):
-    _, plain, _ = run_cli(capsys, "search", "--limit", "8")
-    _, stamped, _ = run_cli(capsys, "search", "--limit", "8", "--timestamps")
+    _, plain, _ = run_cli(capsys, "search")
+    _, stamped, _ = run_cli(capsys, "search", "--timestamps")
     a, b = json.loads(plain), json.loads(stamped)
     assert "generated_at" not in a and "generated_at" in b
     b.pop("generated_at")
@@ -1092,20 +1093,12 @@ def test_negative_sizes_are_config_errors(capsys, tmp_path, monkeypatch,
 
 
 def test_search_limited(capsys):
-    code, out, _ = run_cli(capsys, "search", "--limit", "16")
+    code, out, _ = run_cli(capsys, "search")
     assert code == EXIT_OK
     obj = json.loads(out)
-    assert obj["total"] == 16 and obj["passing"] == 0
+    assert obj["total"] == 32768 and obj["passing"] == 0
     assert obj["witnesses"] == []
-    assert obj["digest"] == ("f48e8a4f3308c23a365995d859adbf05"
-                             "fc51459db77db7a100ce923a9cfebc85")
-
-
-@pytest.mark.parametrize("limit", ["0", "-5"])
-def test_search_rejects_a_limit_below_one(capsys, limit):
-    code, out, err = run_cli(capsys, "search", "--limit", limit)
-    assert code == EXIT_CONFIG and out == ""
-    assert err == f"error: limit must be >= 1, got {limit}\n"
+    assert obj["digest"] == FULL_SEARCH_DIGEST
 
 
 # --- integer sizes, fuzzed ----------------------------------------------------
@@ -1123,7 +1116,7 @@ SIZED_COMMANDS = [
     ("analyze period --i 1,0 --horizon {}", True),
     ("verify basic --count {}", True),
     ("verify bounds --rmax {} --window {}", True),
-    ("search --limit {}", False),
+    ("verify xy --x {} --y {} --steps {}", True),
 ]
 
 
@@ -1190,6 +1183,15 @@ def test_oversized_two_track_alphabets_exit_2_at_once(capsys, argv):
     assert time.perf_counter() - start < 0.5
     assert code == EXIT_CONFIG and out == ""
     assert "states; at most 255 fit the uint8 state codes" in err
+
+
+def test_verify_xy_with_base_one_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "xy", "--x", "1", "--y", "1",
+                             "--steps", "60")
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "error: need base >= 2 and n >= 1\n"
 
 
 # --- rule files and signal JSON, fuzzed ---------------------------------------

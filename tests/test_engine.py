@@ -20,7 +20,8 @@ from ca_signals import (BeyondHorizon, BeyondWindow, CellScan,
                         diagram_from_json_obj, max_horizon, merged_xy, run,
                         run_probes, same_run, verify_log2, verify_xy, w_site)
 from ca_signals import engine
-from ca_signals.engine import (FLAT_ENUM_LIMIT, diagonal_start, pack_cells,
+from ca_signals.engine import (FLAT_ENUM_LIMIT, SpaceTimeDiagram,
+                               diagonal_start, pack_cells, run_views,
                                unpack_cells)
 from ca_signals.lattice import KINDS, Neighborhood, offsets
 
@@ -464,7 +465,8 @@ def test_run_check_reads_each_slice_once(monkeypatch):
 
     monkeypatch.setattr(engine.SliceView, "grid", counted)
     monkeypatch.setattr(engine.SliceView, "cells", per_cell)
-    assert same_run(run(builtin_log2(), 20, check=True),
+    checked = [view._sl for view in run_views(builtin_log2(), 20, check=True)]
+    assert same_run(SpaceTimeDiagram(builtin_log2(), checked),
                     run(builtin_log2(), 20))
     assert seen == list(range(21))
     # the same check over the boxes of a window run

@@ -122,7 +122,7 @@ def test_verify_xy_skips_merged_variant_when_x_is_1():
 
 
 def test_verify_basic_few_followers():
-    rep = verify_basic(count=8, move_horizon=200)
+    rep = verify_basic(count=8)
     assert rep.ok, list(rep.lines())
 
 
@@ -162,9 +162,9 @@ def _record_runs(monkeypatch) -> list:
 
 def test_verify_basic_steps_only_the_counter_walk(monkeypatch):
     stepped = _record_runs(monkeypatch)
-    assert verify_basic(50, move_horizon=200).ok
-    # to the diagonal of the highest anchor, level 7 at t <= 200
-    assert stepped == [["log2", 200, 14, False]]
+    assert verify_basic(50).ok
+    # to the diagonal of the highest anchor, level 10 at t <= 2000
+    assert stepped == [["log2", 2000, 20, False]]
 
 
 def test_verify_xy_steps_the_merged_walk_on_the_window(monkeypatch):
