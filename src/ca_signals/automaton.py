@@ -365,11 +365,13 @@ def merged_xy(x: int, y: int) -> ImpulseCA:
     with x = 1 the top first-track symbol π_1 doubles as the seed and the
     shared alphabet collapses too far for the tracks to stay separated.
 
-    Only the first track is kept: the π plane (a - b = 0) evolves exactly
-    as in builtin_xy, but debris reaches the second track's plane
-    (a - b = 2), which for (2, 3) first differs from the two-track run's
-    (κ_i read as π_i) at t = 77, where cell (71, 69) holds π_1.  So the
-    second-track digits do not read back; ``verify_xy`` compares the walk.
+    Neither track is kept for all t.  For (2, 3), debris reaches the
+    second track's plane (a - b = 2), which first differs from the
+    two-track run's (κ_i read as π_i) at t = 77, where cell (71, 69) holds
+    π_1; the π plane (a - b = 0) first differs at t = 867, where diagonal
+    (8, 8) holds π_1 and the two-track run λ.  So the second-track digits
+    do not read back, and ``verify_xy`` compares the walk, which leaves the
+    two-track walk at t = 7,348.
     """
     if x < 1 or y < 1:
         raise ValueError("moduli must be positive")

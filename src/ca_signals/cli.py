@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: simulate, render, detect, follow, analyze, verify, search,
-rules.  All outputs are deterministic byte-for-byte for fixed inputs; no
+rules; ``verify all`` runs every claim of ``verification.CLAIMS`` and the
+search.  All outputs are deterministic byte-for-byte for fixed inputs; no
 report embeds a timestamp unless --timestamps is passed.  Exit codes:
 
   0  success (for verify/search: the check passed)
@@ -26,6 +27,7 @@ import shutil
 import stat
 import sys
 import tempfile
+import time
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -40,8 +42,8 @@ from .engine import (DEFAULT_SITE_BUDGET, DiagonalLetters, diagonal_start,
 from .errors import BeyondHorizon, CheckFailed, OverflowHorizon
 from .signals import (Follower, FollowProbe, Signal, follower_for_xy,
                       log2_partition, parse_move_partition)
-from .verification import (VerifyReport, verify_basic, verify_bounds,
-                           verify_log2, verify_xy)
+from .verification import (CLAIMS, VerifyReport, verify_basic,
+                           verify_bounds, verify_log2, verify_xy)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -456,14 +458,45 @@ def cmd_analyze_gap(args) -> int:
 
 
 def _emit_verify(rep: VerifyReport, args) -> int:
-    for line in rep.lines():
-        print(line, file=sys.stderr)
+    print(*rep.lines(), sep="\n", file=sys.stderr)
     _emit((_dump(rep.to_json_obj(), args),), args.out)
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
+def _search_obj(rep) -> dict:
+    return {"total": rep.total_candidates, "passing": rep.passing,
+            "witnesses": list(rep.witnesses),
+            "checked_sites": rep.checked_sites, "digest": rep.digest}
+
+
+def _verify_all(args, budget: int) -> int:
+    """Every row of ``CLAIMS``, then the search: each stage's lines and
+    seconds go to stderr, and one object of their reports to stdout."""
+    obj, failed = {}, False
+    for name, check, kwargs in (*CLAIMS, ("search", None, None)):
+        start = time.perf_counter()
+        if check is None:
+            rep = exhaustive_two_state_search()
+            ok, obj[name] = rep.passing == 0, _search_obj(rep)
+            print(f"[{'PASS' if ok else 'FAIL'}] search/empty: "
+                  f"{rep.total_candidates} candidates, {rep.passing} "
+                  f"passing, digest {rep.digest[:16]}...", file=sys.stderr)
+        else:
+            rep = check(**kwargs, budget=budget)
+            ok, obj[name] = rep.ok, rep.to_json_obj()
+            print(*rep.lines(), sep="\n", file=sys.stderr)
+        print(f"-- {name}: {'ok' if ok else 'FAILED'} "
+              f"({time.perf_counter() - start:.1f}s)", file=sys.stderr)
+        failed = failed or not ok
+    obj["ok"] = not failed
+    _emit((_dump(obj, args),), args.out)
+    return EXIT_FAIL if failed else EXIT_OK
+
+
 def cmd_verify(args) -> int:
     budget = _site_budget(args)
+    if args.target == "all":
+        return _verify_all(args, budget)
     if args.target == "log2":
         rep = verify_log2(args.steps, budget=budget)
     elif args.target == "xy":
@@ -472,19 +505,14 @@ def cmd_verify(args) -> int:
         rep = verify_xy(args.x, args.y, args.steps, budget=budget)
     elif args.target == "bounds":
         rep = verify_bounds(args.rmax, args.window, budget=budget)
-    elif args.target == "basic":
-        rep = verify_basic(args.count, budget=budget)
     else:
-        raise ValueError(f"unknown verify target {args.target!r}")
+        rep = verify_basic(args.count, budget=budget)
     return _emit_verify(rep, args)
 
 
 def cmd_search(args) -> int:
     rep = exhaustive_two_state_search()
-    obj = {"total": rep.total_candidates, "passing": rep.passing,
-           "witnesses": list(rep.witnesses),
-           "checked_sites": rep.checked_sites, "digest": rep.digest}
-    _emit((_dump(obj, args),), args.out)
+    _emit((_dump(_search_obj(rep), args),), args.out)
     return EXIT_OK if rep.passing == 0 else EXIT_FAIL
 
 
@@ -613,8 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(fn=cmd_analyze_gap)
 
-    p = sub.add_parser("verify", help="run one machine-checked claim end to end")
-    p.add_argument("target", choices=("log2", "xy", "bounds", "basic"))
+    p = sub.add_parser("verify", help="run one machine-checked claim end to "
+                                      "end, or all of them at their shipped sizes")
+    p.add_argument("target", choices=("log2", "xy", "bounds", "basic", "all"))
     p.add_argument("--steps", type=int, default=2048)
     p.add_argument("--x", type=int)
     p.add_argument("--y", type=int)

@@ -373,8 +373,7 @@ def verify_xy(x: int, y: int, steps: int, *,
 # diagonal periodicity bounds
 
 
-def verify_bounds(r_max: int = 6, window: int = 4096,
-                  ca: ImpulseCA | None = None, *,
+def verify_bounds(r_max: int, window: int, ca: ImpulseCA | None = None, *,
                   budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Decompose every diagonal word with coordinate sum <= r_max exactly and
     check that each (preperiod, period) obeys the bounds implied by the
@@ -436,7 +435,7 @@ def random_follower(rng: random.Random) -> Follower:
     return Follower(qs, qs[0], delta)
 
 
-def verify_basic(count: int = 50, *,
+def verify_basic(count: int, *,
                  budget: int = DEFAULT_SITE_BUDGET) -> VerifyReport:
     """Random followers on the empty diagram walk ultimately periodically
     with preperiod + period <= |Q| + 1; the binary counter's detected walk
@@ -477,3 +476,14 @@ def verify_basic(count: int = 50, *,
 
     return VerifyReport("basic", tuple(checks),
                         {"count": count, "move_horizon": MOVE_HORIZON})
+
+
+# One row per stage of ``ca-signals verify all``, in order: its name, its
+# check and the keyword arguments it ships at.
+CLAIMS = (
+    ("log2", verify_log2, {"steps": 2048}),
+    ("xy(2,3)", verify_xy, {"x": 2, "y": 3, "steps": 1500}),
+    ("xy(3,4)", verify_xy, {"x": 3, "y": 4, "steps": 600}),
+    ("bounds", verify_bounds, {"r_max": 20, "window": 4096}),
+    ("basic", verify_basic, {"count": 50}),
+)

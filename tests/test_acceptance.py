@@ -21,6 +21,7 @@ from ca_signals import (CellScan, FollowProbe, Signal, builtin_log2,
                         run, run_probes, same_run, verify_basic,
                         verify_bounds, verify_log2, verify_xy)
 from ca_signals.analysis import BELOW_LOG, CONSTANT, LOG_OR_ABOVE
+from ca_signals.verification import CLAIMS
 
 from tables import random_impulse_ca
 
@@ -160,6 +161,18 @@ def test_criterion_6c_period_bounds_to_r20():
     assert not verify_bounds(20, 99).ok and verify_bounds(20, 100).ok
     print("[PASS] criterion 6c: all 231 diagonals with r<=20 settle at the "
           "first repeat (36, 64) with preperiod < 3*6^r and period | 6^(r+1)")
+
+
+def test_claim_table_ships_the_sizes_of_this_gate():
+    # ``verify all`` runs CLAIMS; the fixtures and tests above state their
+    # sizes themselves, so a shrink has to edit both places
+    assert CLAIMS == (
+        ("log2", verify_log2, {"steps": 2048}),
+        ("xy(2,3)", verify_xy, {"x": 2, "y": 3, "steps": 1500}),
+        ("xy(3,4)", verify_xy, {"x": 3, "y": 4, "steps": 600}),
+        ("bounds", verify_bounds, {"r_max": 20, "window": 4096}),
+        ("basic", verify_basic, {"count": 50}),
+    )
 
 
 def test_criterion_7_sparse_and_dense_engines_agree():

@@ -2,13 +2,15 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
-from ca_signals import (LAMBDA, WILDCARD, AnyOf, ArityMismatch, ImpulseCA,
-                        Literal, NotCoprime, NotTotal, QuiescentViolation,
-                        Rule, RuleTable, RuleSyntaxError, UnknownState,
-                        XNotSmallest, builtin_log2, builtin_quiescent,
-                        builtin_xy, merged_xy, parse_rules, run,
+from ca_signals import (LAMBDA, WILDCARD, AnyOf, ArityMismatch,
+                        DiagonalLetters, ImpulseCA, Literal, NotCoprime,
+                        NotTotal, QuiescentViolation, Rule, RuleTable,
+                        RuleSyntaxError, UnknownState, XNotSmallest,
+                        builtin_log2, builtin_quiescent, builtin_xy,
+                        merged_xy, parse_rules, run, run_probes,
                         serialize_rules)
 from ca_signals.automaton import MAX_STATES
 from ca_signals.lattice import Neighborhood
@@ -127,7 +129,7 @@ def _plane(diag, d: int) -> list[dict]:
              if u[0] - u[1] == d} for t in range(diag.horizon + 1)]
 
 
-def test_merged_keeps_the_first_track_only():
+def test_merged_kappa_plane_first_differs_at_t_77():
     merged, two = run(merged_xy(2, 3), 100), run(builtin_xy(2, 3), 100)
     pi = _plane(merged, 0)
     assert pi == _plane(two, 0) and sum(map(len, pi)) > 100
@@ -137,6 +139,20 @@ def test_merged_keeps_the_first_track_only():
     assert {u for u in kappa[77].keys() | want[77].keys()
             if kappa[77].get(u) != want[77].get(u)} == {(71, 69)}
     assert kappa[77][(71, 69)] == "π_1" and (71, 69) not in want[77]
+
+
+def test_merged_pi_plane_first_differs_at_t_867():
+    # the diagonals (j, j), j even, hold every cell of the π plane a = b
+    steps = 867
+    diagonals = [(j, j) for j in range(0, 2 * steps + 1, 2)]
+    held = []
+    for ca in (merged_xy(2, 3), builtin_xy(2, 3)):
+        letters = DiagonalLetters(diagonals)
+        run_probes(ca, steps, [letters], reach=2 * steps)
+        held.append(np.array(ca.states)[letters.held])
+    [(t, j)] = np.argwhere(held[0] != held[1]).tolist()
+    assert (t, diagonals[j]) == (867, (8, 8))
+    assert (held[0][t, j], held[1][t, j]) == ("π_1", L)
 
 
 def test_quiescent_builtin():

@@ -33,6 +33,7 @@ from ca_signals.engine import diagonal_start
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
                             _join_option_values, main, parse_ca_spec)
 from ca_signals.lattice import Neighborhood, format_offset, offsets
+from ca_signals.verification import CLAIMS
 
 from tables import random_impulse_ca
 from test_acceptance import FULL_SEARCH_DIGEST
@@ -1099,6 +1100,44 @@ def test_search_limited(capsys):
     assert obj["total"] == 32768 and obj["passing"] == 0
     assert obj["witnesses"] == []
     assert obj["digest"] == FULL_SEARCH_DIGEST
+
+
+def test_verify_all_runs_every_claim_at_its_shipped_size(capsys):
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert code == EXIT_OK, err
+    assert "FAILED" not in err and "-- search: ok" in err
+    assert run_cli(capsys, "verify", "all")[1] == out
+    obj = json.loads(out)
+    assert list(obj) == [name for name, _, _ in CLAIMS] + ["search", "ok"]
+    for name, check, kwargs in CLAIMS:   # through JSON: tuples are lists
+        want = json.dumps(check(**kwargs).to_json_obj(), ensure_ascii=False)
+        assert obj[name] == json.loads(want), name
+    assert obj["search"] == json.loads(run_cli(capsys, "search")[1])
+    assert obj["ok"] is True
+
+
+def test_verify_all_exits_1_when_a_claim_fails(capsys, monkeypatch, tmp_path):
+    # a window below the first repeat leaves every diagonal undecomposed;
+    # the search still runs, and the report goes to --out
+    monkeypatch.setattr(cli, "CLAIMS", (
+        ("bounds", verify_bounds, {"r_max": 6, "window": 1}),))
+    out_file = tmp_path / "all.json"
+    code, out, err = run_cli(capsys, "verify", "all", "--out", str(out_file),
+                             "--timestamps")
+    assert code == EXIT_FAIL and out == ""
+    assert "-- bounds: FAILED (" in err and "-- search: ok (" in err
+    obj = json.loads(out_file.read_text(encoding="utf-8"))
+    assert list(obj) == ["bounds", "search", "ok", "generated_at"]
+    assert obj["ok"] is False and obj["bounds"]["ok"] is False
+
+
+def test_verify_all_honours_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CA_SIGNALS_MEM_BUDGET", "50")
+    code, out, err = run_cli(capsys, "verify", "all")
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "site budget 50 exhausted" in err
+    code, out, err = run_cli(capsys, "verify", "all", "--budget", "-1")
+    assert code == EXIT_CONFIG and out == ""
 
 
 # --- integer sizes, fuzzed ----------------------------------------------------

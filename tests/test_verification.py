@@ -208,6 +208,15 @@ def test_merged_walk_that_leaves_the_window_fails(monkeypatch):
     assert all(t - min(site) <= 4 for t, _, site in merged.mismatches[:-1])
 
 
+def test_merged_variant_leaves_the_two_track_walk_at_t_7348():
+    # the shipped merged:2,3 table, unmended: both walks sit at
+    # (7339, 7339) at t = 7347 and step apart
+    rep = verify_xy(2, 3, 7348)
+    [merged] = [c for c in rep.checks if not c.ok]
+    assert merged.name == "merged-variant"
+    assert merged.mismatches == ((7348, [7340, 7340], [7338, 7338]),)
+
+
 def test_bounds_report_bytes_are_pinned():
     assert _digest(verify_bounds(6, 1024)) == DIAGONALS_1024
     assert _digest(verify_bounds(3, 64)) == DIAGONALS_64
@@ -407,12 +416,14 @@ def test_proof_fails_on_the_hand_picked_entries():
 
 
 def _gate_keeps_reports(monkeypatch, make, claim, cas) -> int:
-    """Each automaton's report is the same with the proof as with the scan
-    alone; returns how many were proven."""
+    """Each mutant's report FAILs, and is the same with the proof as with
+    the scan alone; returns how many were proven."""
     proven = 0
     for ca in cas:
         monkeypatch.setattr(verification, make, lambda *_: ca)
-        gated = _report_text(claim())
+        rep = claim()
+        assert not rep.ok, ca.table.tup
+        gated = _report_text(rep)
         if engine.scan_never_fires(ca, _select(ca)):
             proven += 1
             with monkeypatch.context() as mp:
