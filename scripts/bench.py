@@ -21,6 +21,12 @@ result is written in the schema of ``BENCH_6.json``: per side and metric
 the median, quartiles and every run's value, the operations attempted and
 failed, and per metric the number of pairs the change won (a lower value
 wins, as for every end-to-end metric).
+
+No workload runs ``verify basic`` or the search, so each of 10 more pairs
+also times every row of ``verification.CLAIMS`` at its shipped size and
+the search in one process per side (``STAGES``).  Like ``norm_wall_s``,
+each time is rescaled by ``perfbench/reference.py``'s task, timed before
+and after the stages; ``stages`` holds them, summarised in the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +50,24 @@ METRICS = ("norm_wall_s", "setup_s", "peak_rss_mb")
 WORKLOADS = ("counter", "two_track", "diagonals", "dump")
 PAIRS = 10
 COMMAND = "python3 perfbench/run.py --workload W --seed S --trace {trace}"
+# times each claim row and then the search in-process; prints
+# {"<stage>": seconds, ..., "search": seconds}, rescaled to NOMINAL_S by
+# the reference task's mean time before and after them
+STAGES = """
+import json, sys, time
+sys.path[:0] = ["src", "perfbench"]
+from reference import NOMINAL_S, reference_s
+from ca_signals import analysis, verification
+before, out = reference_s(), {}
+for name, check, kwargs in (*verification.CLAIMS,
+                            ("search", analysis.exhaustive_two_state_search,
+                             {})):
+    start = time.perf_counter()
+    check(**kwargs)
+    out[name] = time.perf_counter() - start
+scale = 2 * NOMINAL_S / (before + reference_s())
+print(json.dumps({name: s * scale for name, s in out.items()}))
+"""
 
 
 def _git(*args: str) -> str:
@@ -89,6 +113,18 @@ def run_once(root: Path, workload: str, seed: int, trace: int) -> dict | None:
     return json.loads(lines[-1])
 
 
+def time_stages(root: Path) -> dict | None:
+    """``STAGES`` run once in checkout ``root``: the seconds of each stage,
+    or None if the run failed."""
+    proc = subprocess.run([sys.executable, "-c", STAGES], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"   stages failed ({proc.returncode}): {proc.stderr[-500:]}",
+              file=sys.stderr)
+        return None
+    return json.loads(proc.stdout)
+
+
 def _stats(values: list[float]) -> dict:
     q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                    if len(values) > 1 else values * 3)
@@ -120,6 +156,27 @@ def summarize(pairs: list[dict]) -> dict:
             and p["change"]["metrics"][m]["value"]
             < p["parent"]["metrics"][m]["value"])
     return entry
+
+
+def summarize_stages(pairs: list[dict]) -> dict:
+    """Per stage, from pairs ``{"parent": seconds by stage or None,
+    "change": ...}``: each side's median, quartiles and runs, and the pairs
+    the change won (a lower time wins).  A side that never ran a stage
+    has no entry for it."""
+    names = dict.fromkeys(n for p in pairs for side in ("parent", "change")
+                          for n in p[side] or ())
+    out = {}
+    for n in names:
+        entry = {}
+        for side in ("parent", "change"):
+            runs = [p[side][n] for p in pairs if n in (p[side] or ())]
+            if runs:
+                entry[side] = _stats(runs)
+        entry["change_wins"] = sum(
+            1 for p in pairs if n in (p["parent"] or ())
+            and n in (p["change"] or ()) and p["change"][n] < p["parent"][n])
+        out[n] = entry
+    return out
 
 
 def _traced(result: dict | None) -> dict | None:
@@ -209,6 +266,17 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
             doc["workloads"][name] = summarize(pairs)
             _write(args.out, doc)   # keep finished workloads if cut short
+        pairs = []
+        for i in range(PAIRS):
+            order = ("parent", "change") if i % 2 == 0 \
+                else ("change", "parent")
+            pair = {}
+            for side in order:
+                print(f"stages pair {i + 1}/{PAIRS}: {side}", file=sys.stderr)
+                pair[side] = time_stages(sides[side])
+            pairs.append(pair)
+        doc["stages"] = summarize_stages(pairs)
+        _write(args.out, doc)
         if traced:
             doc["traced"] = []
         for name in traced:

@@ -6,13 +6,13 @@ Z^k, ``automaton`` defines rule tables and the built-in counter automata,
 independent dense reference) and reads fixed sites as held diagonal letters
 (``DiagonalLetters``: digit rows, tracks, words) and whole slices
 (``CellScan``), ``signals`` detects and follows site walks, ``analysis``
-measures periodicity and gap growth, ``verification`` bundles the end-to-end
+measures eventual periods under one rule, gap growth and the two-state
+search (stepped by the engine), ``verification`` bundles the end-to-end
 checks, and ``cli`` exposes everything as a command line.
 """
 
-from .analysis import (GapReport, NotPeriodicWithin, PeriodDecomposition,
-                       SearchReport, exact_periods, exhaustive_two_state_search,
-                       gap_probe, is_basic)
+from .analysis import (GapReport, SearchReport, exact_periods,
+                       exhaustive_two_state_search, gap_probe, is_basic)
 from .automaton import (LAMBDA, WILDCARD, AnyOf, ImpulseCA, Literal, Rule,
                         RuleTable, builtin_log2, builtin_quiescent, builtin_xy,
                         merged_xy, parse_rules, serialize_rules)
@@ -37,10 +37,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphabetMismatch", "AnyOf", "ArityMismatch", "BeyondHorizon",
     "BeyondWindow", "CellScan", "CheckFailed", "CoordinateOverflow",
-    "DiagonalLetters", "FollowProbe", "FollowTrace", "Follower",
-    "GapReport", "ImpulseCA", "LAMBDA", "Literal", "MovePartition",
-    "Neighborhood", "NoMatch", "NotCoprime", "NotPeriodicWithin", "NotTotal",
-    "OverflowHorizon", "PeriodDecomposition", "ProductCA",
+    "DiagonalLetters", "FollowProbe", "FollowTrace", "Follower", "GapReport",
+    "ImpulseCA", "LAMBDA", "Literal", "MovePartition", "Neighborhood",
+    "NoMatch", "NotCoprime", "NotTotal", "OverflowHorizon", "ProductCA",
     "QuiescentViolation", "Rule", "RuleFileError", "RuleSyntaxError",
     "RuleTable", "SearchReport", "Signal", "SpaceTimeDiagram", "UnknownState",
     "VerifyReport", "WILDCARD", "XNotSmallest", "builtin_log2",

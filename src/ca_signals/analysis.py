@@ -1,14 +1,17 @@
 """Analysis of diagonal words and signal gaps.
 
-A diagonal word takes one exact path: ``exact_periods`` steps a set of
-diagonals closed under the update to the first repeat (mu, lam) of their
-joint state, and ``cycle_lens`` reads each word's minimal (preperiod,
-period) off the rows held until then.
+Eventual periods have one rule, ``_preperiod``: under a period q, the
+preperiod is one past the last letter that differs from the letter q
+later.  A diagonal word takes one exact path: ``exact_periods`` steps a
+set of diagonals closed under the update to the first repeat (mu, lam) of
+their joint state, and ``cycle_lens`` reads each word's minimal
+(preperiod, period) off the rows held until then.  ``is_basic`` applies
+the same rule to a signal's move word, which no automaton state
+generates, over the window of its moves.
 
-The window is for ``is_basic`` only, whose move word no automaton state
-generates: a length-H observation confirms an eventual period only under an
-evidence policy (``_decompose``), and returns NotPeriodicWithin(H) rather
-than guess.
+The two-state search is a depth-first search over partial rule tables,
+each stepped by the engine (``run_probes``) on the box of diagonals its
+targets read.
 """
 
 from __future__ import annotations
@@ -21,97 +24,44 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automaton import ImpulseCA
+from .automaton import LAMBDA, TRELLIS2_ORDER, ImpulseCA
 from .engine import (DEFAULT_SITE_BUDGET, DiagonalLetters, diagonal_start,
                      run_probes)
-from .errors import CheckFailed, OverflowHorizon
+from .errors import OverflowHorizon
+from .lattice import Neighborhood
 from .signals import Signal, gap_profile
 
 # ---------------------------------------------------------------------------
-# windowed eventual periodicity of a signal's move word
+# eventual periods
 
 
-@dataclass(frozen=True)
-class PeriodDecomposition:
-    """word = alpha + beta repeated, confirmed over a length-H window."""
-
-    alpha: tuple
-    beta: tuple
-    window: int
-
-
-@dataclass(frozen=True)
-class NotPeriodicWithin:
-    """No decomposition met the evidence policy inside the window."""
-
-    window: int
-
-
-def _z_array(s):
-    n = len(s)
-    z = [0] * n
-    z[0] = n
-    l = r = 0
-    for i in range(1, n):
-        if i < r:
-            z[i] = min(r - i, z[i - l])
-        while i + z[i] < n and s[z[i]] == s[i + z[i]]:
-            z[i] += 1
-        if i + z[i] > r:
-            l, r = i, i + z[i]
-    return z
-
-
-def _min_preperiods(word):
-    """For each period q >= 1, the smallest p making word[p:] q-periodic.
-
-    The longest q-periodic suffix has length q + z[q] where z is the
-    Z-array of the reversed word.
-    """
-    h = len(word)
-    z = _z_array(word[::-1])
-    out = {}
-    for q in range(1, h // 2 + 1):
-        length = min(h, q + z[q])
-        out[q] = h - length
-    return out
-
-
-def _decompose(word, window, accept):
-    h = window
-    if h < 1 or h > len(word):
-        raise ValueError(f"window {h} outside 1..{len(word)}")
-    w = tuple(word[:h])
-    best = None
-    for q, p in _min_preperiods(w).items():
-        if not accept(p, q, h):
-            continue
-        if best is None or (p, q) < best:
-            best = (p, q)
-    if best is None:
-        return NotPeriodicWithin(h)
-    p, q = best
-    beta = w[p:p + q]
-    for j in range(p, h):
-        if w[j] != beta[(j - p) % q]:
-            raise CheckFailed("period selection is unsound")
-    return PeriodDecomposition(w[:p], beta, h)
+def _preperiod(word: np.ndarray, q: int) -> int:
+    """One past the last j with word[j] != word[j + q]: the least p such
+    that word[p:] repeats with period q."""
+    bad = np.flatnonzero(word[:len(word) - q] != word[q:])
+    return int(bad[-1]) + 1 if len(bad) else 0
 
 
 def is_basic(signal: Signal):
-    """Decompose the signal's move word as alpha + beta-repeats, or refuse.
+    """(alpha, beta) with the signal's moves alpha + beta repeated, or None.
 
-    A signal is basic when its move sequence settles, within the window of
-    all its moves, into a preperiod alpha no longer than half the window
-    followed by repeats of beta.  Windows that never commit (the candidate
-    preperiod would eat most of the window) return NotPeriodicWithin.
+    Over the window of all h moves, (p, q) = (|alpha|, |beta|) is the least
+    pair with p = ``_preperiod`` under q that shows at least two repeats
+    and a preperiod of at most half the window: p + 2q <= h and
+    p <= h // 2.  A window where no pair commits returns None.
     """
     moves = signal.moves()
     h = len(moves)
     if h < 4:
         raise ValueError(f"window {h} is too short to show a repeat")
-    return _decompose(moves, h,
-                      lambda p, q, H: p + 2 * q <= H and p <= H // 2)
+    ids = {x: k for k, x in enumerate(dict.fromkeys(moves))}
+    word = np.array([ids[x] for x in moves])
+    fits = [(p, q) for q in range(1, h // 2 + 1)
+            if (p := _preperiod(word, q)) + 2 * q <= h and p <= h // 2]
+    if not fits:
+        return None
+    p, q = min(fits)
+    return moves[:p], moves[p:p + q]
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +72,8 @@ def cycle_lens(rows: np.ndarray, mu: int) -> list[tuple[int, int]]:
     """Exact minimal (preperiod, period) of the infinite word each column of
     ``rows`` begins, given that letter t + lam equals letter t for t >= mu,
     with lam = len(rows) - mu.  The period is the least divisor of lam under
-    which the tail rows[mu:] repeats; the preperiod is one past the last
-    t < mu whose letter differs from the letter at t + period."""
+    which the tail rows[mu:] repeats, and the preperiod is the column's
+    ``_preperiod`` under it."""
     lam = len(rows) - mu
     tail = rows[mu:]
     period = np.zeros(rows.shape[1], dtype=np.int64)
@@ -133,28 +83,27 @@ def cycle_lens(rows: np.ndarray, mu: int) -> list[tuple[int, int]]:
             # also covers the rows that wrap around
             fits = (tail[d:] == tail[:lam - d]).all(axis=0)
             period[(period == 0) & fits] = d
-    out = []
-    for c, q in enumerate(period.tolist()):
-        bad = np.flatnonzero(rows[:mu, c] != rows[q:mu + q, c])
-        out.append((int(bad[-1]) + 1 if len(bad) else 0, q))
-    return out
+    # from mu on no letter differs from the one q later
+    return [(_preperiod(col[:mu + q], q), q)
+            for col, q in zip(rows.T, period.tolist())]
 
 
-class _Repeated(Exception):
-    """Stops a run whose joint state has repeated."""
+class _Stop(Exception):
+    """Stops a run at the first step where an ``_Until`` condition holds."""
 
 
-class _JointStates(DiagonalLetters):
-    """Stops the run at the first repeat of a held row (``seen``: row -> t)."""
+class _Until(DiagonalLetters):
+    """The ``DiagonalLetters`` of ``points``, which raises ``_Stop`` after
+    the first step t where ``stop(self, t)`` holds."""
 
-    def __init__(self, points):
+    def __init__(self, points, stop):
         super().__init__(points)
-        self.seen = {}
+        self.stop = stop
 
     def observe(self, view):
         super().observe(view)
-        if self.seen.setdefault(self.rows[-1], view.t) != view.t:
-            raise _Repeated
+        if self.stop(self, view.t):
+            raise _Stop
 
 
 def check_cap(n_points: int, cap: int, budget: int, name: str) -> None:
@@ -168,22 +117,26 @@ def check_cap(n_points: int, cap: int, budget: int, name: str) -> None:
 
 def exact_periods(ca: ImpulseCA, points, cap: int, *,
                   budget: int = DEFAULT_SITE_BUDGET):
-    """(lens, held, mu): each diagonal word's exact (preperiod, period) in
-    ``points`` order and the rows of codes held to find them, or None with no
-    repeat by t = ``cap``.  ``points`` must be closed under the update, which
-    does not depend on t, so the window [0, max coordinate]^dim is stepped
-    only to the first repeat of their joint state: it settles every word for
-    all time.  From row mu on, the rows repeat with period len(held) - mu."""
-    states = _JointStates(points)
-    with contextlib.suppress(_Repeated):
-        run_probes(ca, cap, [states], budget=budget,
-                   reach=max(map(max, states.points)))
-    if len(states.rows) == len(states.seen):
-        return None
-    mu = states.seen[states.rows.pop()]
-    held = states.held
+    """(lens, held, mu): the rows of codes of ``points`` (repeats dropped)
+    held to the first repeat of their joint state or to t = ``cap``,
+    whichever comes first.  ``points`` must be closed under the update,
+    which does not depend on t, so only the window [0, max coordinate]^dim
+    is stepped, and a repeat settles every word for all time: from row mu
+    on, the rows repeat with period len(held) - mu, and ``lens`` holds each
+    word's exact (preperiod, period) in ``points`` order.  With no repeat
+    by ``cap``, lens and mu are None."""
+    seen = {}   # held row -> its first t; a row seen before is the repeat
+    letters = _Until(points, lambda held, t:
+                     seen.setdefault(held.rows[-1], t) != t)
+    with contextlib.suppress(_Stop):
+        run_probes(ca, cap, [letters], budget=budget,
+                   reach=max(map(max, letters.points)))
+    if len(letters.rows) == len(seen):
+        return None, letters.held, None
+    mu = seen[letters.rows.pop()]
+    held = letters.held
     lens = [(max(0, p - diagonal_start(i)), q)
-            for i, (p, q) in zip(states.points, cycle_lens(held, mu))]
+            for i, (p, q) in zip(letters.points, cycle_lens(held, mu))]
     return lens, held, mu
 
 
@@ -295,49 +248,75 @@ SEARCH_TARGETS = (
 )
 
 
-def exhaustive_two_state_search() -> SearchReport:
-    """Try every two-state trellis rule against four forced site values.
+class _Unassigned(Exception):
+    """A run met a neighbour code (``args[0]``) its table has not assigned."""
 
-    A candidate n encodes f(code) = bit code-1 of n for neighbor codes
-    1..15 (code = 8a + 4b + 2c + d over the live flags of the four
-    neighbors); f(0) = 0 is forced by quiescence.  All candidates are
-    simulated simultaneously to t = 3 and checked against SEARCH_TARGETS,
-    which are the first values a binary-counter diagonal must take with
-    digit 0 read as the quiescent state.  The returned digest commits to
-    the full enumeration and its outcome.
+
+@dataclass(eq=False)
+class _PartialTable:
+    """A two-state trellis table over neighbour codes 8a + 4b + 2c + d, the
+    live flags of the four arguments in ``TRELLIS2_ORDER``: ``bits`` maps
+    each code assigned so far to its live flag, code 0 is quiescent, and
+    any other code raises ``_Unassigned``."""
+
+    bits: dict
+    arity = 4
+    assume_total = True
+
+    def apply(self, neighbors):
+        code = int("".join("0" if s == LAMBDA else "1" for s in neighbors), 2)
+        if code and code not in self.bits:
+            raise _Unassigned(code)
+        return "1" if code and self.bits[code] else LAMBDA
+
+
+def exhaustive_two_state_search() -> SearchReport:
+    """Try every two-state trellis rule against SEARCH_TARGETS, the first
+    values a binary-counter diagonal must take with digit 0 read as the
+    quiescent state.
+
+    A candidate n encodes f(code) = bit code-1 of n for neighbour codes
+    1..15 (``_PartialTable``); f(0) = 0 is forced by quiescence.  The search
+    is depth first over partial tables, each stepped by ``run_probes`` to
+    the targets' last time on the box of diagonals they read (site (u, t)
+    is diagonal t*1bar - u).  A run stops at a missed target, which prunes
+    its table, or at a code its table has not assigned, and branches on
+    the code's two values.  A partial table whose run meets every target
+    passes every candidate that agrees with it.  The digest commits to the
+    full enumeration and its outcome.
     """
     n_c = 1 << 15
     cands = np.arange(n_c, dtype=np.int64)
-    zeros = np.zeros(n_c, dtype=np.int64)
+    ok = np.zeros(n_c, dtype=bool)
+    table = _PartialTable({})
+    ca = ImpulseCA((LAMBDA, "1"), LAMBDA, "1", Neighborhood("trellis", 2),
+                   TRELLIS2_ORDER, table)
+    targets = [(tuple(t - a for a in u), t, bool(live))
+               for (u, t), live in SEARCH_TARGETS]
+    steps = max(t for _, t, _ in targets)
+    reach = max(0, *(max(i) for i, _, _ in targets))
 
-    order = ((-1, -1), (-1, 1), (1, 1), (1, -1))
+    def missed(letters, t):
+        row = letters.rows[-1]
+        return any(t == at and bool(row[letters.column[i]]) != live
+                   for i, at, live in targets)
 
-    def cells_at(t):
-        return [(a, b)
-                for a in range(-t, t + 1) if (a + t) % 2 == 0
-                for b in range(-t, t + 1) if (b + t) % 2 == 0]
-
-    slices = [{(0, 0): np.ones(n_c, dtype=np.int64)}]
-    for t in range(1, 4):
-        prev = slices[-1]
-        cur = {}
-        for cell in cells_at(t):
-            code = zeros
-            for x in order:
-                code = 2 * code + prev.get((cell[0] + x[0], cell[1] + x[1]),
-                                           zeros)
-            val = np.where(code == 0, 0,
-                           (cands >> np.maximum(code - 1, 0)) & 1)
-            if val.any():
-                cur[cell] = val
-        slices.append(cur)
-
-    ok = np.ones(n_c, dtype=bool)
-    for (cell, t), want in SEARCH_TARGETS:
-        got = slices[t].get(cell, zeros)
-        ok &= got == want
-
-    witnesses = tuple(int(c) for c in cands[ok])
+    stack = [{}]
+    while stack:
+        table.bits = stack.pop()
+        try:
+            run_probes(ca, steps, [_Until((i for i, _, _ in targets), missed)],
+                       reach=reach)
+        except _Unassigned as exc:
+            stack += [{**table.bits, exc.args[0]: b} for b in (1, 0)]
+        except _Stop:
+            pass
+        else:
+            # the candidates whose bits agree with every assigned code
+            mask = sum(1 << c - 1 for c in table.bits)
+            value = sum(b << c - 1 for c, b in table.bits.items())
+            ok[(cands & mask) == value] = True
+    witnesses = tuple(np.flatnonzero(ok).tolist())
     h = hashlib.sha256()
     h.update(b"two-state trellis impulse search v1\n")
     h.update(cands.astype("<u2").tobytes())

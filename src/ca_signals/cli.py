@@ -382,45 +382,54 @@ def _ca_and_point(args) -> tuple[ImpulseCA, tuple[int, ...]]:
     return ca, i
 
 
+def _box_diagonal(args, ca: ImpulseCA, i: tuple[int, ...], cap: int,
+                  name: str):
+    """(word, lens) of diagonal i, read off the box {j : 0 <= j <= i}, closed
+    under the update with i its last point: ``check_cap`` refuses the box
+    before its points are built, and ``exact_periods`` steps it to its
+    first repeat or to t = ``cap``.  ``word(n)`` is the word's first n
+    states from its start, periodic past the repeat, and ``lens`` i's exact
+    (preperiod, period), or None with no repeat.  A negative coordinate
+    makes the word quiescent, and nothing is stepped."""
+    budget = _site_budget(args)
+    check_cap(math.prod(max(a + 1, 0) for a in i), cap, budget, name)
+    if min(i) < 0:
+        return lambda n: [ca.quiescent] * n, (0, 1)
+    lens, held, mu = exact_periods(ca, product(*(range(a + 1) for a in i)),
+                                   cap, budget=budget)
+    col, start = held[:, -1], diagonal_start(i)
+
+    def word(n):
+        # from row mu on, the rows repeat with period len(col) - mu
+        return [ca.states[col[t if t < len(col) else
+                              mu + (t - mu) % (len(col) - mu)]]
+                for t in range(start, start + n)]
+    return word, None if lens is None else lens[-1]
+
+
 def cmd_analyze_diagonal(args) -> int:
     ca, i = _ca_and_point(args)
     if args.length < 1:
         raise ValueError(f"length must be >= 1, got {args.length}")
+    # the box holds the start + length rows up to the word's last letter
     start = diagonal_start(i)
-    if min(i) < 0:
-        # every cell t*1bar - i lies off the light cone: nothing to step
-        word = [ca.quiescent] * args.length
-    else:
-        letters = DiagonalLetters([i])
-        run_probes(ca, start + args.length - 1, [letters],
-                   budget=_site_budget(args))
-        word = [ca.states[c] for c in letters.held[start:, 0].tolist()]
-    _emit((_dump({"i": list(i), "start": start, "letters": word}, args),),
-          args.out)
+    word, _ = _box_diagonal(args, ca, i, start + args.length, "length")
+    _emit((_dump({"i": list(i), "start": start,
+                  "letters": word(args.length)}, args),), args.out)
     return EXIT_OK
 
 
 def cmd_analyze_period(args) -> int:
     ca, i = _ca_and_point(args)
-    budget, start = _site_budget(args), diagonal_start(i)
-    check_cap(math.prod(max(a + 1, 0) for a in i), args.horizon, budget,
-              "horizon")
+    word, lens = _box_diagonal(args, ca, i, args.horizon, "horizon")
+    start = diagonal_start(i)
     obj = {"i": list(i), "start": start, "horizon": args.horizon,
            "decomposed": False}
-    # the box {j : 0 <= j <= i} is closed under the update, and i is its
-    # last point; with a negative coordinate the word is quiescent (code 0)
-    found = (exact_periods(ca, product(*(range(a + 1) for a in i)),
-                           args.horizon, budget=budget)
-             if min(i) >= 0 else ([(0, 1)], [[0]], 0))
-    if found is not None:
-        # from row mu on the rows repeat, and a diagonal may start past them
-        lens, held, mu = found
-        (p, q), lam = lens[-1], len(held) - mu
-        word = [ca.states[held[t if t < len(held) else
-                               mu + (t - mu) % lam][-1]]
-                for t in range(start, start + p + q)]
-        obj.update(decomposed=True, alpha="".join(word[:p]),
-                   beta="".join(word[p:]), preperiod=p, period=q)
+    if lens is not None:
+        p, q = lens
+        letters = word(p + q)
+        obj.update(decomposed=True, alpha="".join(letters[:p]),
+                   beta="".join(letters[p:]), preperiod=p, period=q)
     _emit((_dump(obj, args),), args.out)
     return EXIT_OK
 
@@ -493,10 +502,23 @@ def _verify_all(args, budget: int) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
+# the single-run sizes of ``verify``; ``verify all`` takes none of them
+VERIFY_SIZES = {"steps": 2048, "x": None, "y": None, "rmax": 6,
+                "window": 4096, "count": 50}
+
+
 def cmd_verify(args) -> int:
     budget = _site_budget(args)
     if args.target == "all":
+        given = [f"--{k}" for k in VERIFY_SIZES
+                 if getattr(args, k) is not None]
+        if given:
+            raise ValueError("verify all runs every claim at its shipped "
+                             f"size and takes no {', '.join(given)}")
         return _verify_all(args, budget)
+    for k, default in VERIFY_SIZES.items():
+        if getattr(args, k) is None:
+            setattr(args, k, default)
     if args.target == "log2":
         rep = verify_log2(args.steps, budget=budget)
     elif args.target == "xy":
@@ -644,12 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one machine-checked claim end to "
                                       "end, or all of them at their shipped sizes")
     p.add_argument("target", choices=("log2", "xy", "bounds", "basic", "all"))
-    p.add_argument("--steps", type=int, default=2048)
-    p.add_argument("--x", type=int)
-    p.add_argument("--y", type=int)
-    p.add_argument("--rmax", type=int, default=6)
-    p.add_argument("--window", type=int, default=4096)
-    p.add_argument("--count", type=int, default=50)
+    for k in VERIFY_SIZES:
+        p.add_argument(f"--{k}", type=int)
     _add_budget(p)
     _add_out(p)
     p.set_defaults(fn=cmd_verify)

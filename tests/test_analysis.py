@@ -13,15 +13,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (BeyondHorizon, DiagonalLetters, FollowProbe,
-                        NotCoprime, NotPeriodicWithin, PeriodDecomposition,
-                        Signal, analysis, builtin_log2, builtin_xy, crt_digit,
-                        diagram_from_json_obj, exhaustive_two_state_search,
-                        gap_probe, gap_profile, log2_partition, merged_xy, run,
-                        run_probes, verification, verify_bounds, verify_xy,
-                        w_site)
+                        NotCoprime, Signal, analysis, builtin_log2, builtin_xy,
+                        crt_digit, diagram_from_json_obj,
+                        exhaustive_two_state_search, gap_probe, gap_profile,
+                        is_basic, log2_partition, merged_xy, run, run_probes,
+                        verification, verify_bounds, verify_xy, w_site)
 from ca_signals.analysis import (BELOW_LOG, CONSTANT, LOG_OR_ABOVE,
-                                 SEARCH_TARGETS, _decompose, cycle_lens)
-from ca_signals.automaton import LAMBDA, ImpulseCA, Literal, Rule, RuleTable
+                                 SEARCH_TARGETS, _preperiod, cycle_lens)
+from ca_signals.automaton import (LAMBDA, TRELLIS2_ORDER, ImpulseCA, Literal,
+                                  Rule, RuleTable)
 from ca_signals.engine import diagonal_start
 from ca_signals.lattice import Neighborhood
 from ca_signals.signals import MovePartition
@@ -48,10 +48,8 @@ def sites_from_moves(moves):
 
 
 def test_ultimate_period_trivial_words():
-    dec = ultimate_period((L,) * 8)
-    assert dec == PeriodDecomposition((), (L,), 8)
-    dec = ultimate_period(tuple("abcbcbcb"))
-    assert dec.alpha == ("a",) and dec.beta == ("b", "c")
+    assert ultimate_period((L,) * 8) == ((), (L,))
+    assert ultimate_period(tuple("abcbcbcb")) == (("a",), ("b", "c"))
 
 
 def test_ultimate_period_window_guards():
@@ -59,14 +57,12 @@ def test_ultimate_period_window_guards():
         ultimate_period(tuple("abc"))
     with pytest.raises(ValueError):
         ultimate_period(tuple("abcd"), window=6)
-    assert isinstance(ultimate_period(tuple("abcd")), NotPeriodicWithin)
+    assert ultimate_period(tuple("abcd")) is None
 
 
 def test_ultimate_period_prefers_small_preperiod():
     # (p,q) = (0,2) beats (1,2) and (0,4)
-    dec = ultimate_period(tuple("10101010"))
-    assert (len(dec.alpha), len(dec.beta)) == (0, 2)
-    assert dec.beta == ("1", "0")
+    assert ultimate_period(tuple("10101010")) == ((), ("1", "0"))
 
 
 def brute_minimal_decomposition(word, h, accept):
@@ -84,26 +80,40 @@ def brute_minimal_decomposition(word, h, accept):
     return best
 
 
+def basic_accept(p: int, q: int, h: int) -> bool:
+    """``is_basic``'s policy: two repeats, a preperiod of at most h // 2."""
+    return p + 2 * q <= h and p <= h // 2
+
+
+def _decompositions_match_brute_force(word):
+    """``_preperiod`` under every q is the least p with word[p:] repeating
+    with period q; ``is_basic`` on the walk that moves by the word's letters
+    and the windowed oracle each pick the least pair their policy accepts."""
+    h = len(word)
+    w = np.array(word)
+    for q in range(1, h + 1):
+        assert _preperiod(w, q) == next(
+            p for p in range(h + 1)
+            if all(w[j] == w[j + q] for j in range(p, h - q))), (word, q)
+    step = {"a": UP, "b": DOWN, "c": (1, -1)}
+    for policy, got in (
+            (basic_accept,
+             is_basic(Signal(sites_from_moves([step[c] for c in word])))),
+            (final_third_accept, ultimate_period(word))):
+        want = brute_minimal_decomposition(word, h, policy)
+        assert (got and tuple(map(len, got))) == want, (word, policy)
+
+
 @given(st.integers(4, 40), st.data())
 def test_decompose_matches_brute_force(h, data):
     word = tuple(data.draw(st.text(alphabet="ab", min_size=h, max_size=h)))
-    want = brute_minimal_decomposition(word, h, final_third_accept)
-    got = _decompose(word, h, final_third_accept)
-    if want is None:
-        assert isinstance(got, NotPeriodicWithin)
-    else:
-        assert (len(got.alpha), len(got.beta)) == want
+    _decompositions_match_brute_force(word)
 
 
 @given(st.integers(4, 36), st.data())
 def test_decompose_matches_brute_force_three_letters(h, data):
     word = tuple(data.draw(st.text(alphabet="abc", min_size=h, max_size=h)))
-    want = brute_minimal_decomposition(word, h, final_third_accept)
-    got = _decompose(word, h, final_third_accept)
-    if want is None:
-        assert isinstance(got, NotPeriodicWithin)
-    else:
-        assert (len(got.alpha), len(got.beta)) == want
+    _decompositions_match_brute_force(word)
 
 
 # --- period bounds over diagonals ---------------------------------------------
@@ -132,8 +142,8 @@ def _windowed_lens(ca, r_max, window):
                            for i in points])
     for i, word in zip(points, words):
         dec = ultimate_period(word, window)
-        if isinstance(dec, PeriodDecomposition):
-            out[i] = (len(dec.alpha), len(dec.beta))
+        if dec is not None:
+            out[i] = tuple(map(len, dec))
     return out
 
 
@@ -254,9 +264,10 @@ def test_stabilized_walks_keep_a_constant_gap():
         letters = diag.replay(DiagonalLetters([(c, c)]), horizon)
         [word] = letters.spell([[((c, c), t) for t in range(start, horizon)]])
         dec = ultimate_period(word)
-        assert not isinstance(dec, NotPeriodicWithin), (ca.name, c)
-        if start + len(dec.alpha) >= t0:
-            assert down_state not in dec.beta, (ca.name, c, dec)
+        assert dec is not None, (ca.name, c)
+        alpha, beta = dec
+        if start + len(alpha) >= t0:
+            assert down_state not in beta, (ca.name, c, dec)
 
 
 # --- gap growth ---------------------------------------------------------------
@@ -572,6 +583,53 @@ def test_search_targets_are_the_counter_prefix(log2_diag):
     for (cell, t), want in SEARCH_TARGETS:
         live = letter_at(log2_diag.view(t), cell) == "1"
         assert live == bool(want)
+
+
+def enumerated_ok(targets) -> np.ndarray:
+    """The vectorised enumeration oracle: all 2**15 candidates stepped at
+    once to t = 3, each slice a dict from cell to an array over candidates
+    of its live flag; True where a candidate meets every target."""
+    cands = np.arange(1 << 15)
+    zeros = np.zeros(1 << 15, dtype=np.int64)
+    slices = [{(0, 0): np.ones(1 << 15, dtype=np.int64)}]
+    for t in range(1, 4):
+        cur = {}
+        for a, b in itertools.product(range(-t, t + 1, 2), repeat=2):
+            code = zeros
+            for x in TRELLIS2_ORDER:
+                code = 2 * code + slices[-1].get((a + x[0], b + x[1]), zeros)
+            cur[(a, b)] = np.where(code == 0, 0,
+                                   cands >> np.maximum(code - 1, 0) & 1)
+        slices.append(cur)
+    ok = np.ones(1 << 15, dtype=bool)
+    for (cell, t), want in targets:
+        ok &= slices[t].get(cell, zeros) == want
+    return ok
+
+
+# passing candidates per non-empty subset of SEARCH_TARGETS, by target times
+SUBSET_PASSING = {
+    (0,): 32768, (1,): 16384, (2,): 11264, (3,): 8192,
+    (0, 1): 16384, (0, 2): 11264, (0, 3): 8192, (1, 2): 4096, (1, 3): 0,
+    (2, 3): 4736, (0, 1, 2): 4096, (0, 1, 3): 0, (0, 2, 3): 4736,
+    (1, 2, 3): 0, (0, 1, 2, 3): 0,
+}
+
+
+def test_search_equals_the_enumeration_on_every_target_subset(monkeypatch):
+    # with all four targets nothing passes, so the digest alone pins only
+    # an all-false outcome
+    passing = {}
+    for k in range(1, len(SEARCH_TARGETS) + 1):
+        for subset in itertools.combinations(SEARCH_TARGETS, k):
+            monkeypatch.setattr(analysis, "SEARCH_TARGETS", subset)
+            rep = exhaustive_two_state_search()
+            ok = np.zeros(1 << 15, dtype=bool)
+            ok[list(rep.witnesses)] = True
+            assert np.array_equal(ok, enumerated_ok(subset)), subset
+            assert rep.checked_sites == subset
+            passing[tuple(t for (_, t), _ in subset)] = rep.passing
+    assert passing == SUBSET_PASSING
 
 
 def cone_values(code: int) -> dict:

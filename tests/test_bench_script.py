@@ -56,3 +56,27 @@ def test_summarize_single_pair_has_flat_quartiles():
     assert entry["parent"]["setup_s"] == {"median": 0.2, "q1": 0.2,
                                           "q3": 0.2, "runs": [0.2]}
     assert entry["norm_wall_s_change_wins"] == 0
+
+
+def test_summarize_stages():
+    bench = _bench_module()
+    pairs = [
+        {"parent": {"log2": 0.20, "search": 0.025},
+         "change": {"log2": 0.18, "search": 0.019}},
+        {"parent": {"log2": 0.22, "search": 0.024},
+         "change": {"log2": 0.23, "search": 0.020, "gap": 0.5}},
+        {"parent": None, "change": {"log2": 0.19, "search": 0.018}},
+        {"parent": {"log2": 0.21, "search": 0.026}, "change": None},
+    ]
+    stages = bench.summarize_stages(pairs)
+    assert list(stages) == ["log2", "search", "gap"]
+    assert stages["log2"]["parent"] == {"median": 0.21, "q1": 0.205,
+                                        "q3": 0.215,
+                                        "runs": [0.2, 0.22, 0.21]}
+    assert stages["search"]["change"]["median"] == 0.019
+    assert stages["log2"]["change_wins"] == 1
+    assert stages["search"]["change_wins"] == 2
+    # a stage one side never ran has no entry for that side and no wins
+    assert stages["gap"] == {"change": {"median": 0.5, "q1": 0.5, "q3": 0.5,
+                                        "runs": [0.5]},
+                             "change_wins": 0}

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from ca_signals import (DiagonalLetters, OverflowHorizon, analysis,
                         builtin_log2, cli, engine, follower_for_xy, run,
-                        serialize_rules, verify_bounds)
+                        run_probes, serialize_rules, verify_bounds)
 from ca_signals.automaton import RuleTable
 from ca_signals.engine import diagonal_start
 from ca_signals.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_OVERFLOW,
@@ -816,7 +816,7 @@ def test_analyze_diagonal_negative_point_is_quiescent(capsys, monkeypatch):
     def stepped(*_args, **_kwargs):
         raise AssertionError("run_probes was called")
 
-    monkeypatch.setattr(cli, "run_probes", stepped)
+    monkeypatch.setattr(analysis, "run_probes", stepped)
     code, out, _ = run_cli(capsys, "analyze", "diagonal", "--i", "-1,0",
                            "--length", "6")
     assert code == EXIT_OK
@@ -844,11 +844,44 @@ def test_analyze_diagonal_refuses_a_length_below_one(capsys, i):
 
 
 def test_streamed_budget_overflow_exits_3(capsys):
-    for argv in (("detect", "--ca", "log2", "--steps", "64"),
-                 ("analyze", "diagonal", "--i", "0,0", "--length", "64")):
-        code, out, err = run_cli(capsys, *argv, "--budget", "50")
-        assert code == EXIT_OVERFLOW and out == ""
-        assert "last complete slice is t=15" in err
+    code, out, err = run_cli(capsys, "detect", "--ca", "log2", "--steps",
+                             "64", "--budget", "50")
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "last complete slice is t=15" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--i", "0,0", "--length", "64", "--budget", "50"),
+    ("--ca", "quiescent", "--i", "100000000,0", "--length", "4"),
+])
+def test_analyze_diagonal_checks_the_box_against_the_budget(capsys, argv):
+    # the box {j : 0 <= j <= i} holds start + length rows of its points
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "diagonal", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_OVERFLOW and out == ""
+    assert "no slice was computed" in err
+
+
+def test_analyze_diagonal_reads_past_the_first_repeat(capsys, monkeypatch):
+    # the box of diagonals 0 <= j <= (4, 4) first repeats at t = 109, so it
+    # is stepped no further; later letters are read periodically, as a
+    # plain run spells them
+    seen = []
+
+    class Times:
+        def observe(self, view):
+            seen.append(view.t)
+
+    def counted(ca, steps, probes, **kwargs):
+        return run_probes(ca, steps, [Times(), *probes], **kwargs)
+
+    monkeypatch.setattr(analysis, "run_probes", counted)
+    word = _letters(capsys, "xy:2,3", "4,4", 400)
+    assert seen == list(range(110))
+    letters = run(parse_ca_spec("xy:2,3"), 401).replay(
+        DiagonalLetters([(4, 4)]), 402)
+    assert [word] == letters.spell([[((4, 4), t) for t in range(2, 402)]])
 
 
 def test_analyze_diagonal_main_word(capsys):
@@ -1138,6 +1171,28 @@ def test_verify_all_honours_the_budget(capsys, monkeypatch):
     assert "site budget 50 exhausted" in err
     code, out, err = run_cli(capsys, "verify", "all", "--budget", "-1")
     assert code == EXIT_CONFIG and out == ""
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--x", "--y", "--rmax",
+                                  "--window", "--count"])
+def test_verify_all_refuses_the_single_run_sizes(capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "_verify_all", None)   # never reached
+    code, out, err = run_cli(capsys, "verify", "all", flag, "5")
+    assert code == EXIT_CONFIG and out == ""
+    assert err == ("error: verify all runs every claim at its shipped size "
+                   f"and takes no {flag}\n")
+
+
+def test_single_run_sizes_default_to_the_parser_values(capsys, monkeypatch):
+    calls = []
+    for name in ("verify_log2", "verify_xy", "verify_bounds", "verify_basic"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **_k:
+                            calls.append((_n, a)) or verify_bounds(1, 8))
+    for target in ("log2", "bounds", "basic"):
+        assert run_cli(capsys, "verify", target)[0] == EXIT_OK
+    assert run_cli(capsys, "verify", "xy", "--x", "2", "--y", "3")[0] == 0
+    assert calls == [("verify_log2", (2048,)), ("verify_bounds", (6, 4096)),
+                     ("verify_basic", (50,)), ("verify_xy", (2, 3, 2048))]
 
 
 # --- integer sizes, fuzzed ----------------------------------------------------

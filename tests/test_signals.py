@@ -10,11 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ca_signals import (AlphabetMismatch, CellScan, Follower, FollowProbe,
-                        NotCoprime, NotPeriodicWithin, Signal, builtin_log2,
-                        builtin_quiescent, builtin_xy, follower_for_xy,
-                        gap_profile, is_basic, log2_partition,
-                        log_anchor_signal, parse_move_partition,
-                        product_construct, run, run_probes)
+                        NotCoprime, Signal, builtin_log2, builtin_quiescent,
+                        builtin_xy, follower_for_xy, gap_profile, is_basic,
+                        log2_partition, log_anchor_signal,
+                        parse_move_partition, product_construct, run,
+                        run_probes)
 from ca_signals import engine
 from ca_signals.engine import _Evaluator, dense_run, same_run
 from ca_signals.lattice import Neighborhood, offsets
@@ -374,32 +374,28 @@ def test_marked_sites_on_log2(log2_diag):
 
 def test_is_basic_constant_moves():
     sig = Signal(sites_from_moves([DOWN] * 16))
-    dec = is_basic(sig)
-    assert (len(dec.alpha), len(dec.beta)) == (0, 1)
-    assert dec.beta == (DOWN,)
+    assert is_basic(sig) == ((), (DOWN,))
 
 
 def test_is_basic_preperiod_example():
     a, b, c = (-1, 1), (1, 1), (1, -1)
     sig = Signal(sites_from_moves([a, b, c, b, c, b, c, b, c]))
-    dec = is_basic(sig)
-    assert (len(dec.alpha), len(dec.beta)) == (1, 2)
-    assert dec.alpha == (a,) and set(dec.beta) == {b, c}
+    alpha, beta = is_basic(sig)
+    assert (len(alpha), len(beta)) == (1, 2)
+    assert alpha == (a,) and set(beta) == {b, c}
 
 
 def test_is_basic_rejects_counter_walk():
     ca = builtin_log2()
     probe = _detect(ca, log2_partition(), 200)
     run_probes(ca, 200, [probe])
-    res = is_basic(probe.trace().signal)
-    assert isinstance(res, NotPeriodicWithin)
-    assert res.window == 200
+    assert is_basic(probe.trace().signal) is None
 
 
 def test_is_basic_window_guards():
     with pytest.raises(ValueError, match="too short"):
         is_basic(Signal(sites_from_moves([DOWN] * 3)))
-    assert is_basic(Signal(sites_from_moves([DOWN] * 4))).beta == (DOWN,)
+    assert is_basic(Signal(sites_from_moves([DOWN] * 4))) == ((), (DOWN,))
 
 
 def test_gap_profile():

@@ -1,14 +1,16 @@
 """The windowed oracle for diagonal words, kept only to cross-check the exact
 path (``analysis.exact_periods``) in the tests.
 
-It decomposes a finite word under the final-third evidence policy: the
-periodic part must cover the final third of the window and repeat at least
-twice.  A word that has not settled inside the window can still read as a
-false period here, which is why the package itself decides diagonal words
-exactly.
+It decomposes a finite word by the package's one rule (``_preperiod``)
+under the final-third evidence policy: the periodic part must cover the
+final third of the window and repeat at least twice.  A word that has not
+settled inside the window can still read as a false period here, which is
+why the package itself decides diagonal words exactly.
 """
 
-from ca_signals.analysis import _decompose
+import numpy as np
+
+from ca_signals.analysis import _preperiod
 
 
 def final_third_accept(p: int, q: int, h: int) -> bool:
@@ -16,8 +18,18 @@ def final_third_accept(p: int, q: int, h: int) -> bool:
 
 
 def ultimate_period(word, window=None):
-    """Lexicographically minimal (|alpha|, |beta|) under the final-third rule."""
+    """(alpha, beta) with the first ``window`` letters alpha + beta
+    repeated and (|alpha|, |beta|) least under the final-third policy, or
+    None if no pair meets it."""
     h = len(word) if window is None else window
     if h < 4:
         raise ValueError(f"window {h} is too short to show a repeat")
-    return _decompose(word, h, final_third_accept)
+    if h > len(word):
+        raise ValueError(f"window {h} outside 1..{len(word)}")
+    w = np.unique(np.asarray(word[:h]), return_inverse=True)[1]
+    fits = [(p, q) for q in range(1, h // 2 + 1)
+            if final_third_accept(p := _preperiod(w, q), q, h)]
+    if not fits:
+        return None
+    p, q = min(fits)
+    return tuple(word[:p]), tuple(word[p:p + q])
